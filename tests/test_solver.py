@@ -388,3 +388,71 @@ class TestKernelCache:
         k1 = SolutionKernel(spec, grid)
         k2 = SolutionKernel(spec, grid)
         assert k1.table is k2.table
+
+
+class TestImpulseNodeForcing:
+    def test_right_value_forcing_keeps_left_limit_memory_window(self):
+        # At an impulse node t_k the integral segment starting there uses
+        # f1(x(t_k^+)) while the memory window still ends at the stored left
+        # value x(t_k^-).  Rebuild the mild formula by hand at every forward
+        # node from the converged values and compare with the solver.
+        alpha, h, r, t_k, T = 1.5, 1.0 / 16.0, 0.25, 0.5, 1.0
+        g1, g2, rate, scale = 0.3, 0.2, 1.0, -0.5
+        f = NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": g1, "f2_gain": g2, "kernel_rate": rate,
+             "f1_form": "saturating", "f2_form": "linear"},
+            L1=g1, L2=g2, M1=0.5, holder_p=0.4,
+        )
+        phi0 = np.array([1.0, -0.5])
+        spec = make_spec(
+            n=2, alpha=alpha, omega=0.5, r=r, T=T,
+            impulses=[ImpulseDescriptor(t_k, "linear", scale)],
+            phi_coeffs=phi0, f=f,
+        )
+        grid = Grid(spec, h)
+        traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
+        x = traj.values
+        n_hist, k, n = round(r / h), round(t_k / h), round(T / h)
+        lam = spec.eigenvalues
+
+        def D(t):
+            return np.array([mittag_leffler(alpha, 1.0, lv * t**alpha) for lv in lam])
+
+        def f1(v):
+            return g1 * v / (1.0 + math.sqrt(float(v @ v)))
+
+        def memory(m, last=None):
+            # trapezoid sum of exp(-rate (t_m - s)) g2 x(s) over [t_m - r, t_m];
+            # row m + i of x holds time t_m - r + i h
+            total = np.zeros(2)
+            for i in range(n_hist + 1):
+                wt = h if 0 < i < n_hist else 0.5 * h
+                v = x[m + i] if (i < n_hist or last is None) else last
+                total += wt * math.exp(-rate * (n_hist - i) * h) * g2 * v
+            return total
+
+        forcing = [f1(x[n_hist + m]) + memory(m) for m in range(n + 1)]
+        left = x[n_hist + k]
+        right = left + scale * left
+        np.testing.assert_array_equal(traj.right_value(k), right)
+
+        def mild(m, f_right):
+            out = D(m * h) * phi0
+            if m > k:
+                out = out + D((m - k) * h) * (scale * left)
+            for j in range(m + 1):
+                wt = h if 0 < j < m else 0.5 * h
+                out = out + wt * D((m - j) * h) * forcing[j]
+            if 0 < k < m:
+                out = out + 0.5 * h * D((m - k) * h) * (f_right - forcing[k])
+            return out
+
+        f_right = f1(right) + memory(k)
+        for m in range(1, n + 1):
+            np.testing.assert_allclose(x[n_hist + m], mild(m, f_right), rtol=0, atol=1e-11)
+
+        # the two readings a rewrite could slip into are far outside that
+        # tolerance: f1 at the left value, or a window ending at x(t_k^+)
+        for wrong in (forcing[k], f1(right) + memory(k, last=right)):
+            assert np.linalg.norm(x[-1] - mild(n, wrong)) > 1e-6
