@@ -55,6 +55,7 @@ from .solver import (
     Trajectory,
     contraction_check,
     convolve,
+    forcing_on_grid,
     nonlocal_residual,
     picard_factor,
     solve_mild,

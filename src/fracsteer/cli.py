@@ -5,8 +5,6 @@ one JSON manifest alongside its outputs (or <subcommand>.manifest.json in the
 working directory for stdout-only runs).  Outputs are written atomically via
 a temp file and rename.  Exit codes: 0 success, 2 configuration error,
 3 numerical non-convergence.
-
-FRACSTEER_THREADS caps internal parallelism (currently the epsilon sweep).
 """
 
 from __future__ import annotations
@@ -36,17 +34,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FRACSTEER_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"FRACSTEER_THREADS={raw!r} is not an integer") from exc
-    if n < 1:
-        raise ConfigError("FRACSTEER_THREADS must be >= 1")
-    return n
-
-
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
@@ -71,7 +58,6 @@ class RunManifest:
             "tool_version": __version__,
             "config": getattr(args, "config", None),
             "seed": getattr(args, "seed", 0),
-            "threads": _max_workers(),
             "parameters": {},
             "outputs": [],
             "duration_s": None,
@@ -185,7 +171,6 @@ def _cmd_sweep(args) -> int:
     result = epsilon_sweep(
         spec, grid, h, eps_list,
         tol=args.tol, max_outer=args.max_outer, theta=args.theta,
-        max_workers=_max_workers(),
     )
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -322,7 +307,10 @@ def run(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        # a non-finite value ends the run with a one-line error below, so
+        # numpy's overflow/invalid warnings on the way there are noise
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConvergenceError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

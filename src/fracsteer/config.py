@@ -23,6 +23,8 @@ from .model import (
 from .optimal import CostDescriptor
 
 _TOP_KEYS = {"alpha", "omega", "N", "T", "r", "impulses", "nonlocal", "phi", "f", "B"}
+# Largest accepted N: the input map alone is an N x N matrix.
+_MAX_MODES = 1024
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -123,7 +125,10 @@ def problem_from_dict(raw: dict) -> ProblemSpec:
     if not isinstance(raw, dict):
         raise ConfigError("problem config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "problem config")
-    n = int(_require(raw, "N", "problem config"))
+    n = _require(raw, "N", "problem config")
+    if not (isinstance(n, (int, float)) and 1 <= n <= _MAX_MODES and n == int(n)):
+        raise ConfigError(f"N must be an integer in [1, {_MAX_MODES}], got {n!r}")
+    n = int(n)
     impulses = []
     for i, item in enumerate(raw.get("impulses", [])):
         _reject_unknown(item, {"t", "kind", "scale"}, f"impulses[{i}]")
@@ -178,7 +183,10 @@ def load_target(path, n: int) -> np.ndarray:
     if not isinstance(raw, dict):
         raise ConfigError("target file must be a JSON object")
     _reject_unknown(raw, {"coeffs"}, "target file")
-    return _coeff_vector(_require(raw, "coeffs", "target file"), n, "target coeffs")
+    coeffs = _coeff_vector(_require(raw, "coeffs", "target file"), n, "target coeffs")
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigError("target coeffs must be finite")
+    return coeffs
 
 
 def cost_from_dict(raw: dict) -> CostDescriptor:

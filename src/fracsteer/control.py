@@ -17,7 +17,7 @@ hold exactly at the discrete level.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +30,8 @@ from .solver import (
     Grid,
     SolutionKernel,
     Trajectory,
-    forcing_along,
+    _convolve_all,
+    forcing_on_grid,
     solve_mild,
 )
 
@@ -78,16 +79,16 @@ class SteeringReport:
 
 
 def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
-    """Trapezoid-rule Grammian on the trajectory grid."""
-    kernel = SolutionKernel(spec, grid)
-    m_max = grid.n_fwd
-    w = grid.trapezoid_weights(m_max)
-    G = np.zeros((spec.n_modes, spec.n_modes))
-    for m in range(m_max + 1):
-        DB = kernel.table[m_max - m][:, None] * spec.B  # D(T - t_m) B
-        G += w[m] * (DB @ DB.T)
+    """Trapezoid-rule Grammian on the trajectory grid.
+
+    D is diagonal, so sum_m w_m D(T - t_m) B B^T D(T - t_m) is the entrywise
+    product (B B^T) o (T^T diag(w) T) of the kernel table T; the trapezoid
+    weights are symmetric, so the lag order does not matter."""
+    table = SolutionKernel(spec, grid).table
+    w = grid.trapezoid_weights(grid.n_fwd)
+    G = (spec.B @ spec.B.T) * (table.T @ (w[:, None] * table))
     G = 0.5 * (G + G.T)
-    return Grammian(G, quad_order=m_max)
+    return Grammian(G, quad_order=grid.n_fwd)
 
 
 def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
@@ -96,21 +97,17 @@ def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
     grid = x.grid
     if grid.spec is not spec:
         raise DomainError("trajectory grid belongs to a different problem instance")
-    kernel = SolutionKernel(spec, grid)
+    table = SolutionKernel(spec, grid).table
     m_max = grid.n_fwd
 
-    out = h - kernel.table[m_max] * (spec.phi(0.0) - eval_g(spec, x, 0.0))
+    out = h - table[m_max] * (spec.phi(0.0) - eval_g(spec, x, 0.0))
     for k, m_imp in enumerate(grid.impulse_nodes):
         left = x.values[grid.fwd_row(m_imp)]
-        out -= kernel.table[m_max - m_imp] * eval_impulse(spec, k, left)
+        out -= table[m_max - m_imp] * eval_impulse(spec, k, left)
     if spec.f_desc.kind != "zero":
-        f_left, overrides = forcing_along(spec, x)
-        w = grid.trapezoid_weights(m_max)
-        acc = (w[:, None] * kernel.table[::-1] * f_left).sum(axis=0)
-        for j, f_right in overrides.items():
-            if 0 < j < m_max:
-                acc += 0.5 * grid.h * kernel.table[m_max - j] * (f_right - f_left[j])
-        out -= acc
+        right = [x.right_value(m) for m in grid.impulse_nodes]
+        f_left, f_right = forcing_on_grid(spec, grid, x.values, right)
+        out -= _convolve_all(table, f_left, grid.h, f_right)[-1]
     return out
 
 
@@ -122,8 +119,8 @@ def synthesize_control(
     gram: Grammian | None = None,
 ) -> ControlSignal:
     """Regularized steering law sampled on the trajectory grid."""
-    if eps <= 0.0:
-        raise ConfigError("eps must be > 0")
+    if not (0.0 < eps < math.inf):
+        raise ConfigError(f"eps must be finite and > 0, got {eps}")
     grid = x.grid
     if gram is None:
         gram = grammian(spec, grid)
@@ -137,10 +134,8 @@ def synthesize_control(
             regime="cholesky",
         ) from exc
     c = cho_solve(factor, p)
-    kernel = SolutionKernel(spec, grid)
-    m_max = grid.n_fwd
-    samples = (kernel.table[::-1] * c) @ spec.B  # row m: B^T D(T - t_m) c
-    return ControlSignal(grid, samples[: m_max + 1])
+    table = SolutionKernel(spec, grid).table
+    return ControlSignal(grid, (table[::-1] * c) @ spec.B)  # row m: B^T D(T - t_m) c
 
 
 def steer(
@@ -159,8 +154,8 @@ def steer(
     Successive controls must agree to tol in sup-norm.  The final report
     carries the terminal error |x(T) - h| and the control energy.
     """
-    if eps <= 0.0 or tol <= 0.0:
-        raise ConfigError("eps and tol must be > 0")
+    if not (0.0 < eps < math.inf and tol > 0.0):
+        raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
     if not (0.0 < theta <= 1.0):
         raise ConfigError("damping theta must lie in (0, 1]")
     h = spec.check_vector(h)
@@ -230,12 +225,9 @@ def epsilon_sweep(
     theta: float = 1.0,
     picard_tol: float = 1e-11,
     picard_max: int = 400,
-    max_workers: int = 1,
 ) -> SweepResult:
     """One steering run per eps (strictly decreasing list); failures are
-    recorded per entry and the sweep continues.  Entries are independent, so
-    they may run on a small thread pool; results merge by position, keeping
-    the output independent of scheduling."""
+    recorded per entry and the sweep continues."""
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps values must be strictly decreasing")
@@ -252,11 +244,7 @@ def epsilon_sweep(
         except (ConvergenceError, EvaluationError) as exc:
             return SweepEntry(eps=eps, error=str(exc))
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(pool.map(run_one, eps_list))
-    else:
-        entries = [run_one(e) for e in eps_list]
+    entries = [run_one(e) for e in eps_list]
 
     errs = [e.report.terminal_error for e in entries if e.report is not None]
     non_increasing = all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))

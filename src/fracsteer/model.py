@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError, NonlinearityError
@@ -35,12 +35,26 @@ def to_physical(coeffs: FloatArray, y: FloatArray) -> FloatArray:
 
 def project(values: FloatArray, y: FloatArray, n_modes: int) -> FloatArray:
     """L2-project samples on a uniform y-grid back onto the first n_modes."""
-    h = y[1] - y[0]
     phi = basis_matrix(n_modes, y)
-    w = np.full(len(y), h)
+    return phi.T @ (trapezoid_weights(len(y), y[1] - y[0]) * values)
+
+
+def trapezoid_weights(n: int, h: float) -> FloatArray:
+    """Composite trapezoid weights of n samples spaced h apart."""
+    w = np.full(n, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return phi.T @ (w * values)
+    return w
+
+
+def _check_finite(name: str, value) -> None:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number") from None
+    if not np.all(np.isfinite(arr)):
+        got = f", got {value}" if arr.ndim == 0 else ""
+        raise ConfigError(f"{name} must be finite{got}")
 
 
 @dataclass(frozen=True)
@@ -71,25 +85,26 @@ class NonlocalTerm:
 
 @dataclass(frozen=True)
 class HistorySegment:
-    """Trailing delay window: samples of x(t + s), s in [-r, 0], aligned with
-    the trajectory grid.  base_t is the absolute time of the window's right
-    end, so sample j sits at absolute time base_t + offsets[j]."""
+    """Trailing delay windows: samples of x(t + s), s in [-r, 0], aligned with
+    the trajectory grid.  base_t is the absolute time of a window's right
+    end, so sample j sits at absolute time base_t + offsets[j].
 
-    base_t: float
+    A scalar base_t describes one window and values holds its samples.  An
+    array of M window ends describes M windows one grid step apart: values
+    then holds the M + W - 1 trajectory rows they share (W = len(offsets))
+    and window i is values[i : i + W]."""
+
+    base_t: float | FloatArray
     offsets: FloatArray  # uniform, offsets[0] = -r, offsets[-1] = 0
-    values: FloatArray  # shape (len(offsets), N)
+    values: FloatArray  # shape (M + W - 1, N)
 
-    def sup_norm(self) -> float:
+    def sup_norm(self) -> float | FloatArray:
+        """Largest sample norm in each window (a float for one window)."""
         if self.values.size == 0:
             return 0.0
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
-
-    @property
-    def r(self) -> float:
-        return float(-self.offsets[0])
-
-    def last(self) -> FloatArray:
-        return self.values[-1]
+        norms = np.linalg.norm(self.values, axis=1)
+        sup = sliding_window_view(norms, len(self.offsets)).max(axis=-1)
+        return sup if np.ndim(self.base_t) else float(sup[0])
 
 
 @dataclass(frozen=True)
@@ -163,7 +178,7 @@ class NonlinearityDescriptor:
         if form == "linear":
             return gain * x
         if form == "saturating":
-            return gain * x / (1.0 + np.linalg.norm(x))
+            return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
         raise ConfigError(f"unknown pointwise form {form!r}")
 
 
@@ -215,6 +230,8 @@ class ProblemSpec:
     constants: ConstantsLedger = field(init=False)
 
     def __post_init__(self):
+        for name, value in self._numeric_fields():
+            _check_finite(name, value)
         if not (1.0 < self.alpha < 2.0):
             raise ConfigError(f"alpha must lie in (1, 2), got {self.alpha}")
         if self.omega < 0.0:
@@ -245,6 +262,22 @@ class ProblemSpec:
             )
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "constants", self._build_ledger())
+
+    def _numeric_fields(self):
+        """(config name, value) of every number the problem is built from."""
+        f = self.f_desc
+        slope = 0.0 if self.phi.slope is None else self.phi.slope
+        yield from [("alpha", self.alpha), ("omega", self.omega), ("T", self.horizon),
+                    ("r", self.delay), ("phi.coeffs", self.phi.coeffs), ("phi.slope", slope),
+                    ("B", self.B), ("f.L1", f.L1), ("f.L2", f.L2), ("f.M1", f.M1),
+                    ("f.p", f.holder_p)]
+        for i, imp in enumerate(self.impulses):
+            yield from [(f"impulses[{i}].t", imp.t), (f"impulses[{i}].scale", imp.scale)]
+        for i, term in enumerate(self.nonlocal_terms):
+            yield from [(f"nonlocal[{i}].c", term.c), (f"nonlocal[{i}].tau", term.tau)]
+        for key, value in f.params.items():
+            if not key.endswith("_form"):
+                yield f"f.params.{key}", value
 
     def _build_ledger(self) -> ConstantsLedger:
         p = self.f_desc.holder_p
@@ -284,18 +317,24 @@ class ProblemSpec:
 
 
 def eval_f(
-    spec: ProblemSpec, t: float, x: FloatArray, hist: HistorySegment
+    spec: ProblemSpec, t: float | FloatArray, x: FloatArray, hist: HistorySegment
 ) -> FloatArray:
-    """Nonlinearity value f(t, x, x_t).
+    """Nonlinearity value f(t, x, x_t), at one time or at a stack of them.
 
-    The memory kind integrates h(t-s) f2(s, x(s)) over the trailing delay
-    window by the composite trapezoid rule on the window's own sub-grid.
+    With an array t, x holds one state row per time and hist the matching
+    stacked windows.  The memory kind integrates h(t-s) f2(s, x(s)) over each
+    trailing delay window by the composite trapezoid rule on the window's own
+    sub-grid: f2 is applied once per trajectory row, then every window is
+    summed over a sliding view of those rows.
     """
-    if not (0.0 <= t <= spec.horizon + 1e-12):
-        raise DomainError(f"t={t} outside [0, T]")
+    ts = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= ts) & (ts <= spec.horizon + 1e-12))
+    if np.any(outside):
+        raise DomainError(f"t={ts[outside].flat[0]} outside [0, T]")
     desc = spec.f_desc
+    x = np.asarray(x, dtype=float)
     if desc.kind == "zero":
-        return np.zeros(spec.n_modes)
+        return np.zeros_like(x)
     try:
         if desc.kind == "linear":
             return desc._pointwise("linear", float(desc.params.get("gain", 0.0)), x)
@@ -303,29 +342,17 @@ def eval_f(
         p = desc.params
         f1 = desc._pointwise(p.get("f1_form", "linear"), float(p.get("f1_gain", 0.0)), x)
         f2_gain = float(p.get("f2_gain", 0.0))
-        if f2_gain == 0.0 or hist.values.shape[0] < 2:
+        width = len(hist.offsets)
+        if f2_gain == 0.0 or width < 2:
             return f1
         rate = float(p.get("kernel_rate", 1.0))
-        f2_form = p.get("f2_form", "linear")
-        rows = np.stack(
-            [desc._pointwise(f2_form, f2_gain, v) for v in hist.values]
-        )
-        kernel = np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
-        dt = hist.offsets[1] - hist.offsets[0]
-        w = np.full(len(hist.offsets), dt)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return f1 + (w * kernel) @ rows
+        rows = desc._pointwise(p.get("f2_form", "linear"), f2_gain, hist.values)
+        w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
+        w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
+        windows = sliding_window_view(rows, width, axis=0)  # (M, N, W), no copy
+        return f1 + np.einsum("inw,w->in", windows, w).reshape(x.shape)
     except (ValueError, FloatingPointError) as exc:  # pragma: no cover
         raise NonlinearityError(str(exc), t) from exc
-
-
-class _TrajectoryLike:
-    """Anything exposing value_at_time(t); avoids an import cycle with the
-    solver's Trajectory."""
-
-    def value_at_time(self, t: float) -> FloatArray:  # pragma: no cover
-        raise NotImplementedError
 
 
 def eval_g(spec: ProblemSpec, traj, s: float) -> FloatArray:

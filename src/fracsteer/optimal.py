@@ -11,7 +11,8 @@ admissible box after every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,6 +39,9 @@ class CostDescriptor:
     M2: Callable[[float], float] | float = 0.0
 
     def __post_init__(self):
+        for name in ("w_state", "w_hist", "w_control", "d", "e", "f_u"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"cost {name} must be finite, got {getattr(self, name)}")
         if min(self.w_state, self.w_hist, self.w_control) < 0.0:
             raise ConfigError("cost weights must be >= 0")
         if self.f_u > self.w_control:
@@ -46,13 +50,16 @@ class CostDescriptor:
     def m2_at(self, t: float) -> float:
         return self.M2(t) if callable(self.M2) else float(self.M2)
 
-    def evaluate(self, t: float, x: FloatArray, hist: HistorySegment, u: FloatArray) -> float:
+    def evaluate(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray):
+        """L at one time (a float), or at a stack of times with one row of x
+        and u per time and hist the matching stacked windows (an array)."""
         hist_norm = hist.sup_norm() if self.w_hist != 0.0 else 0.0
-        return float(
-            self.w_state * np.dot(x, x)
+        value = (
+            self.w_state * np.einsum("...i,...i->...", x, x)
             + self.w_hist * hist_norm**2
-            + self.w_control * np.dot(u, u)
+            + self.w_control * np.einsum("...i,...i->...", u, u)
         )
+        return value if np.ndim(value) else float(value)
 
     def lower_bound(self, t: float, x: FloatArray, hist: HistorySegment, u: FloatArray) -> float:
         return (
@@ -114,17 +121,10 @@ def eval_cost(
     if traj is None:
         traj = solve_mild(spec, u, tol=tol)
     grid = u.grid
-    m_max = grid.n_fwd
-    samples = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        samples[m] = cost.evaluate(
-            float(grid.times[grid.fwd_row(m)]),
-            traj.values[grid.fwd_row(m)],
-            traj.history_at(m),
-            u.samples[m],
-        )
-    w = grid.trapezoid_weights(m_max)
-    return float(w @ samples)
+    samples = cost.evaluate(
+        grid.forward_times(), traj.forward_values(), traj.history(), u.samples
+    )
+    return float(grid.trapezoid_weights(grid.n_fwd) @ samples)
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,23 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigError, ConvergenceError, DomainError
 from .mittag import mittag_leffler
-from .model import FloatArray, HistorySegment, ProblemSpec, eval_f, eval_g, eval_impulse
+from .model import (
+    FloatArray, HistorySegment, ProblemSpec, eval_f, eval_impulse, trapezoid_weights,
+)
 
 _NODE_TOL = 1e-9
+# Largest number of grid steps a span may take: a mistyped T, r or dt must
+# not allocate arrays with that many rows.
+_MAX_STEPS = 10**6
 
 
 def _as_steps(value: float, h: float, what: str) -> int:
+    if not abs(value / h) <= _MAX_STEPS:
+        raise ConfigError(f"{what}={value} spans more than {_MAX_STEPS} steps of dt={h}")
     n = round(value / h)
     if abs(value - n * h) > _NODE_TOL * max(1.0, abs(value)):
         raise ConfigError(
@@ -52,8 +60,8 @@ class Grid:
     impulse_nodes: tuple[int, ...] = field(init=False)  # forward indices
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ConfigError("dt must be > 0")
+        if not (0.0 < self.h < math.inf):
+            raise ConfigError(f"dt must be finite and > 0, got {self.h}")
         nh = _as_steps(self.spec.delay, self.h, "delay r")
         nf = _as_steps(self.spec.horizon, self.h, "horizon T")
         imp = tuple(_as_steps(d.t, self.h, f"impulse time {d.t}") for d in self.spec.impulses)
@@ -87,10 +95,7 @@ class Grid:
         return self.times[self.n_hist :]
 
     def trapezoid_weights(self, m: int) -> FloatArray:
-        w = np.full(m + 1, self.h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid_weights(m + 1, self.h)
 
 
 # Kernel tables are shared across Picard sweeps, outer iterations and the
@@ -128,9 +133,6 @@ class SolutionKernel:
         _KERNEL_CACHE[key] = table
         if len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
             _KERNEL_CACHE.popitem(last=False)
-
-    def at_lag(self, m: int) -> FloatArray:
-        return self.table[m]
 
 
 @dataclass
@@ -188,15 +190,14 @@ class Trajectory:
     def forward_values(self) -> FloatArray:
         return self.values[self.grid.n_hist :]
 
-    def history_at(self, m: int) -> HistorySegment:
-        """Trailing delay window ending at forward node m."""
+    def history(self) -> HistorySegment:
+        """Trailing delay windows ending at every forward node, stacked over
+        the stored rows: window m is values[m : m + n_hist + 1]."""
         g = self.grid
-        j0 = g.fwd_row(m) - g.n_hist
-        offs = np.arange(-g.n_hist, 1) * g.h
         return HistorySegment(
-            base_t=float(g.times[g.fwd_row(m)]),
-            offsets=offs,
-            values=self.values[j0 : g.fwd_row(m) + 1],
+            base_t=g.forward_times(),
+            offsets=np.arange(-g.n_hist, 1) * g.h,
+            values=self.values,
         )
 
     def sup_norm(self) -> float:
@@ -231,27 +232,28 @@ def picard_factor(spec: ProblemSpec) -> float:
 
 
 def _convolve_all(
-    kernel: SolutionKernel,
-    forcing_left: FloatArray,
+    table: FloatArray,
+    forcing: FloatArray,
+    h: float,
     right_overrides: dict,
 ) -> FloatArray:
-    """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every m.
+    """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every node m,
+    with table[l] = D(l h) and forcing[j] = w(t_j).
 
+    One real-FFT product gives h * sum_{j <= m} D(t_m - t_j) w(t_j) for all m
+    at once (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
+    1985); the two half-weight endpoint terms are then taken off.
     right_overrides maps an impulse node j to the forcing's right value
     there, so each segment starting at j integrates the correct branch."""
-    grid = kernel.grid
-    m_max = grid.n_fwd
-    out = np.zeros_like(forcing_left)
-    table = kernel.table
-    h = grid.h
-    for m in range(1, m_max + 1):
-        w = grid.trapezoid_weights(m)
-        ker = table[m::-1]  # lag m-j for j = 0..m
-        acc = (w[:, None] * ker * forcing_left[: m + 1]).sum(axis=0)
-        for j, f_right in right_overrides.items():
-            if 0 < j < m:
-                acc += 0.5 * h * table[m - j] * (f_right - forcing_left[j])
-        out[m] = acc
+    n = len(forcing)
+    size = next_fast_len(2 * n - 1, real=True)
+    ker = table[:n]
+    out = irfft(rfft(ker, size, axis=0) * rfft(forcing, size, axis=0), size, axis=0)[:n]
+    out *= h
+    out -= 0.5 * h * (ker * forcing[0] + ker[0] * forcing)
+    out[0] = 0.0
+    for j, f_right in right_overrides.items():
+        out[j + 1 :] += 0.5 * h * ker[1 : n - j] * (f_right - forcing[j])
     return out
 
 
@@ -271,12 +273,28 @@ def convolve(spec: ProblemSpec, forcing, t: float, grid: Grid | None = None) -> 
         raise DomainError(f"t={t} is not a forward grid node")
     if forcing.shape[0] < m + 1:
         raise DomainError("forcing must be defined on every node up to t")
-    if m == 0:
-        return np.zeros(spec.n_modes)
     kernel = SolutionKernel(spec, grid)
-    w = grid.trapezoid_weights(m)
-    ker = kernel.table[m::-1]
-    return (w[:, None] * ker * forcing[: m + 1]).sum(axis=0)
+    return _convolve_all(kernel.table, forcing[: m + 1], grid.h, {})[-1]
+
+
+def forcing_on_grid(
+    spec: ProblemSpec, grid: Grid, values: FloatArray, right
+) -> tuple[FloatArray, dict]:
+    """f(s, x(s), x_s) along the sampled path values (rows of grid.times).
+
+    Returns f on every forward node, evaluated at the stored (left) values,
+    and a map from each impulse node to f evaluated at the right value given
+    for it in right (one row per impulse).  Every memory window ends at the
+    stored left value, the impulse node's own window included."""
+    hist = Trajectory(grid, values).history()
+    ts = grid.forward_times()
+    f_left = eval_f(spec, ts, values[grid.n_hist :], hist)
+    width = grid.n_hist + 1
+    f_right = {
+        m: eval_f(spec, ts[m], x, HistorySegment(ts[m], hist.offsets, values[m : m + width]))
+        for m, x in zip(grid.impulse_nodes, right)
+    }
+    return f_left, f_right
 
 
 def _phi_samples(spec: ProblemSpec, grid: Grid) -> FloatArray:
@@ -312,7 +330,6 @@ def solve_mild(
         raise DomainError("control grid belongs to a different problem instance")
     kernel = SolutionKernel(spec, grid)
     n_hist, n_fwd = grid.n_hist, grid.n_fwd
-    n_rows = len(grid)
 
     warnings_list = []
     rho = picard_factor(spec)
@@ -325,48 +342,41 @@ def solve_mild(
     bu = u.samples @ spec.B.T
 
     # initial iterate: phi on [-r, 0], extended constantly by phi(0)
-    values = np.empty((n_rows, spec.n_modes))
+    values = np.empty((len(grid), spec.n_modes))
     values[: n_hist + 1] = phi_hist
     values[n_hist + 1 :] = phi_hist[-1]
 
-    work = Trajectory(grid, values)
     residuals: list[float] = []
-    f_left = np.empty((n_fwd + 1, spec.n_modes))
     for it in range(max_iter):
         # nonlocal correction on the history window from the previous iterate
         g_hist = _nonlocal_samples(spec, grid, values)
         new_values = np.empty_like(values)
         new_values[: n_hist + 1] = phi_hist - g_hist
 
-        # forcing samples along the previous iterate (left limits at nodes)
-        for m in range(n_fwd + 1):
-            f_left[m] = eval_f(
-                spec, float(grid.times[n_hist + m]), values[n_hist + m], work.history_at(m)
-            )
-        right_overrides = {}
-        jump_vecs = {}
-        for k, m_imp in enumerate(grid.impulse_nodes):
-            x_left = values[n_hist + m_imp]
-            jump_vecs[m_imp] = eval_impulse(spec, k, x_left)
-            x_right = x_left + jump_vecs[m_imp]
-            f_right = eval_f(
-                spec, float(grid.times[n_hist + m_imp]), x_right, work.history_at(m_imp)
-            )
-            right_overrides[m_imp] = f_right + bu[m_imp]
+        # forcing along the previous iterate: left limits at every node,
+        # right values at the impulse nodes
+        lefts = [values[grid.fwd_row(m)] for m in grid.impulse_nodes]
+        jumps = [eval_impulse(spec, k, x) for k, x in enumerate(lefts)]
+        f_left, f_right = forcing_on_grid(
+            spec, grid, values, [x + jump for x, jump in zip(lefts, jumps)]
+        )
+        right_overrides = {m: f + bu[m] for m, f in f_right.items()}
+        conv = _convolve_all(kernel.table, bu + f_left, grid.h, right_overrides)
 
-        conv = _convolve_all(kernel, bu + f_left, right_overrides)
-
-        x0 = new_values[n_hist]
-        fwd = kernel.table[: n_fwd + 1] * x0 + conv
-        for m_imp, jump in jump_vecs.items():
-            if m_imp < n_fwd:
-                fwd[m_imp + 1 :] += kernel.table[1 : n_fwd + 1 - m_imp] * jump
+        fwd = kernel.table * new_values[n_hist] + conv
+        for m_imp, jump in zip(grid.impulse_nodes, jumps):
+            fwd[m_imp + 1 :] += kernel.table[1 : n_fwd + 1 - m_imp] * jump
         new_values[n_hist:] = fwd
 
         res = float(np.max(np.linalg.norm(new_values - values, axis=1)))
         residuals.append(res)
         values = new_values
-        work = Trajectory(grid, values)
+        if not math.isfinite(res):
+            raise ConvergenceError(
+                f"Picard iteration produced a non-finite iterate at sweep {it + 1}",
+                residuals=residuals,
+                last_iterate=Trajectory(grid, values),
+            )
         if res <= tol:
             break
     else:
@@ -374,7 +384,7 @@ def solve_mild(
             f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
             f"(last residual {residuals[-1]:.3e})",
             residuals=residuals,
-            last_iterate=work,
+            last_iterate=Trajectory(grid, values),
         )
 
     jumps = {}
@@ -389,29 +399,6 @@ def solve_mild(
         residuals=residuals,
         converged=True,
     )
-
-
-def forcing_along(spec: ProblemSpec, traj: Trajectory) -> tuple[FloatArray, dict]:
-    """f(s, x(s), x_s) sampled along a solved trajectory: left values on every
-    forward node plus right-value overrides at impulse nodes."""
-    grid = traj.grid
-    f_left = np.empty((grid.n_fwd + 1, spec.n_modes))
-    for m in range(grid.n_fwd + 1):
-        f_left[m] = eval_f(
-            spec,
-            float(grid.times[grid.fwd_row(m)]),
-            traj.values[grid.fwd_row(m)],
-            traj.history_at(m),
-        )
-    overrides = {}
-    for m_imp in grid.impulse_nodes:
-        overrides[m_imp] = eval_f(
-            spec,
-            float(grid.times[grid.fwd_row(m_imp)]),
-            traj.right_value(m_imp),
-            traj.history_at(m_imp),
-        )
-    return f_left, overrides
 
 
 def nonlocal_residual(spec: ProblemSpec, traj: Trajectory) -> float:

@@ -2,12 +2,17 @@
 subcommand end to end, exit codes, manifests, atomic outputs, and bit-for-bit
 reproducibility."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsteer.cli import run
 from fracsteer.config import load_cost, load_problem, load_target, problem_from_dict
@@ -171,6 +176,23 @@ class TestCliSteerSweep:
         assert 0.0 < report["terminal_error"] < 0.01
         assert report["control_energy"] > 0.0
 
+    def test_flagship_config_matches_golden(self, tmp_path):
+        # configs/flagship.json is the golden flagship: all 16 coefficients
+        # phi_k = 2^-k, as in tests/golden/flagship.json
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "flagship.json").read_text()
+        )["steer_eps_1e-2"]["200"]
+        out = tmp_path / "report.json"
+        assert run([
+            "steer", "--config", str(CONFIGS / "flagship.json"), "--dt", "0.005",
+            "--target", str(CONFIGS / "target_flagship.json"), "--eps", "1e-2",
+            "--out", str(out),
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert report["terminal_error"] == pytest.approx(golden["terminal_error"], rel=1e-9)
+        assert report["control_energy"] == pytest.approx(golden["control_energy"], rel=1e-9)
+        assert report["outer_iters"] == golden["outer_iters"] == 11
+
     def test_sweep_csv_and_closed_form(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run([
@@ -271,22 +293,103 @@ class TestCliOptimizeCheck:
         assert run([]) == 2
 
 
-class TestThreadsEnv:
-    def test_invalid_threads_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACSTEER_THREADS", "zero")
-        assert run([
-            "sweep", "--config", str(CONFIGS / "linear1d.json"), "--dt", "0.01",
-            "--target", str(CONFIGS / "target_1d.json"),
-            "--eps-list", "1e-1", "--out", str(tmp_path / "s.csv"),
-        ]) == 2
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
 
-    def test_threads_recorded_in_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FRACSTEER_THREADS", "2")
-        out = tmp_path / "s.csv"
-        assert run([
-            "sweep", "--config", str(CONFIGS / "linear1d.json"), "--dt", "0.01",
-            "--target", str(CONFIGS / "target_1d.json"),
-            "--eps-list", "1e-1,1e-2", "--out", str(out),
-        ]) == 0
-        manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
-        assert manifest["threads"] == 2
+
+def _mutated(obj, path, value):
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+def _run_captured(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("path, value, field", [
+        (("r",), math.inf, "r"),
+        (("phi", "params", "coeffs", 2), math.nan, "phi.coeffs"),
+        (("omega",), math.nan, "omega"),
+        (("T",), math.nan, "T"),
+        (("impulses", 0, "scale"), -math.inf, "impulses[0].scale"),
+        (("f", "params", "f1_gain"), math.nan, "f.params.f1_gain"),
+    ])
+    def test_solve_exits_2_naming_the_field(self, tmp_path, path, value, field):
+        cfg = tmp_path / "cfg.json"
+        raw = json.loads((CONFIGS / "flagship.json").read_text())
+        cfg.write_text(json.dumps(_mutated(raw, path, value)))
+        code, err = _run_captured([
+            "solve", "--config", str(cfg), "--dt", "0.05", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} must be finite")
+
+    def test_non_finite_picard_iterate_exits_3_at_once(self, tmp_path):
+        # a huge nonlocal weight overflows the first sweep; the solver stops
+        # there instead of spending its whole sweep budget
+        cfg = tmp_path / "cfg.json"
+        raw = json.loads((CONFIGS / "flagship.json").read_text())
+        cfg.write_text(json.dumps(_mutated(raw, ("nonlocal", 0, "c"), 1e300)))
+        code, err = _run_captured([
+            "solve", "--config", str(cfg), "--dt", "0.05", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 3
+        assert err == "error: Picard iteration produced a non-finite iterate at sweep 1\n"
+
+
+# every config file, with a cheap run that reads it
+FUZZ_RUNS = {
+    "flagship.json": ["solve", "--config", "{cfg}", "--dt", "0.05"],
+    "linear1d.json": ["solve", "--config", "{cfg}", "--dt", "0.05"],
+    "target_flagship.json": [
+        "steer", "--config", str(CONFIGS / "flagship.json"), "--dt", "0.05",
+        "--target", "{cfg}", "--eps", "0.1",
+    ],
+    "target_1d.json": [
+        "steer", "--config", str(CONFIGS / "linear1d.json"), "--dt", "0.05",
+        "--target", "{cfg}", "--eps", "0.1",
+    ],
+    "cost_quadratic.json": [
+        "optimize", "--config", str(CONFIGS / "linear1d.json"), "--dt", "0.05",
+        "--cost", "{cfg}", "--intervals", "2", "--max-evals", "20",
+    ],
+}
+
+
+def test_fuzz_runs_cover_every_config():
+    assert sorted(FUZZ_RUNS) == sorted(p.name for p in CONFIGS.glob("*.json"))
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_fuzzed_configs_exit_cleanly(data):
+    # one field of one config set to NaN, +-Infinity or a huge value: the
+    # run either succeeds or exits 2/3 with an error line, never raises
+    name = data.draw(st.sampled_from(sorted(FUZZ_RUNS)))
+    raw = json.loads((CONFIGS / name).read_text())
+    path = data.draw(st.sampled_from(list(_leaf_paths(raw))))
+    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / name
+        cfg.write_text(json.dumps(_mutated(raw, path, value)))
+        argv = [a.replace("{cfg}", str(cfg)) for a in FUZZ_RUNS[name]]
+        code, err = _run_captured(argv + ["--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ")

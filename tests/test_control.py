@@ -222,16 +222,6 @@ class TestSweep:
         with pytest.raises(ConfigError):
             epsilon_sweep(spec, grid, np.array([1.0]), [1e-2, 1e-1])
 
-    def test_thread_pool_matches_serial(self):
-        spec = make_spec(n=2, omega=1.0, phi_coeffs=[1.0, -0.5])
-        grid = Grid(spec, 1.0 / 50.0)
-        h = np.array([0.3, 0.1])
-        serial = epsilon_sweep(spec, grid, h, [1e-1, 1e-2, 1e-3], max_workers=1)
-        pooled = epsilon_sweep(spec, grid, h, [1e-1, 1e-2, 1e-3], max_workers=3)
-        for a, b in zip(serial.entries, pooled.entries):
-            assert a.report.terminal_error == b.report.terminal_error
-            assert a.report.control_energy == b.report.control_energy
-
     def test_failure_recorded_sweep_continues(self):
         # nonlocal weight 1.0 defeats the Picard iteration: every entry must
         # record the failure and the sweep itself must not raise

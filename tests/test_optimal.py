@@ -9,6 +9,7 @@ import pytest
 from fracsteer.errors import DomainError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
+    HistorySegment,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
@@ -72,18 +73,39 @@ class TestEvalCost:
         )
         assert with_hist > base
 
+    def test_matches_per_node_running_cost(self):
+        spec = make_spec(n=2, r=0.25, phi_coeffs=[1.0, -0.5])
+        grid = Grid(spec, 1.0 / 20.0)
+        rng = np.random.default_rng(4)
+        u = ControlSignal(grid, rng.standard_normal((grid.n_fwd + 1, 2)))
+        traj = solve_mild(spec, u)
+        cost = CostDescriptor(w_state=1.0, w_hist=0.7, w_control=0.4, f_u=0.4)
+        offs = np.arange(-grid.n_hist, 1) * grid.h
+        samples = [
+            cost.evaluate(
+                float(t), traj.values[grid.fwd_row(m)],
+                HistorySegment(float(t), offs, traj.values[m : m + grid.n_hist + 1]),
+                u.samples[m],
+            )
+            for m, t in enumerate(grid.forward_times())
+        ]
+        want = float(grid.trapezoid_weights(grid.n_fwd) @ samples)
+        assert eval_cost(spec, cost, u, traj=traj) == pytest.approx(want, rel=1e-14)
+
     def test_lower_bound_holds_on_random_samples(self):
         spec = make_spec(n=2, r=0.25, phi_coeffs=[1.0, -0.5])
         grid = Grid(spec, 1.0 / 20.0)
         rng = np.random.default_rng(9)
         cost = CostDescriptor(d=0.0, e=0.0, f_u=1.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid))
+        windows = traj.history()
+        width = len(windows.offsets)
         for _ in range(50):
             m = int(rng.integers(0, grid.n_fwd + 1))
             t = float(grid.forward_times()[m])
             u = rng.standard_normal(2)
             x = traj.values[grid.fwd_row(m)]
-            hist = traj.history_at(m)
+            hist = HistorySegment(t, windows.offsets, windows.values[m : m + width])
             assert cost.evaluate(t, x, hist, u) >= cost.lower_bound(t, x, hist, u) - 1e-12
 
 

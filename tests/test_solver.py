@@ -10,6 +10,7 @@ import pytest
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
+    HistorySegment,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
@@ -20,8 +21,11 @@ from fracsteer.solver import (
     ControlSignal,
     Grid,
     SolutionKernel,
+    _convolve_all,
     contraction_check,
     convolve,
+    eval_f,
+    forcing_on_grid,
     nonlocal_residual,
     picard_factor,
     solve_mild,
@@ -456,3 +460,51 @@ class TestImpulseNodeForcing:
         # tolerance: f1 at the left value, or a window ending at x(t_k^+)
         for wrong in (forcing[k], f1(right) + memory(k, last=right)):
             assert np.linalg.norm(x[-1] - mild(n, wrong)) > 1e-6
+
+
+class TestWholeGridPrimitives:
+    def test_match_per_node_evaluation(self):
+        # forcing_on_grid against eval_f on one window per node, and the FFT
+        # convolution against the direct trapezoid sum with the impulse
+        # segment's right value; the sums only change order, so the gaps
+        # stay at rounding level
+        f = NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": 0.3, "f2_gain": 0.2, "kernel_rate": 2.0,
+             "f1_form": "saturating", "f2_form": "saturating"},
+            L1=0.3, L2=0.2, M1=0.5, holder_p=0.4,
+        )
+        spec = make_spec(
+            n=3, omega=0.5, r=0.25, f=f,
+            impulses=[ImpulseDescriptor(0.25, "linear", -0.5),
+                      ImpulseDescriptor(0.75, "linear", 0.3)],
+        )
+        grid = Grid(spec, 1.0 / 40.0)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((len(grid), 3))
+        right = rng.standard_normal((len(grid.impulse_nodes), 3))
+        f_left, f_right = forcing_on_grid(spec, grid, values, right)
+        assert sorted(f_right) == list(grid.impulse_nodes)
+
+        offs = np.arange(-grid.n_hist, 1) * grid.h
+        for m, t in enumerate(grid.forward_times()):
+            window = HistorySegment(float(t), offs, values[m : m + grid.n_hist + 1])
+            want = eval_f(spec, float(t), values[grid.fwd_row(m)], window)
+            np.testing.assert_allclose(f_left[m], want, rtol=0, atol=1e-15)
+            if m in grid.impulse_nodes:
+                k = grid.impulse_nodes.index(m)
+                want = eval_f(spec, float(t), right[k], window)
+                np.testing.assert_allclose(f_right[m], want, rtol=0, atol=1e-15)
+
+        table = SolutionKernel(spec, grid).table
+        conv = _convolve_all(table, f_left, grid.h, f_right)
+        np.testing.assert_array_equal(conv[0], 0.0)
+        for m in range(1, grid.n_fwd + 1):
+            want = np.zeros(3)
+            for j in range(m + 1):
+                wt = grid.h if 0 < j < m else 0.5 * grid.h
+                want += wt * table[m - j] * f_left[j]
+            for j, fr in f_right.items():
+                if j < m:
+                    want += 0.5 * grid.h * table[m - j] * (fr - f_left[j])
+            np.testing.assert_allclose(conv[m], want, rtol=0, atol=1e-14)
