@@ -3,10 +3,12 @@ refined-grid and closed-form oracles, free/impulse closed forms, quadrature
 order, superposition, nonlocal consistency, and contraction arithmetic."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fracsteer.control import residual_p
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
@@ -395,30 +397,41 @@ class TestKernelCache:
 
 
 class TestImpulseNodeForcing:
-    def test_right_value_forcing_keeps_left_limit_memory_window(self):
-        # At an impulse node t_k the integral segment starting there uses
-        # f1(x(t_k^+)) while the memory window still ends at the stored left
-        # value x(t_k^-).  Rebuild the mild formula by hand at every forward
-        # node from the converged values and compare with the solver.
-        alpha, h, r, t_k, T = 1.5, 1.0 / 16.0, 0.25, 0.5, 1.0
-        g1, g2, rate, scale = 0.3, 0.2, 1.0, -0.5
+    # At an impulse node t_k the integral segment starting there uses
+    # f1(x(t_k^+)) while the memory window still ends at the stored left
+    # value x(t_k^-).  The helper rebuilds the mild formula by hand at every
+    # forward node from the converged values.
+    alpha, h, r, t_k, T = 1.5, 1.0 / 16.0, 0.25, 0.5, 1.0
+    g1, g2, rate, scale = 0.3, 0.2, 1.0, -0.5
+    phi0 = np.array([1.0, -0.5])
+
+    def solve_by_hand(self, nonlocal_terms=()):
+        """Solve one case; case.mild(m, fr) is the hand-built formula at
+        forward node m with fr as the forcing's right value at t_k, and
+        case.f_right the value the formula calls for."""
+        alpha, h, r, t_k, T = self.alpha, self.h, self.r, self.t_k, self.T
+        g1, g2, rate, scale = self.g1, self.g2, self.rate, self.scale
         f = NonlinearityDescriptor(
             "memory",
             {"f1_gain": g1, "f2_gain": g2, "kernel_rate": rate,
              "f1_form": "saturating", "f2_form": "linear"},
             L1=g1, L2=g2, M1=0.5, holder_p=0.4,
         )
-        phi0 = np.array([1.0, -0.5])
         spec = make_spec(
             n=2, alpha=alpha, omega=0.5, r=r, T=T,
             impulses=[ImpulseDescriptor(t_k, "linear", scale)],
-            phi_coeffs=phi0, f=f,
+            nonlocal_terms=nonlocal_terms, phi_coeffs=self.phi0, f=f,
         )
         grid = Grid(spec, h)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
         x = traj.values
         n_hist, k, n = round(r / h), round(t_k / h), round(T / h)
         lam = spec.eigenvalues
+        # phi(0) - g(x)(0), with g(x)(0) = sum_i c_i x(tau_i)
+        start = self.phi0 - sum(
+            (term.c * x[n_hist + round(term.tau / h)] for term in nonlocal_terms),
+            np.zeros(2),
+        )
 
         def D(t):
             return np.array([mittag_leffler(alpha, 1.0, lv * t**alpha) for lv in lam])
@@ -439,10 +452,9 @@ class TestImpulseNodeForcing:
         forcing = [f1(x[n_hist + m]) + memory(m) for m in range(n + 1)]
         left = x[n_hist + k]
         right = left + scale * left
-        np.testing.assert_array_equal(traj.right_value(k), right)
 
         def mild(m, f_right):
-            out = D(m * h) * phi0
+            out = D(m * h) * start
             if m > k:
                 out = out + D((m - k) * h) * (scale * left)
             for j in range(m + 1):
@@ -452,14 +464,32 @@ class TestImpulseNodeForcing:
                 out = out + 0.5 * h * D((m - k) * h) * (f_right - forcing[k])
             return out
 
-        f_right = f1(right) + memory(k)
-        for m in range(1, n + 1):
-            np.testing.assert_allclose(x[n_hist + m], mild(m, f_right), rtol=0, atol=1e-11)
+        return SimpleNamespace(
+            spec=spec, traj=traj, mild=mild, forcing=forcing, memory=memory, f1=f1,
+            right=right, f_right=f1(right) + memory(k), k=k, n=n, n_hist=n_hist,
+        )
+
+    def test_right_value_forcing_keeps_left_limit_memory_window(self):
+        c = self.solve_by_hand()
+        x = c.traj.values
+        np.testing.assert_array_equal(c.traj.right_value(c.k), c.right)
+        for m in range(1, c.n + 1):
+            np.testing.assert_allclose(x[c.n_hist + m], c.mild(m, c.f_right), rtol=0, atol=1e-11)
 
         # the two readings a rewrite could slip into are far outside that
         # tolerance: f1 at the left value, or a window ending at x(t_k^+)
-        for wrong in (forcing[k], f1(right) + memory(k, last=right)):
-            assert np.linalg.norm(x[-1] - mild(n, wrong)) > 1e-6
+        for wrong in (c.forcing[c.k], c.f1(c.right) + c.memory(c.k, last=c.right)):
+            assert np.linalg.norm(x[-1] - c.mild(c.n, wrong)) > 1e-6
+
+    @pytest.mark.parametrize("nonlocal_terms", [(), (NonlocalTerm(0.2, 0.75),)],
+                             ids=["local", "nonlocal"])
+    @pytest.mark.parametrize("target", [(0.0, 0.0), (0.7, -1.3)], ids=["h0", "h1"])
+    def test_residual_p_matches_hand_built_formula(self, nonlocal_terms, target):
+        # p(x) = h - (the mild formula at T with u = 0), term for term
+        c = self.solve_by_hand(nonlocal_terms)
+        h = np.array(target)
+        want = h - c.mild(c.n, c.f_right)
+        np.testing.assert_allclose(residual_p(c.spec, c.traj, h), want, rtol=0, atol=1e-13)
 
 
 class TestWholeGridPrimitives:
