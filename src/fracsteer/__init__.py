@@ -56,6 +56,7 @@ from .solver import (
     contraction_check,
     convolve,
     forcing_on_grid,
+    mild_map,
     nonlocal_residual,
     picard_factor,
     solve_mild,

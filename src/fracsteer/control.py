@@ -24,16 +24,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, ConvergenceError, DomainError, EvaluationError
-from .model import FloatArray, ProblemSpec, eval_g, eval_impulse
-from .solver import (
-    ControlSignal,
-    Grid,
-    SolutionKernel,
-    Trajectory,
-    _convolve_all,
-    forcing_on_grid,
-    solve_mild,
-)
+from .model import FloatArray, ProblemSpec
+from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, mild_map, solve_mild
 
 
 @dataclass(frozen=True)
@@ -92,23 +84,13 @@ def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
 
 
 def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
-    """Steering residual p(x) against the target h."""
+    """Steering residual p(x): h minus the mild formula at T with u = 0."""
     h = spec.check_vector(h)
     grid = x.grid
     if grid.spec is not spec:
         raise DomainError("trajectory grid belongs to a different problem instance")
     table = SolutionKernel(spec, grid).table
-    m_max = grid.n_fwd
-
-    out = h - table[m_max] * (spec.phi(0.0) - eval_g(spec, x, 0.0))
-    for k, m_imp in enumerate(grid.impulse_nodes):
-        left = x.values[grid.fwd_row(m_imp)]
-        out -= table[m_max - m_imp] * eval_impulse(spec, k, left)
-    if spec.f_desc.kind != "zero":
-        right = [x.right_value(m) for m in grid.impulse_nodes]
-        f_left, f_right = forcing_on_grid(spec, grid, x.values, right)
-        out -= _convolve_all(table, f_left, grid.h, f_right)[-1]
-    return out
+    return h - mild_map(spec, grid, table, x.values, np.zeros_like(table))[-1]
 
 
 def synthesize_control(

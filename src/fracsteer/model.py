@@ -112,7 +112,7 @@ class PhiDescriptor:
     """Prescribed history data phi(s) on [-r, 0].
 
     kinds: "zero"; "constant" (phi(s) = coeffs); "linear" (phi(s) = coeffs +
-    s * slope).
+    s * slope).  An array of offsets s gives one row per offset.
     """
 
     kind: str
@@ -125,12 +125,14 @@ class PhiDescriptor:
         if self.kind == "linear" and self.slope is None:
             raise ConfigError("phi kind 'linear' requires a slope")
 
-    def __call__(self, s: float) -> FloatArray:
+    def __call__(self, s: float | FloatArray) -> FloatArray:
+        s = np.asarray(s, dtype=float)
+        shape = s.shape + self.coeffs.shape
         if self.kind == "zero":
-            return np.zeros_like(self.coeffs)
+            return np.zeros(shape)
         if self.kind == "constant":
-            return self.coeffs.copy()
-        return self.coeffs + s * self.slope
+            return np.full(shape, self.coeffs)
+        return self.coeffs + s[..., None] * self.slope
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ impulses and to quadrature accuracy,
          + int_0^t D(t - s) (B u(s) + f(s, x(s), x_s)) ds,
 
 with D the diagonal solution operator, while x(s) = phi(s) - g(x)(s) holds on
-[-r, 0].  Values stored at impulse nodes are left limits; the right value is
-kept separately and used by every integral segment that starts there.
+[-r, 0].  mild_map applies this formula to a sampled path.  Values stored at
+impulse nodes are left limits; the right value x(t_k^-) + I_k(x(t_k^-)) is
+used by every integral segment that starts there.
 """
 
 from __future__ import annotations
@@ -167,22 +168,23 @@ class Trajectory:
     """Piecewise-continuous sampled path on [-r, T].
 
     values[row] holds x at grid.times[row]; at an impulse node that is the
-    left limit, with the right value in jumps[forward_index]."""
+    left limit, and right_value applies the jump to it."""
 
     grid: Grid
     values: FloatArray  # shape (len(grid), N)
-    jumps: dict = field(default_factory=dict)  # fwd node -> (left, right)
     warnings: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
-    converged: bool = True
 
     def value_at_time(self, t: float) -> FloatArray:
         return self.values[self.grid.row(t)]
 
     def right_value(self, m: int) -> FloatArray:
-        if m in self.jumps:
-            return self.jumps[m][1]
-        return self.values[self.grid.fwd_row(m)]
+        """x(t_m^+): the left value plus I_k at impulse node m, else x(t_m)."""
+        left = self.values[self.grid.fwd_row(m)]
+        if m in self.grid.impulse_nodes:
+            k = self.grid.impulse_nodes.index(m)
+            return left + eval_impulse(self.grid.spec, k, left)
+        return left
 
     def terminal(self) -> FloatArray:
         return self.values[-1]
@@ -214,11 +216,7 @@ def contraction_check(spec: ProblemSpec, eps: float) -> float:
     if eps <= 0.0:
         raise ConfigError("eps must be > 0")
     c = spec.constants
-    p = spec.f_desc.holder_p
-    inner = c.M * (
-        c.K * c.l_2 + c.l_g + spec.horizon ** (1.0 - p) * (c.norm_L1 + c.norm_L2)
-    )
-    return inner * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
+    return picard_factor(spec) * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
 
 
 def picard_factor(spec: ProblemSpec) -> float:
@@ -297,10 +295,6 @@ def forcing_on_grid(
     return f_left, f_right
 
 
-def _phi_samples(spec: ProblemSpec, grid: Grid) -> FloatArray:
-    return np.stack([spec.phi(s) for s in grid.times[: grid.n_hist + 1]])
-
-
 def _nonlocal_samples(spec: ProblemSpec, grid: Grid, values: FloatArray) -> FloatArray:
     """g(x)(s) for every history node s; zero when no nonlocal terms."""
     n_hist = grid.n_hist
@@ -308,6 +302,35 @@ def _nonlocal_samples(spec: ProblemSpec, grid: Grid, values: FloatArray) -> Floa
     for term in spec.nonlocal_terms:
         anchor = grid.row(term.tau)
         out += term.c * values[anchor - n_hist : anchor + 1]
+    return out
+
+
+def mild_map(
+    spec: ProblemSpec, grid: Grid, table: FloatArray, values: FloatArray, bu: FloatArray
+) -> FloatArray:
+    """The variation-of-parameters formula applied to the sampled path values.
+
+    Returns phi - g(values) on the history rows and, on the forward rows,
+    D(t)(phi(0) - g(values)(0)) + sum_k D(t - t_k) I_k(values(t_k^-))
+    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with table the
+    grid's SolutionKernel table and bu the input B u on every forward node.
+    """
+    n_hist = grid.n_hist
+    out = np.empty_like(values)
+    out[: n_hist + 1] = spec.phi(grid.times[: n_hist + 1]) - _nonlocal_samples(spec, grid, values)
+
+    # forcing at the left limits of every node and the right values of the
+    # impulse nodes
+    lefts = [values[grid.fwd_row(m)] for m in grid.impulse_nodes]
+    jumps = [eval_impulse(spec, k, x) for k, x in enumerate(lefts)]
+    f_left, f_right = forcing_on_grid(
+        spec, grid, values, [x + jump for x, jump in zip(lefts, jumps)]
+    )
+    right_overrides = {m: f + bu[m] for m, f in f_right.items()}
+    fwd = table * out[n_hist] + _convolve_all(table, bu + f_left, grid.h, right_overrides)
+    for m_imp, jump in zip(grid.impulse_nodes, jumps):
+        fwd[m_imp + 1 :] += table[1 : grid.n_fwd + 1 - m_imp] * jump
+    out[n_hist:] = fwd
     return out
 
 
@@ -328,8 +351,8 @@ def solve_mild(
     grid = u.grid
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")
-    kernel = SolutionKernel(spec, grid)
-    n_hist, n_fwd = grid.n_hist, grid.n_fwd
+    table = SolutionKernel(spec, grid).table
+    n_hist = grid.n_hist
 
     warnings_list = []
     rho = picard_factor(spec)
@@ -338,36 +361,16 @@ def solve_mild(
             f"contraction factor {rho:.3g} >= 1: convergence not guaranteed"
         )
 
-    phi_hist = _phi_samples(spec, grid)
     bu = u.samples @ spec.B.T
 
     # initial iterate: phi on [-r, 0], extended constantly by phi(0)
     values = np.empty((len(grid), spec.n_modes))
-    values[: n_hist + 1] = phi_hist
-    values[n_hist + 1 :] = phi_hist[-1]
+    values[: n_hist + 1] = spec.phi(grid.times[: n_hist + 1])
+    values[n_hist + 1 :] = values[n_hist]
 
     residuals: list[float] = []
     for it in range(max_iter):
-        # nonlocal correction on the history window from the previous iterate
-        g_hist = _nonlocal_samples(spec, grid, values)
-        new_values = np.empty_like(values)
-        new_values[: n_hist + 1] = phi_hist - g_hist
-
-        # forcing along the previous iterate: left limits at every node,
-        # right values at the impulse nodes
-        lefts = [values[grid.fwd_row(m)] for m in grid.impulse_nodes]
-        jumps = [eval_impulse(spec, k, x) for k, x in enumerate(lefts)]
-        f_left, f_right = forcing_on_grid(
-            spec, grid, values, [x + jump for x, jump in zip(lefts, jumps)]
-        )
-        right_overrides = {m: f + bu[m] for m, f in f_right.items()}
-        conv = _convolve_all(kernel.table, bu + f_left, grid.h, right_overrides)
-
-        fwd = kernel.table * new_values[n_hist] + conv
-        for m_imp, jump in zip(grid.impulse_nodes, jumps):
-            fwd[m_imp + 1 :] += kernel.table[1 : n_fwd + 1 - m_imp] * jump
-        new_values[n_hist:] = fwd
-
+        new_values = mild_map(spec, grid, table, values, bu)
         res = float(np.max(np.linalg.norm(new_values - values, axis=1)))
         residuals.append(res)
         values = new_values
@@ -386,25 +389,12 @@ def solve_mild(
             residuals=residuals,
             last_iterate=Trajectory(grid, values),
         )
-
-    jumps = {}
-    for k, m_imp in enumerate(grid.impulse_nodes):
-        left = values[n_hist + m_imp]
-        jumps[m_imp] = (left.copy(), left + eval_impulse(spec, k, left))
-    return Trajectory(
-        grid,
-        values,
-        jumps=jumps,
-        warnings=warnings_list,
-        residuals=residuals,
-        converged=True,
-    )
+    return Trajectory(grid, values, warnings=warnings_list, residuals=residuals)
 
 
 def nonlocal_residual(spec: ProblemSpec, traj: Trajectory) -> float:
     """max over the history window of |x(s) + g(x)(s) - phi(s)|."""
     grid = traj.grid
-    phi_hist = _phi_samples(spec, grid)
     g_hist = _nonlocal_samples(spec, grid, traj.values)
-    mismatch = traj.values[: grid.n_hist + 1] + g_hist - phi_hist
+    mismatch = traj.values[: grid.n_hist + 1] + g_hist - spec.phi(grid.times[: grid.n_hist + 1])
     return float(np.max(np.linalg.norm(mismatch, axis=1)))

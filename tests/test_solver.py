@@ -23,6 +23,7 @@ from fracsteer.solver import (
     ControlSignal,
     Grid,
     SolutionKernel,
+    Trajectory,
     _convolve_all,
     contraction_check,
     convolve,
@@ -490,6 +491,23 @@ class TestImpulseNodeForcing:
         h = np.array(target)
         want = h - c.mild(c.n, c.f_right)
         np.testing.assert_allclose(residual_p(c.spec, c.traj, h), want, rtol=0, atol=1e-13)
+
+    def test_hand_built_trajectory_right_value_applies_jump(self):
+        # the right value follows from the jump condition, so a trajectory
+        # built from bare values has one too; off the impulse nodes it is x
+        spec = make_spec(
+            n=2, r=0.25, impulses=[ImpulseDescriptor(0.25, "linear", -0.5),
+                                   ImpulseDescriptor(0.75, "linear", 0.3)],
+        )
+        grid = Grid(spec, 1.0 / 8.0)
+        values = np.random.default_rng(3).standard_normal((len(grid), 2))
+        traj = Trajectory(grid, values)
+        for k, m in enumerate(grid.impulse_nodes):
+            left = values[grid.fwd_row(m)]
+            np.testing.assert_array_equal(
+                traj.right_value(m), left + spec.impulses[k].scale * left
+            )
+        np.testing.assert_array_equal(traj.right_value(1), values[grid.fwd_row(1)])
 
 
 class TestWholeGridPrimitives:
