@@ -57,7 +57,6 @@ class RunManifest:
             "subcommand": subcommand,
             "tool_version": __version__,
             "config": getattr(args, "config", None),
-            "seed": getattr(args, "seed", 0),
             "parameters": {},
             "outputs": [],
             "duration_s": None,
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--dt", type=float, required=True, help="grid step")
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--manifest", help="manifest path override")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in the manifest")
 
     p = sub.add_parser("ml", help="evaluate the Mittag-Leffler kernel")
     p.add_argument("--alpha", type=float, required=True)

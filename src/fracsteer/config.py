@@ -2,7 +2,8 @@
 
 Problem file keys: alpha, omega, N, T, r, impulses:[{t,kind,scale}],
 nonlocal:[{c,tau}], phi:{kind,params}, f:{kind,params,L1,L2,M1,p},
-B:{kind,params}.  Unknown keys are rejected at every level.
+B:{kind,params}.  Unknown keys are rejected at every level, and a value of
+the wrong JSON type is rejected with the name of its field.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ _MAX_MODES = 1024
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -39,17 +42,36 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _list(raw, where: str) -> list:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{where} must be a JSON list, got {raw!r}")
+    return raw
+
+
+def _number(raw, where: str) -> float:
+    """A JSON number as a float; bools, strings, lists, objects and null
+    are rejected."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ConfigError(f"{where} must be finite") from None
+
+
+def _numbers(raw, where: str) -> np.ndarray:
+    return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(_list(raw, where))])
+
+
 def _coeff_vector(raw, n: int, where: str) -> np.ndarray:
-    if isinstance(raw, (int, float)):
-        return np.full(n, float(raw))
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape == (n,):
-        return arr
-    if arr.ndim == 1 and arr.size < n:
-        out = np.zeros(n)
-        out[: arr.size] = arr
-        return out
-    raise ConfigError(f"{where}: expected a scalar or a vector of length <= N={n}")
+    if not isinstance(raw, list):
+        return np.full(n, _number(raw, where))
+    arr = _numbers(raw, where)
+    if arr.size > n:
+        raise ConfigError(f"{where}: expected a scalar or a vector of length <= N={n}")
+    out = np.zeros(n)
+    out[: arr.size] = arr
+    return out
 
 
 def _build_phi(raw: dict, n: int) -> PhiDescriptor:
@@ -75,7 +97,7 @@ def _build_phi(raw: dict, n: int) -> PhiDescriptor:
 def _build_f(raw: dict) -> NonlinearityDescriptor:
     _reject_unknown(raw, {"kind", "params", "L1", "L2", "M1", "p"}, "f")
     kind = _require(raw, "kind", "f")
-    params = dict(raw.get("params", {}))
+    params = raw.get("params", {})
     if kind == "zero":
         _reject_unknown(params, set(), "f.params")
     elif kind == "linear":
@@ -88,11 +110,12 @@ def _build_f(raw: dict) -> NonlinearityDescriptor:
         raise ConfigError(f"unknown nonlinearity kind {kind!r}")
     return NonlinearityDescriptor(
         kind=kind,
-        params=params,
-        L1=float(raw.get("L1", 0.0)),
-        L2=float(raw.get("L2", 0.0)),
-        M1=float(raw.get("M1", 0.0)),
-        holder_p=float(raw.get("p", 0.25)),
+        params={k: v if k.endswith("_form") else _number(v, f"f.params.{k}")
+                for k, v in params.items()},
+        L1=_number(raw.get("L1", 0.0), "f.L1"),
+        L2=_number(raw.get("L2", 0.0), "f.L2"),
+        M1=_number(raw.get("M1", 0.0), "f.M1"),
+        holder_p=_number(raw.get("p", 0.25), "f.p"),
     )
 
 
@@ -105,55 +128,54 @@ def _build_B(raw: dict, n: int) -> np.ndarray:
         return np.eye(n)
     if kind == "scale":
         _reject_unknown(params, {"value"}, "B.params")
-        return float(_require(params, "value", "B.params")) * np.eye(n)
+        return _number(_require(params, "value", "B.params"), "B.params.value") * np.eye(n)
     if kind == "diag":
         _reject_unknown(params, {"entries"}, "B.params")
-        entries = np.asarray(_require(params, "entries", "B.params"), dtype=float)
+        entries = _numbers(_require(params, "entries", "B.params"), "B.params.entries")
         if entries.shape != (n,):
             raise ConfigError(f"B.diag entries must have length N={n}")
         return np.diag(entries)
     if kind == "matrix":
         _reject_unknown(params, {"rows"}, "B.params")
-        rows = np.asarray(_require(params, "rows", "B.params"), dtype=float)
-        if rows.shape != (n, n):
+        rows = _list(_require(params, "rows", "B.params"), "B.params.rows")
+        rows = [_numbers(row, f"B.params.rows[{i}]") for i, row in enumerate(rows)]
+        if len(rows) != n or any(row.shape != (n,) for row in rows):
             raise ConfigError(f"B.matrix rows must be {n}x{n}")
-        return rows
+        return np.array(rows)
     raise ConfigError(f"unknown B kind {kind!r}")
 
 
 def problem_from_dict(raw: dict) -> ProblemSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("problem config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "problem config")
-    n = _require(raw, "N", "problem config")
-    if not (isinstance(n, (int, float)) and 1 <= n <= _MAX_MODES and n == int(n)):
+    n = _number(_require(raw, "N", "problem config"), "N")
+    if not (1 <= n <= _MAX_MODES and n == int(n)):
         raise ConfigError(f"N must be an integer in [1, {_MAX_MODES}], got {n!r}")
     n = int(n)
     impulses = []
-    for i, item in enumerate(raw.get("impulses", [])):
+    for i, item in enumerate(_list(raw.get("impulses", []), "impulses")):
         _reject_unknown(item, {"t", "kind", "scale"}, f"impulses[{i}]")
         impulses.append(
             ImpulseDescriptor(
-                t=float(_require(item, "t", f"impulses[{i}]")),
+                t=_number(_require(item, "t", f"impulses[{i}]"), f"impulses[{i}].t"),
                 kind=item.get("kind", "linear"),
-                scale=float(_require(item, "scale", f"impulses[{i}]")),
+                scale=_number(_require(item, "scale", f"impulses[{i}]"), f"impulses[{i}].scale"),
             )
         )
     terms = []
-    for i, item in enumerate(raw.get("nonlocal", [])):
+    for i, item in enumerate(_list(raw.get("nonlocal", []), "nonlocal")):
         _reject_unknown(item, {"c", "tau"}, f"nonlocal[{i}]")
         terms.append(
             NonlocalTerm(
-                c=float(_require(item, "c", f"nonlocal[{i}]")),
-                tau=float(_require(item, "tau", f"nonlocal[{i}]")),
+                c=_number(_require(item, "c", f"nonlocal[{i}]"), f"nonlocal[{i}].c"),
+                tau=_number(_require(item, "tau", f"nonlocal[{i}]"), f"nonlocal[{i}].tau"),
             )
         )
     return ProblemSpec(
-        alpha=float(_require(raw, "alpha", "problem config")),
-        omega=float(raw.get("omega", 0.0)),
+        alpha=_number(_require(raw, "alpha", "problem config"), "alpha"),
+        omega=_number(raw.get("omega", 0.0), "omega"),
         n_modes=n,
-        horizon=float(_require(raw, "T", "problem config")),
-        delay=float(raw.get("r", 0.0)),
+        horizon=_number(_require(raw, "T", "problem config"), "T"),
+        delay=_number(raw.get("r", 0.0), "r"),
         impulses=tuple(impulses),
         nonlocal_terms=tuple(terms),
         phi=_build_phi(_require(raw, "phi", "problem config"), n),
@@ -180,8 +202,6 @@ def load_target(path, n: int) -> np.ndarray:
         raise ConfigError(f"cannot read target {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("target file must be a JSON object")
     _reject_unknown(raw, {"coeffs"}, "target file")
     coeffs = _coeff_vector(_require(raw, "coeffs", "target file"), n, "target coeffs")
     if not np.all(np.isfinite(coeffs)):
@@ -199,12 +219,12 @@ def cost_from_dict(raw: dict) -> CostDescriptor:
     coerc = raw.get("coercivity", {})
     _reject_unknown(coerc, {"d", "e", "f"}, "cost.coercivity")
     return CostDescriptor(
-        w_state=float(weights.get("state", 1.0)),
-        w_hist=float(weights.get("history", 1.0)),
-        w_control=float(weights.get("control", 1.0)),
-        d=float(coerc.get("d", 0.0)),
-        e=float(coerc.get("e", 0.0)),
-        f_u=float(coerc.get("f", 1.0)),
+        w_state=_number(weights.get("state", 1.0), "cost.weights.state"),
+        w_hist=_number(weights.get("history", 1.0), "cost.weights.history"),
+        w_control=_number(weights.get("control", 1.0), "cost.weights.control"),
+        d=_number(coerc.get("d", 0.0), "cost.coercivity.d"),
+        e=_number(coerc.get("e", 0.0), "cost.coercivity.e"),
+        f_u=_number(coerc.get("f", 1.0), "cost.coercivity.f"),
     )
 
 

@@ -20,6 +20,7 @@ from .errors import ConfigError, DomainError, NonlinearityError
 from .mittag import mittag_leffler
 
 FloatArray = NDArray[np.float64]
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def basis_matrix(n_modes: int, y: FloatArray) -> FloatArray:
@@ -242,6 +243,10 @@ class ProblemSpec:
             raise ConfigError("N must be >= 1")
         if self.horizon <= 0.0:
             raise ConfigError("T must be > 0")
+        if self.alpha * math.log(self.horizon) + math.log(-self.eigenvalues[-1]) > _LOG_MAX:
+            raise ConfigError(
+                f"T must be small enough for a finite |lambda_N| T^alpha, got {self.horizon}"
+            )
         if self.delay < 0.0:
             raise ConfigError("r must be >= 0")
         times = [imp.t for imp in self.impulses]

@@ -139,7 +139,7 @@ class TestCliSolve:
         out = tmp_path / "traj.csv"
         assert run(["solve", "--config", str(cfg), "--dt", "0.25", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
-        for key in ("subcommand", "tool_version", "config", "seed", "parameters",
+        for key in ("subcommand", "tool_version", "config", "parameters",
                     "outputs", "duration_s"):
             assert key in manifest
         assert manifest["subcommand"] == "solve"
@@ -293,15 +293,16 @@ class TestCliOptimizeCheck:
         assert run([]) == 2
 
 
-def _leaf_paths(obj, path=()):
+def _field_paths(obj, path=()):
+    """Path of every value below the root: leaves, lists and objects."""
+    if path:
+        yield path
     if isinstance(obj, dict):
         for key, value in obj.items():
-            yield from _leaf_paths(value, path + (key,))
+            yield from _field_paths(value, path + (key,))
     elif isinstance(obj, list):
         for i, value in enumerate(obj):
-            yield from _leaf_paths(value, path + (i,))
-    else:
-        yield path
+            yield from _field_paths(value, path + (i,))
 
 
 def _mutated(obj, path, value):
@@ -352,6 +353,38 @@ class TestNonFiniteInputs:
         assert err == "error: Picard iteration produced a non-finite iterate at sweep 1\n"
 
 
+class TestInvalidFields:
+    # a field of the wrong JSON type, or a horizon whose lambda_N T^alpha
+    # overflows before any grid is built
+    @pytest.mark.parametrize("name, path, value, field", [
+        ("flagship.json", ("T",), 1e300, "T"),
+        ("flagship.json", ("phi", "params", "coeffs"), "abc", "phi.coeffs"),
+        ("flagship.json", ("phi", "params", "coeffs", 1), None, "phi.coeffs[1]"),
+        ("flagship.json", ("f", "L1"), [1], "f.L1"),
+        ("flagship.json", ("f", "params", "f1_gain"), True, "f.params.f1_gain"),
+        ("flagship.json", ("f", "params"), [1], "f.params"),
+        ("flagship.json", ("impulses",), 5, "impulses"),
+        ("flagship.json", ("impulses", 0), "x", "impulses[0]"),
+        ("flagship.json", ("nonlocal", 0, "tau"), {}, "nonlocal[0].tau"),
+        ("flagship.json", ("N",), True, "N"),
+        ("flagship.json", ("omega",), 10**400, "omega"),  # an integer no float holds
+        ("flagship.json", ("B",), {"kind": "diag", "params": {"entries": "ab"}},
+         "B.params.entries"),
+        ("flagship.json", ("phi",), 1.0, "phi"),
+        ("cost_quadratic.json", ("weights",), 5, "cost.weights"),
+        ("cost_quadratic.json", ("coercivity", "d"), "x", "cost.coercivity.d"),
+        ("target_1d.json", ("coeffs",), "abc", "target coeffs"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, name, path, value, field):
+        raw = json.loads((CONFIGS / name).read_text())
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps(_mutated(raw, path, value)))
+        argv = [a.replace("{cfg}", str(cfg)) for a in FUZZ_RUNS[name]]
+        code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {field} must be ")
+
+
 # every config file, with a cheap run that reads it
 FUZZ_RUNS = {
     "flagship.json": ["solve", "--config", "{cfg}", "--dt", "0.05"],
@@ -378,12 +411,15 @@ def test_fuzz_runs_cover_every_config():
 @given(data=st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_fuzzed_configs_exit_cleanly(data):
-    # one field of one config set to NaN, +-Infinity or a huge value: the
-    # run either succeeds or exits 2/3 with an error line, never raises
+    # one field of one config (a leaf, a list or an object) set to NaN,
+    # +-Infinity, a huge value or a value of the wrong JSON type: the run
+    # either succeeds or exits 2/3 with an error line, never raises
     name = data.draw(st.sampled_from(sorted(FUZZ_RUNS)))
     raw = json.loads((CONFIGS / name).read_text())
-    path = data.draw(st.sampled_from(list(_leaf_paths(raw))))
-    value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
+    path = data.draw(st.sampled_from(list(_field_paths(raw))))
+    value = data.draw(st.sampled_from(
+        [math.nan, math.inf, -math.inf, 1e300, -1e300, "x", [1], {}, True, None]
+    ))
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / name
         cfg.write_text(json.dumps(_mutated(raw, path, value)))
