@@ -24,7 +24,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .mittag import mittag_leffler
+from .mittag import solution_operator_diag
 from .model import (
     FloatArray, HistorySegment, ProblemSpec, eval_f, eval_impulse, trapezoid_weights,
 )
@@ -124,14 +124,7 @@ class SolutionKernel:
             self.table = cached
             return
         lags = np.arange(grid.n_fwd + 1) * grid.h
-        table = np.empty((grid.n_fwd + 1, spec.n_modes))
-        table[0, :] = 1.0
-        for n, lam in enumerate(spec.eigenvalues):
-            table[1:, n] = [
-                mittag_leffler(spec.alpha, 1.0, lam * lag**spec.alpha) for lag in lags[1:]
-            ]
-        self.table = table
-        _KERNEL_CACHE[key] = table
+        self.table = _KERNEL_CACHE[key] = solution_operator_diag(lags, spec.alpha, spec.eigenvalues)
         if len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
             _KERNEL_CACHE.popitem(last=False)
 

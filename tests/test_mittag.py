@@ -1,14 +1,20 @@
 """Mittag-Leffler kernel tests: frozen oracle values, identities, the decay
-and boundedness envelopes, the recurrence property, and regime consistency."""
+and boundedness envelopes, the recurrence property, regime consistency, and
+the array path that builds the solution-operator table."""
 
 import math
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsteer.errors import ParameterError
+from fracsteer import mittag, solver
+from fracsteer.cli import run
+from fracsteer.config import load_problem
+from fracsteer.errors import EvaluationError, ParameterError
 from fracsteer.mittag import (
     MLQuery,
     _asymptotic,
@@ -19,6 +25,8 @@ from fracsteer.mittag import (
 )
 
 from oracles import ml_branch_cut_oracle, ml_oracle
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # frozen via tests/oracles.py (extended-precision series, 64+ digits)
 FROZEN = {
@@ -168,9 +176,10 @@ class TestSolutionOperator:
         )
 
     def test_cosine_family_limit(self):
-        # alpha -> 2 reproduces the cosine family on an eigenvector
-        got = solution_operator_diag(1.0, 2.0 - 1e-12, [-4.0])[0]
-        assert got == pytest.approx(math.cos(2.0), abs=1e-9)
+        # alpha -> 2 reproduces the cosine family on an eigenvector, through
+        # the series (z = -4) and through the branch-cut quadrature (z = -400)
+        got = solution_operator_diag(1.0, 2.0 - 1e-12, [-4.0, -400.0])
+        np.testing.assert_allclose(got, [math.cos(2.0), math.cos(20.0)], rtol=0, atol=1e-9)
 
     def test_matches_scalar_kernel(self):
         got = solution_operator_diag(1.0, 1.5, [-1.0])[0]
@@ -183,3 +192,72 @@ class TestSolutionOperator:
             diag = solution_operator_diag(t, alpha, eigs)
             envelope = 10.0 / (1.0 + np.abs(eigs) * t**alpha)
             assert np.all(np.abs(diag) <= envelope)
+
+
+_REAL_CUT_NODES = mittag._cut_nodes
+
+
+def _poisoned_nodes(alpha):
+    """The table quadrature's node set with one weight forced to NaN."""
+    v, c = _REAL_CUT_NODES(alpha)
+    c = c.copy()
+    c[3] = math.nan
+    return v, c
+
+
+class TestTablePath:
+    # solution_operator_diag over an array of times: the Taylor series where
+    # its rounding gate certifies a point, the fixed-node branch-cut
+    # quadrature everywhere else
+
+    @pytest.mark.parametrize("alpha", [1.001, 1.01, 1.1, 1.5, 1.9, 1.99])
+    def test_matches_branch_cut_oracle(self, alpha):
+        # with eigenvalue -1 the time t gives z = -t^alpha, so x^{1/alpha} = t:
+        # the times cover both routes and stay where the oracle is cheap
+        ts = np.geomspace(0.05, 60.0, 12)
+        want = np.array([ml_branch_cut_oracle(alpha, -(t**alpha)) for t in ts])
+        got = solution_operator_diag(ts, alpha, [-1.0])[:, 0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the quadrature alone, also where the series takes the table's points
+        cut = ts >= 0.5
+        got = mittag._branch_cut_table(alpha, ts[cut] ** alpha)
+        np.testing.assert_allclose(got, want[cut], rtol=0, atol=1e-12)
+
+    def test_flagship_table_matches_scalar_kernel(self):
+        spec = load_problem(CONFIGS / "flagship.json")
+        grid = solver.Grid(spec, 1.0 / 200.0)
+        table = solver.SolutionKernel(spec, grid).table
+        want = np.array([
+            [mittag_leffler(spec.alpha, 1.0, lam * t**spec.alpha) for lam in spec.eigenvalues]
+            for t in grid.forward_times()
+        ])
+        np.testing.assert_allclose(table, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+    def test_row_zero_is_exactly_one(self, alpha):
+        table = solution_operator_diag(np.arange(6) * 0.5, alpha, -np.arange(1.0, 300.0, 7.0))
+        np.testing.assert_array_equal(table[0], 1.0)
+
+    def test_non_finite_value_raises(self, monkeypatch):
+        monkeypatch.setattr(mittag, "_cut_nodes", _poisoned_nodes)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            solution_operator_diag([0.0, 1.0, 10.0], 1.5, [-1.0, -100.0])
+
+    def test_uncertified_point_raises(self, monkeypatch):
+        # z = -100 is past the series; the quadrature may not claim it either
+        monkeypatch.setattr(mittag, "_CUT_W_MIN", 1e6)
+        with pytest.raises(EvaluationError, match="no route certifies"):
+            solution_operator_diag([0.0, 1.0], 1.5, [-1.0, -100.0])
+
+    def test_cli_exits_3_instead_of_a_nan_table(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mittag, "_cut_nodes", _poisoned_nodes)
+        monkeypatch.setattr(solver, "_KERNEL_CACHE", OrderedDict())
+        out = tmp_path / "t.csv"
+        code = run([
+            "solve", "--config", str(CONFIGS / "flagship.json"), "--dt", "0.05", "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite kernel value for alpha=1.5 [regime=table]\n"
+        )
+        assert not out.exists()
