@@ -36,7 +36,6 @@ from .model import (
     PhiDescriptor,
     ProblemSpec,
     eval_f,
-    eval_g,
     eval_impulse,
 )
 from .optimal import (

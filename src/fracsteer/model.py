@@ -362,20 +362,6 @@ def eval_f(
         raise NonlinearityError(str(exc), t) from exc
 
 
-def eval_g(spec: ProblemSpec, traj, s: float) -> FloatArray:
-    """Nonlocal map g(x)(s) = sum_i c_i x(tau_i + s) for s in [-r, 0].
-
-    At an impulse node the trajectory value is the left limit, which is the
-    value stored at the node.
-    """
-    if not (-spec.delay - 1e-12 <= s <= 1e-12):
-        raise DomainError(f"offset s={s} outside [-r, 0]")
-    out = np.zeros(spec.n_modes)
-    for term in spec.nonlocal_terms:
-        out += term.c * traj.value_at_time(term.tau + s)
-    return out
-
-
 def eval_impulse(spec: ProblemSpec, k: int, x_left: FloatArray) -> FloatArray:
     """Jump vector I_k(x(t_k^-)); k is a zero-based impulse index."""
     if not (0 <= k < len(spec.impulses)):

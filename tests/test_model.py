@@ -17,12 +17,11 @@ from fracsteer.model import (
     PhiDescriptor,
     ProblemSpec,
     eval_f,
-    eval_g,
     eval_impulse,
     project,
     to_physical,
 )
-from fracsteer.solver import ControlSignal, Grid, solve_mild
+from fracsteer.solver import ControlSignal, Grid, Trajectory, _nonlocal_samples, solve_mild
 
 
 def make_spec(
@@ -217,20 +216,20 @@ class TestEvalF:
 
 
 class TestEvalG:
+    # the nonlocal map g(x)(s) = sum_i c_i x(tau_i + s) on every history row
+    # s in [-r, 0], as solver._nonlocal_samples evaluates it
     def test_empty_nonlocal_list(self):
         spec = make_spec(n=2)
         grid = Grid(spec, 0.25)
         traj = solve_mild(spec, ControlSignal.zeros(grid))
-        np.testing.assert_array_equal(eval_g(spec, traj, 0.0), np.zeros(2))
+        np.testing.assert_array_equal(_nonlocal_samples(spec, grid, traj.values), np.zeros((1, 2)))
 
     def test_identity_anchor(self):
         spec = make_spec(n=1, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
         grid = Grid(spec, 0.25)
-        from fracsteer.solver import Trajectory
-
         traj = Trajectory(grid, np.cos(grid.times)[:, None])
         np.testing.assert_allclose(
-            eval_g(spec, traj, 0.0), traj.value_at_time(0.0)
+            _nonlocal_samples(spec, grid, traj.values)[-1], traj.value_at_time(0.0)
         )
 
     def test_weighted_sum_on_known_trajectory(self):
@@ -243,19 +242,10 @@ class TestEvalG:
         )
         grid = Grid(spec, 0.1)
         values = (1.0 + grid.times)[:, None]
-        from fracsteer.solver import Trajectory
-
-        traj = Trajectory(grid, values)
-        for s in (-0.2, -0.1, 0.0):
+        g = _nonlocal_samples(spec, grid, values)
+        for row, s in enumerate((-0.2, -0.1, 0.0)):
             want = 0.5 * (1.0 + 0.3 + s) + 0.25 * (1.0 + 0.6 + s)
-            assert eval_g(spec, traj, s)[0] == pytest.approx(want, abs=1e-12)
-
-    def test_offset_out_of_range(self):
-        spec = make_spec(n=1, r=0.2, nonlocal_terms=[NonlocalTerm(0.5, 0.3)])
-        grid = Grid(spec, 0.1)
-        traj = solve_mild(spec, ControlSignal.zeros(grid))
-        with pytest.raises(DomainError):
-            eval_g(spec, traj, -0.5)
+            assert g[row, 0] == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -268,16 +258,12 @@ class TestEvalG:
         )
         grid = Grid(spec, 0.1)
         rng = np.random.default_rng(seed)
-        from fracsteer.solver import Trajectory
-
         va = rng.standard_normal((len(grid), 2))
         vb = rng.standard_normal((len(grid), 2))
-        ta, tb = Trajectory(grid, va), Trajectory(grid, vb)
         sup = np.max(np.linalg.norm(va - vb, axis=1))
         l_g = spec.constants.l_g
-        for s in (-0.2, -0.1, 0.0):
-            gap = np.linalg.norm(eval_g(spec, ta, s) - eval_g(spec, tb, s))
-            assert gap <= l_g * sup + 1e-12
+        gap = _nonlocal_samples(spec, grid, va) - _nonlocal_samples(spec, grid, vb)
+        assert np.all(np.linalg.norm(gap, axis=1) <= l_g * sup + 1e-12)
 
 
 class TestEvalImpulse:
