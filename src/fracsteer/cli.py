@@ -25,7 +25,7 @@ from . import __version__
 from .config import load_cost, load_problem, load_target
 from .control import epsilon_sweep, steer
 from .errors import ConfigError, ConvergenceError, EvaluationError, FracsteerError
-from .mittag import MLQuery, ml_eval
+from .mittag import mittag_leffler
 from .optimal import ControlParameterization, MinimizeOptions, minimize
 from .solver import Grid, contraction_check, solve_mild, ControlSignal
 
@@ -103,9 +103,8 @@ def _cmd_ml(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["alpha", "beta", "z", "value"])
-    for z in zs:
-        val = ml_eval(MLQuery(args.alpha, args.beta, float(z)))
-        writer.writerow([args.alpha, args.beta, float(z), repr(val)])
+    for z, val in zip(zs, mittag_leffler(args.alpha, args.beta, zs)):
+        writer.writerow([args.alpha, args.beta, float(z), repr(float(val))])
     _emit(args, buf.getvalue(), manifest)
     manifest.write(args)
     return EXIT_OK
@@ -248,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ml", help="evaluate the Mittag-Leffler kernel")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--z", type=float)
-    p.add_argument("--grid", help="z sweep as from,to,steps")
+    points = p.add_mutually_exclusive_group(required=True)
+    points.add_argument("--z", type=float)
+    points.add_argument("--grid", help="z sweep as from,to,steps")
     common(p, config=False)
     p.set_defaults(func=_cmd_ml)
 

@@ -112,6 +112,10 @@ class TestCliMl:
         monkeypatch.chdir(tmp_path)
         assert run(["ml", "--alpha", "3.0", "--beta", "1", "--z", "1"]) == 2
 
+    def test_missing_points_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["ml", "--alpha", "1.5", "--beta", "1"]) == 2
+
 
 class TestCliSolve:
     def test_csv_columns_and_left_limits(self, tmp_path):

@@ -3,6 +3,8 @@ and boundedness envelopes, the recurrence property, regime consistency, and
 the array path that builds the solution-operator table."""
 
 import math
+import subprocess
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -15,14 +17,7 @@ from fracsteer import mittag, solver
 from fracsteer.cli import run
 from fracsteer.config import load_problem
 from fracsteer.errors import EvaluationError, ParameterError
-from fracsteer.mittag import (
-    MLQuery,
-    _asymptotic,
-    _integral,
-    ml_eval,
-    mittag_leffler,
-    solution_operator_diag,
-)
+from fracsteer.mittag import MLQuery, ml_eval, mittag_leffler, solution_operator_diag
 
 from oracles import ml_branch_cut_oracle, ml_oracle
 
@@ -80,6 +75,17 @@ class TestKnownValues:
         assert mittag_leffler(2.0, 2.0, -4.0) == pytest.approx(math.sin(2.0) / 2.0, abs=1e-12)
         assert mittag_leffler(2.0, 2.0, 4.0) == pytest.approx(math.sinh(2.0) / 2.0, abs=1e-12)
 
+    def test_array_matches_points_bit_for_bit(self):
+        # one array call gives every point the value it gets alone, on each
+        # route: series, quadrature, closed form, extended-precision series
+        zs = np.array([[-1e4, -60.0, -50.0, -3.0], [-0.5, 0.0, 0.7, 2.0]])
+        for alpha, beta in [(1.5, 1.0), (0.6, 2.0), (1.9, 0.5), (2.0, 3.0), (1.0, 2.5)]:
+            got = mittag_leffler(alpha, beta, zs)
+            assert got.shape == zs.shape
+            want = [[mittag_leffler(alpha, beta, float(z)) for z in row] for row in zs]
+            np.testing.assert_array_equal(got, want)
+        assert isinstance(mittag_leffler(1.5, 1.0, -1.0), float)
+
 
 class TestOracleSweep:
     @pytest.mark.parametrize("alpha", [1.1, 1.25, 1.5, 1.75, 1.9])
@@ -91,16 +97,25 @@ class TestOracleSweep:
 
     @pytest.mark.parametrize("beta", [0.7, 2.0, 3.2])
     def test_general_beta(self, beta):
-        for z in [-40.0, -9.0, -0.5, 2.0]:
-            got = mittag_leffler(1.4, beta, z)
-            want = ml_oracle(1.4, beta, z)
-            assert got == pytest.approx(want, abs=1e-10)
+        # alpha = 0.9 takes beta >= alpha + 1 at beta = 2, 3.2; alpha = 1.01
+        # puts beta = 2 just below alpha + 1; alpha = 1.5, beta = 2 makes
+        # sin pi(1 + alpha - b) vanish after one reduction
+        for alpha in [1.4, 0.9, 1.01, 1.5]:
+            for z in [-40.0, -9.0, -0.5, 2.0]:
+                got = mittag_leffler(alpha, beta, z)
+                want = ml_oracle(alpha, beta, z)
+                assert got == pytest.approx(want, abs=1e-10), (alpha, z)
 
     def test_small_alpha_route(self):
-        for z in [-30.0, -3.0, 0.7]:
-            got = mittag_leffler(0.6, 1.0, z)
-            want = ml_oracle(0.6, 1.0, z)
-            assert got == pytest.approx(want, abs=1e-10)
+        # at alpha = 0.01 and |z| = 0.999 the series needs about 39,000 terms;
+        # at alpha = 0.5 the reduced beta equals alpha, so sin pi(alpha - b) = 0
+        for alpha, z in [(0.6, -30.0), (0.6, -3.0), (0.6, 0.7), (0.01, -0.999), (0.5, -9.0)]:
+            got = mittag_leffler(alpha, 1.0, z)
+            want = ml_oracle(alpha, 1.0, z)
+            assert got == pytest.approx(want, abs=1e-10), (alpha, z)
+        # a positive z has only the series: an unconverged sum is no answer
+        with pytest.raises(EvaluationError, match="no route certifies"):
+            mittag_leffler(0.01, 1.0, 0.999)
 
 
 class TestProperties:
@@ -136,14 +151,12 @@ class TestProperties:
         vals = [abs(mittag_leffler(alpha, 1.0, -float(x))) for x in xs]
         assert max(vals) <= 1.0 + 1e-9
 
-    def test_regime_consistency_at_switchover(self):
-        # the two branches meeting at |z| = 50 must agree to 1e-6 relative
+    def test_series_cutoff_matches_branch_cut_oracle(self):
+        # the series is tried at z >= -50 only: both sides of that cutoff
         for alpha in [1.1, 1.5, 1.9]:
             for z in [-50.0 + 1e-9, -50.0 - 1e-9, -50.0]:
-                a = _integral(alpha, 1.0, z)
-                b, certified = _asymptotic(alpha, 1.0, z)
-                if certified:
-                    assert abs(a - b) <= 1e-6 * abs(a)
+                want = ml_branch_cut_oracle(alpha, z)
+                assert mittag_leffler(alpha, 1.0, z) == pytest.approx(want, abs=1e-12)
 
     def test_asymptotic_branch_accuracy(self):
         # the branch-cut oracle stands in for the Taylor oracle, which needs
@@ -167,6 +180,14 @@ class TestProperties:
             assert ml_branch_cut_oracle(alpha, -1e4) == pytest.approx(
                 ml_oracle(alpha, 1.0, -1e4), rel=1e-13
             )
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # importing scipy.integrate alone adds about 0.8 s to every command
+    src = Path(mittag.__file__).resolve().parents[1]
+    probe = "import sys, fracsteer.cli; sys.exit('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0
 
 
 class TestSolutionOperator:
@@ -197,9 +218,9 @@ class TestSolutionOperator:
 _REAL_CUT_NODES = mittag._cut_nodes
 
 
-def _poisoned_nodes(alpha):
-    """The table quadrature's node set with one weight forced to NaN."""
-    v, c = _REAL_CUT_NODES(alpha)
+def _poisoned_nodes(*args):
+    """The quadrature's node set with one weight forced to NaN."""
+    v, c = _REAL_CUT_NODES(*args)
     c = c.copy()
     c[3] = math.nan
     return v, c
@@ -220,7 +241,7 @@ class TestTablePath:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # the quadrature alone, also where the series takes the table's points
         cut = ts >= 0.5
-        got = mittag._branch_cut_table(alpha, ts[cut] ** alpha)
+        got = mittag._branch_cut(alpha, 1.0, ts[cut] ** alpha)
         np.testing.assert_allclose(got, want[cut], rtol=0, atol=1e-12)
 
     def test_flagship_table_matches_scalar_kernel(self):
