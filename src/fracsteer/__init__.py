@@ -26,7 +26,7 @@ from .errors import (
     NonlinearityError,
     ParameterError,
 )
-from .mittag import MLQuery, ml_eval, mittag_leffler, solution_operator_diag
+from .mittag import mittag_leffler, solution_operator_diag
 from .model import (
     ConstantsLedger,
     HistorySegment,
@@ -53,7 +53,6 @@ from .solver import (
     SolutionKernel,
     Trajectory,
     contraction_check,
-    convolve,
     forcing_on_grid,
     mild_map,
     nonlocal_residual,

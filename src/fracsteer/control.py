@@ -30,11 +30,9 @@ from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, mild_map, s
 
 @dataclass(frozen=True)
 class Grammian:
-    """Symmetric PSD matrix int_0^T D(T-s) B B^T D(T-s) ds with the
-    quadrature resolution it was built at."""
+    """Symmetric PSD matrix int_0^T D(T-s) B B^T D(T-s) ds."""
 
     matrix: FloatArray
-    quad_order: int
 
     def __post_init__(self):
         m = self.matrix
@@ -80,7 +78,7 @@ def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
     w = grid.trapezoid_weights(grid.n_fwd)
     G = (spec.B @ spec.B.T) * (table.T @ (w[:, None] * table))
     G = 0.5 * (G + G.T)
-    return Grammian(G, quad_order=grid.n_fwd)
+    return Grammian(G)
 
 
 def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
@@ -140,6 +138,8 @@ def steer(
         raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
     if not (0.0 < theta <= 1.0):
         raise ConfigError("damping theta must lie in (0, 1]")
+    if max_outer < 1:
+        raise ConfigError(f"max_outer must be >= 1, got {max_outer}")
     h = spec.check_vector(h)
     gram = grammian(spec, grid)
 
@@ -193,9 +193,6 @@ class SweepResult:
     entries: list
     errors_non_increasing: bool
 
-    def reports(self) -> list:
-        return [e.report for e in self.entries if e.report is not None]
-
 
 def epsilon_sweep(
     spec: ProblemSpec,
@@ -211,6 +208,8 @@ def epsilon_sweep(
     """One steering run per eps (strictly decreasing list); failures are
     recorded per entry and the sweep continues."""
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ConfigError("eps list must not be empty")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps values must be strictly decreasing")
     h = spec.check_vector(h)

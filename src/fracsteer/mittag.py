@@ -5,8 +5,8 @@ the fractional solution operator: on an eigenvector with eigenvalue lam <= 0
 the operator acts as E_{alpha,1}(lam * t^alpha).
 
 Real arguments only; the negative real axis is the primary regime.  One array
-evaluator serves a single point (ml_eval, mittag_leffler of a float) and a
-whole table (mittag_leffler of an array, solution_operator_diag):
+evaluator serves a single point (mittag_leffler of a float) and a whole table
+(mittag_leffler of an array, solution_operator_diag):
 
   * the compensated Taylor series, one array sum per term, at every z >= -50;
     a point counts only if it met the stopping rule and its rounding gate
@@ -32,7 +32,6 @@ absolute and the relative error).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,35 +60,14 @@ _BLOCK_ENTRIES = 2**16
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 
-@dataclass(frozen=True)
-class MLQuery:
-    """Validated point (alpha, beta, z) at which E_{alpha,beta} is evaluated."""
-
-    alpha: float
-    beta: float
-    z: float
-
-    def __post_init__(self):
-        _check(self.alpha, self.beta, np.asarray(self.z, dtype=float))
-
-
 def _check(alpha: float, beta: float, z: np.ndarray) -> None:
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if not (beta > 0.0):
-        raise ParameterError(f"beta must be > 0, got {beta}")
+    if not (0.0 < beta < math.inf):
+        raise ParameterError(f"beta must be finite and > 0, got {beta}")
     bad = z[~np.isfinite(z)]
     if bad.size:
         raise ParameterError(f"z must be finite, got {bad[0]}")
-
-
-def ml_eval(q: MLQuery) -> float:
-    """E_{alpha,beta}(z) at a validated query point, one point of mittag_leffler.
-
-    Absolute error <= 1e-10 for |z| <= 50; relative error <= 1e-6 beyond
-    (in practice far tighter).
-    """
-    return mittag_leffler(q.alpha, q.beta, q.z)
 
 
 def mittag_leffler(alpha: float, beta: float, z):

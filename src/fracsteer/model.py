@@ -23,23 +23,6 @@ FloatArray = NDArray[np.float64]
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def basis_matrix(n_modes: int, y: FloatArray) -> FloatArray:
-    """Rows: sample points y in [0, pi]; columns: sqrt(2/pi) sin(n y)."""
-    n = np.arange(1, n_modes + 1)
-    return math.sqrt(2.0 / math.pi) * np.sin(np.outer(y, n))
-
-
-def to_physical(coeffs: FloatArray, y: FloatArray) -> FloatArray:
-    """Evaluate the represented function on a physical grid."""
-    return basis_matrix(len(coeffs), y) @ coeffs
-
-
-def project(values: FloatArray, y: FloatArray, n_modes: int) -> FloatArray:
-    """L2-project samples on a uniform y-grid back onto the first n_modes."""
-    phi = basis_matrix(n_modes, y)
-    return phi.T @ (trapezoid_weights(len(y), y[1] - y[0]) * values)
-
-
 def trapezoid_weights(n: int, h: float) -> FloatArray:
     """Composite trapezoid weights of n samples spaced h apart."""
     w = np.full(n, h)
@@ -306,9 +289,9 @@ class ProblemSpec:
         n = np.arange(1, self.n_modes + 1, dtype=float)
         return -(n**2) - self.omega
 
-    def operator_bound(self, grid_points: int = 65) -> float:
-        """max over a t-grid and all modes of |E_{alpha,1}(lam_n t^alpha)|."""
-        ts = np.linspace(0.0, self.horizon, grid_points)
+    def operator_bound(self) -> float:
+        """max over a 65-point t-grid and all modes of |E_{alpha,1}(lam_n t^alpha)|."""
+        ts = np.linspace(0.0, self.horizon, 65)
         lam_worst = self.eigenvalues[np.argmax(np.abs(self.eigenvalues))]
         z = np.multiply.outer(ts**self.alpha, [self.eigenvalues[0], lam_worst])
         return float(np.abs(mittag_leffler(self.alpha, 1.0, z)).max())

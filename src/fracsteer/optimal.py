@@ -85,6 +85,8 @@ class ControlParameterization:
             raise ConfigError("P must be >= 1")
         lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.intervals, self.n_modes)).copy()
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.intervals, self.n_modes)).copy()
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ConfigError("box bounds must not be NaN")
         if np.any(lo > hi):
             raise ConfigError("admissible box is empty")
         object.__setattr__(self, "lower", lo)
@@ -127,13 +129,22 @@ def eval_cost(
     return float(grid.trapezoid_weights(grid.n_fwd) @ samples)
 
 
+# An accepted step shorter than this ends the descent as stationary.
+_STAT_TOL = 1e-9
+# Step halvings tried before the descent is declared stationary (or boxed).
+_MAX_BACKTRACKS = 30
+
+
 @dataclass(frozen=True)
 class MinimizeOptions:
     step: float = 0.5
     max_evals: int = 4000
     fd_step: float = 1e-5
-    stat_tol: float = 1e-9
-    max_backtracks: int = 30
+
+    def __post_init__(self):
+        for name in ("step", "fd_step"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -199,7 +210,7 @@ def minimize(
 
         step = opts.step
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             if n_evals >= opts.max_evals:
                 break
             cand = param.project(theta - step * grad)
@@ -210,7 +221,7 @@ def minimize(
                 J = J_cand
                 history.append(J)
                 accepted = True
-                if move <= opts.stat_tol:
+                if move <= _STAT_TOL:
                     converged = True
                 break
             step *= 0.5

@@ -195,9 +195,6 @@ class Trajectory:
             values=self.values,
         )
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
-
 
 def contraction_check(spec: ProblemSpec, eps: float) -> float:
     """Left-hand side of the contraction inequality,
@@ -206,8 +203,8 @@ def contraction_check(spec: ProblemSpec, eps: float) -> float:
             * (1 + M M_B^2 T / eps);
 
     the caller compares the returned factor against 1."""
-    if eps <= 0.0:
-        raise ConfigError("eps must be > 0")
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be > 0, got {eps}")
     c = spec.constants
     return picard_factor(spec) * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
 
@@ -246,26 +243,6 @@ def _convolve_all(
     for j, f_right in right_overrides.items():
         out[j + 1 :] += 0.5 * h * ker[1 : n - j] * (f_right - forcing[j])
     return out
-
-
-def convolve(spec: ProblemSpec, forcing, t: float, grid: Grid | None = None) -> FloatArray:
-    """int_0^t D(t - s) w(s) ds for one grid time t, trapezoid rule.
-
-    forcing holds samples of w on the forward grid nodes up to at least t.
-    """
-    forcing = np.atleast_2d(np.asarray(forcing, dtype=float))
-    if grid is None:
-        if t <= 0.0:
-            raise DomainError("t must be a positive grid time")
-        h = t / (forcing.shape[0] - 1) if forcing.shape[0] > 1 else t
-        grid = Grid(spec, h)
-    m = round(t / grid.h)
-    if abs(t - m * grid.h) > _NODE_TOL * max(1.0, abs(t)) or m < 0 or m > grid.n_fwd:
-        raise DomainError(f"t={t} is not a forward grid node")
-    if forcing.shape[0] < m + 1:
-        raise DomainError("forcing must be defined on every node up to t")
-    kernel = SolutionKernel(spec, grid)
-    return _convolve_all(kernel.table, forcing[: m + 1], grid.h, {})[-1]
 
 
 def forcing_on_grid(
@@ -339,8 +316,10 @@ def solve_mild(
     tol; raises ConvergenceError (with the residual history) on budget
     exhaustion.  A contraction factor >= 1 attaches a warning, not an error.
     """
-    if tol <= 0.0:
-        raise ConfigError("tol must be > 0")
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     grid = u.grid
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")

@@ -389,6 +389,60 @@ class TestInvalidFields:
         assert err.count("\n") == 1 and err.startswith(f"error: {field} must be ")
 
 
+# one cheap run per subcommand; each flag case below sets one of its flags
+FLAG_RUNS = {
+    "ml": ["ml", "--alpha=1.5", "--beta=1", "--z=-1"],
+    "solve": ["solve", f"--config={CONFIGS / 'flagship.json'}", "--dt=0.05"],
+    "steer": [
+        "steer", f"--config={CONFIGS / 'linear1d.json'}", "--dt=0.05",
+        f"--target={CONFIGS / 'target_1d.json'}", "--eps=0.1",
+    ],
+    "sweep": [
+        "sweep", f"--config={CONFIGS / 'linear1d.json'}", "--dt=0.05",
+        f"--target={CONFIGS / 'target_1d.json'}", "--eps-list=0.1,0.01",
+    ],
+    "optimize": [
+        "optimize", f"--config={CONFIGS / 'linear1d.json'}", "--dt=0.02",
+        f"--cost={CONFIGS / 'cost_quadratic.json'}", "--intervals=2",
+    ],
+    "check": ["check", f"--config={CONFIGS / 'flagship.json'}", "--eps=0.1"],
+}
+
+
+class TestInvalidFlags:
+    # refused on entry, before any solve: an iteration budget below 1, a NaN
+    # tolerance, eps or bound, a step that is not finite and > 0, an infinite
+    # beta and an empty eps list
+    @pytest.mark.parametrize("sub, flag, value, name", [
+        ("solve", "--max-iter", "0", "max_iter"),
+        ("solve", "--max-iter", "-1", "max_iter"),
+        ("solve", "--tol", "nan", "tol"),
+        ("steer", "--max-outer", "0", "max_outer"),
+        ("steer", "--max-outer", "-1", "max_outer"),
+        ("sweep", "--max-outer", "0", "max_outer"),
+        ("sweep", "--max-outer", "-1", "max_outer"),
+        ("sweep", "--eps-list", ",", "eps list"),
+        ("optimize", "--step", "0", "step"),
+        ("optimize", "--step", "-1", "step"),
+        ("optimize", "--step", "nan", "step"),
+        ("optimize", "--step", "inf", "step"),
+        ("optimize", "--step", "-inf", "step"),
+        ("optimize", "--fd-step", "0", "fd_step"),
+        ("optimize", "--fd-step", "nan", "fd_step"),
+        ("optimize", "--fd-step", "inf", "fd_step"),
+        ("optimize", "--fd-step", "-inf", "fd_step"),
+        ("optimize", "--bound", "nan", "box bounds"),
+        ("check", "--eps", "nan", "eps"),
+        ("ml", "--beta", "inf", "beta"),
+    ])
+    def test_exits_2_naming_the_option(self, tmp_path, sub, flag, value, name):
+        argv = [a for a in FLAG_RUNS[sub] if not a.startswith(f"{flag}=")]
+        code, err = _run_captured(argv + [f"{flag}={value}", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {name} must ")
+        assert not (tmp_path / "out").exists()
+
+
 # every config file, with a cheap run that reads it
 FUZZ_RUNS = {
     "flagship.json": ["solve", "--config", "{cfg}", "--dt", "0.05"],

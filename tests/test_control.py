@@ -70,7 +70,7 @@ class TestGrammian:
         from fracsteer.errors import EvaluationError
 
         with pytest.raises(EvaluationError):
-            Grammian(np.array([[0.0, 1.0], [0.0, 0.0]]), quad_order=1)
+            Grammian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_resolvent_identity(self):
         spec = make_spec(n=3, omega=1.0)

@@ -17,7 +17,7 @@ from fracsteer import mittag, solver
 from fracsteer.cli import run
 from fracsteer.config import load_problem
 from fracsteer.errors import EvaluationError, ParameterError
-from fracsteer.mittag import MLQuery, ml_eval, mittag_leffler, solution_operator_diag
+from fracsteer.mittag import mittag_leffler, solution_operator_diag
 
 from oracles import ml_branch_cut_oracle, ml_oracle
 
@@ -36,13 +36,13 @@ FROZEN = {
 class TestValidation:
     def test_alpha_range(self):
         with pytest.raises(ParameterError):
-            MLQuery(0.0, 1.0, 1.0)
+            mittag_leffler(0.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            MLQuery(2.5, 1.0, 1.0)
+            mittag_leffler(2.5, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            MLQuery(1.5, 0.0, 1.0)
+            mittag_leffler(1.5, 0.0, 1.0)
         with pytest.raises(ParameterError):
-            MLQuery(1.5, 1.0, math.nan)
+            mittag_leffler(1.5, 1.0, math.nan)
 
     def test_diag_rejects_positive_eigenvalue(self):
         with pytest.raises(ParameterError):

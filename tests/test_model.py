@@ -1,5 +1,5 @@
 """Model-layer tests: descriptor validation, the three evaluation maps with
-hand-computed oracles, Parseval round trips, and the declared Lipschitz data."""
+hand-computed oracles, and the declared Lipschitz data."""
 
 import math
 
@@ -18,8 +18,6 @@ from fracsteer.model import (
     ProblemSpec,
     eval_f,
     eval_impulse,
-    project,
-    to_physical,
 )
 from fracsteer.solver import ControlSignal, Grid, Trajectory, _nonlocal_samples, solve_mild
 
@@ -93,23 +91,6 @@ class TestValidation:
         assert c.M_B == pytest.approx(1.0)
         assert c.norm_L1 == pytest.approx(0.2 * 1.0**0.4)
         assert c.M == pytest.approx(1.0, abs=1e-9)  # attained at t = 0
-
-
-class TestBasis:
-    @pytest.mark.parametrize("n_modes", [4, 16, 64])
-    def test_parseval_round_trip(self, n_modes):
-        rng = np.random.default_rng(7)
-        coeffs = rng.standard_normal(n_modes) / np.arange(1, n_modes + 1)
-        y = np.linspace(0.0, math.pi, 8 * n_modes + 1)
-        back = project(to_physical(coeffs, y), y, n_modes)
-        np.testing.assert_allclose(back, coeffs, atol=1e-9)
-
-    def test_parseval_norm(self):
-        coeffs = np.array([1.0, -0.5, 0.25])
-        y = np.linspace(0.0, math.pi, 2001)
-        vals = to_physical(coeffs, y)
-        l2 = math.sqrt(np.trapezoid(vals**2, y))
-        assert l2 == pytest.approx(np.linalg.norm(coeffs), abs=1e-6)
 
 
 def flat_history(spec, grid, value):

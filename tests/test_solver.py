@@ -26,7 +26,6 @@ from fracsteer.solver import (
     Trajectory,
     _convolve_all,
     contraction_check,
-    convolve,
     eval_f,
     forcing_on_grid,
     nonlocal_residual,
@@ -91,7 +90,8 @@ class TestConvolve:
     def test_zero_forcing(self):
         spec = make_spec()
         grid = Grid(spec, 0.01)
-        out = convolve(spec, np.zeros((101, 1)), 1.0, grid=grid)
+        table = SolutionKernel(spec, grid).table
+        out = _convolve_all(table, np.zeros((101, 1)), grid.h, {})[-1]
         np.testing.assert_array_equal(out, np.zeros(1))
 
     def test_unit_kernel_weights_integrate_to_t(self):
@@ -106,7 +106,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 400.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = convolve(spec, forcing, t, grid=grid)[0]
+        got = _convolve_all(SolutionKernel(spec, grid).table, forcing, grid.h, {})[-1, 0]
         want = t * mittag_leffler(1.5, 2.0, -(t**1.5))
         assert got == pytest.approx(want, abs=5e-6)
 
@@ -114,17 +114,12 @@ class TestConvolve:
         spec = make_spec(alpha=1.5, omega=0.0)
         grid = Grid(spec, 1.0 / 100.0)
         t = 1.0
-        got = convolve(spec, np.ones((grid.n_fwd + 1, 1)), t, grid=grid)[0]
+        forcing = np.ones((grid.n_fwd + 1, 1))
+        got = _convolve_all(SolutionKernel(spec, grid).table, forcing, grid.h, {})[-1, 0]
         want = refined_convolution(1.5, -1.0, lambda s: 1.0, t, refine=10)
         # agreement at O(dt^2): coarse grid error ~ (10x finer)^2 * 100
         assert got == pytest.approx(want, abs=1e-4)
         assert got != pytest.approx(want, abs=1e-9)
-
-    def test_off_grid_time(self):
-        spec = make_spec()
-        grid = Grid(spec, 0.25)
-        with pytest.raises(DomainError):
-            convolve(spec, np.ones((5, 1)), 0.3, grid=grid)
 
 
 class TestFreeResponse:
