@@ -221,6 +221,54 @@ class TestMinimize:
         dn = eval_cost(spec, cost, param.expand(grid, [[theta_star - h]]), tol=1e-13)
         assert (up - dn) / (2 * h) > 0.0
 
+    @staticmethod
+    def assert_box_stationary(spec, grid, cost, param, theta):
+        # central differences at theta*: a free parameter has a vanishing
+        # partial derivative; one sitting at a bound has -dJ/dtheta pointing
+        # out of the box, so no admissible move decreases J to first order
+        h = 1e-6
+        for idx in np.ndindex(theta.shape):
+            e = np.zeros_like(theta)
+            e[idx] = h
+            up = eval_cost(spec, cost, param.expand(grid, theta + e), tol=1e-13)
+            dn = eval_cost(spec, cost, param.expand(grid, theta - e), tol=1e-13)
+            g = (up - dn) / (2 * h)
+            if theta[idx] == param.lower[idx]:
+                assert g > 0.0, (idx, g)
+            elif theta[idx] == param.upper[idx]:
+                assert g < 0.0, (idx, g)
+            else:
+                assert abs(g) <= 1e-4, (idx, g)
+
+    def test_mixed_active_set_stationary(self):
+        # the box cuts the two early intervals off at -0.3 and leaves the two
+        # late ones free
+        spec = make_spec(alpha=1.5, phi_coeffs=[1.0])
+        grid = Grid(spec, 1.0 / 50.0)
+        param = ControlParameterization.boxed(4, 1, 0.3)
+        result = minimize(spec, grid, QUAD, param, opts=MinimizeOptions(max_evals=1500))
+        theta = result.theta_opt
+        assert result.converged
+        assert np.count_nonzero(np.abs(theta) == 0.3) == 2
+        assert np.count_nonzero(np.abs(theta) < 0.29) == 2
+        self.assert_box_stationary(spec, grid, QUAD, param, theta)
+
+    def test_saturating_memory_forcing_converges(self):
+        # a non-affine control-to-state map: J is not a quadratic in theta
+        f = NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": 0.5, "f2_gain": 0.5, "kernel_rate": 1.0,
+             "f1_form": "saturating", "f2_form": "saturating"},
+            L1=0.5, L2=0.5, M1=1.0,
+        )
+        spec = make_spec(alpha=1.5, r=0.25, phi_coeffs=[1.0], f=f)
+        grid = Grid(spec, 0.01)
+        param = ControlParameterization.boxed(8, 1, 10.0)
+        result = minimize(spec, grid, QUAD, param)
+        assert result.converged
+        assert np.all(np.diff(result.history) <= 0.0)
+        self.assert_box_stationary(spec, grid, QUAD, param, result.theta_opt)
+
     def test_budget_exhaustion_flagged(self):
         spec = make_spec(phi_coeffs=[1.0])
         grid = Grid(spec, 1.0 / 20.0)
