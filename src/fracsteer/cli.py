@@ -27,7 +27,7 @@ from .control import epsilon_sweep, steer
 from .errors import ConfigError, ConvergenceError, EvaluationError, FracsteerError
 from .mittag import mittag_leffler
 from .optimal import ControlParameterization, MinimizeOptions, minimize
-from .solver import Grid, contraction_check, solve_mild, ControlSignal
+from .solver import _MAX_STEPS, Grid, contraction_check, solve_mild, ControlSignal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,9 +94,12 @@ def _cmd_ml(args) -> int:
     if args.grid:
         try:
             lo, hi, steps = args.grid.split(",")
-            zs = np.linspace(float(lo), float(hi), int(steps))
+            lo, hi, steps = float(lo), float(hi), int(steps)
         except ValueError as exc:
             raise ConfigError(f"--grid must be from,to,steps: {exc}") from exc
+        if not 1 <= steps <= _MAX_STEPS:
+            raise ConfigError(f"grid steps must be in [1, {_MAX_STEPS}], got {steps}")
+        zs = np.linspace(lo, hi, steps)
     else:
         zs = [args.z]
     manifest.param(alpha=args.alpha, beta=args.beta, z=list(map(float, zs)))
@@ -228,13 +231,21 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a malformed value, a missing flag) end the run with the
+    one `error:` line of every other configuration fault."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracsteer",
         description="Fractional impulsive-delay steering and optimal-control toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, config=True, dt=True):
         if config:
@@ -295,16 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, 0 on --help/--version
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         # a non-finite value ends the run with a one-line error below, so
         # numpy's overflow/invalid warnings on the way there are noise
         with np.errstate(all="ignore"):
@@ -315,6 +318,8 @@ def run(argv=None) -> int:
     except FracsteerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SystemExit as exc:  # --help and --version
+        return exc.code or EXIT_OK
 
 
 def main() -> None:

@@ -113,13 +113,12 @@ def refined_grammian_1d(alpha: float, lam: float, T: float, b: float = 1.0, n: i
     return total * h
 
 
-def lq_grid_search(spec, grid, param, points_per_axis: int = 21):
-    """Exhaustive grid search for the 1-D linear-quadratic instance.
+def lq_quadratic(spec, grid, param):
+    """J(theta) of the 1-D linear-quadratic instance as an explicit quadratic.
 
-    Superposition turns J(theta) into an explicit quadratic (the dynamics are
-    affine in the control), which the caller must spot-check against the real
-    cost before trusting; the search then sweeps the full box grid.  Ties go
-    to the lowest flat index.  Returns (J_min, theta_min, J_quadratic).
+    Superposition turns J into c0 + 2 theta.b + theta.Q.theta (the dynamics
+    are affine in the control), which the caller must spot-check against the
+    real cost before trusting.  Returns (b, Q, J_quadratic).
     """
     import numpy as np
 
@@ -147,6 +146,19 @@ def lq_grid_search(spec, grid, param, points_per_axis: int = 21):
         thetas = np.atleast_2d(np.asarray(thetas, float).reshape(-1, P))
         return c0 + 2.0 * thetas @ b + np.einsum("ij,jk,ik->i", thetas, Q, thetas)
 
+    return b, Q, J_quadratic
+
+
+def lq_grid_search(spec, grid, param, points_per_axis: int = 21):
+    """Exhaustive grid search over the box for the quadratic of lq_quadratic.
+
+    Ties go to the lowest flat index.  Returns (J_min, theta_min,
+    J_quadratic).
+    """
+    import numpy as np
+
+    P = param.intervals
+    _, _, J_quadratic = lq_quadratic(spec, grid, param)
     axis = np.linspace(param.lower[0, 0], param.upper[0, 0], points_per_axis)
     mesh = np.stack(np.meshgrid(*([axis] * P), indexing="ij"), axis=-1).reshape(-1, P)
     J_all = J_quadratic(mesh)

@@ -431,6 +431,8 @@ class TestInvalidFlags:
         ("optimize", "--fd-step", "nan", "fd_step"),
         ("optimize", "--fd-step", "inf", "fd_step"),
         ("optimize", "--fd-step", "-inf", "fd_step"),
+        ("optimize", "--max-evals", "0", "max_evals"),
+        ("optimize", "--max-evals", "-1", "max_evals"),
         ("optimize", "--bound", "nan", "box bounds"),
         ("check", "--eps", "nan", "eps"),
         ("ml", "--beta", "inf", "beta"),
@@ -441,6 +443,29 @@ class TestInvalidFlags:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"error: {name} must ")
         assert not (tmp_path / "out").exists()
+
+    # a z sweep of no points, or of more points than a grid may have
+    @pytest.mark.parametrize("steps", ["0", "-1", "1000001"])
+    def test_grid_step_count_out_of_range(self, tmp_path, steps):
+        argv = ["ml", "--alpha=1.5", "--beta=1", f"--grid=0,1,{steps}"]
+        code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: grid steps must ")
+        assert not (tmp_path / "out").exists()
+
+    # argparse's own usage errors: a value of the wrong type, a missing
+    # required flag, no subcommand
+    @pytest.mark.parametrize("argv, message", [
+        (FLAG_RUNS["solve"] + ["--max-iter=nan"], "argument --max-iter: invalid int value"),
+        (FLAG_RUNS["optimize"] + ["--max-evals=inf"], "argument --max-evals: invalid int value"),
+        ([a for a in FLAG_RUNS["steer"] if not a.startswith("--eps=")],
+         "the following arguments are required: --eps"),
+        ([], "the following arguments are required: subcommand"),
+    ])
+    def test_usage_error_is_one_line(self, argv, message):
+        code, err = _run_captured(argv)
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
 
 
 # every config file, with a cheap run that reads it

@@ -3,9 +3,12 @@ direct method against exhaustive grid search (superposition-accelerated,
 spot-checked against eval_cost), box-constrained KKT behaviour, convexity
 checks, and coercivity."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fracsteer.config import load_cost, load_problem
 from fracsteer.errors import DomainError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
@@ -25,6 +28,9 @@ from fracsteer.optimal import (
     verify_convexity,
 )
 from fracsteer.solver import ControlSignal, Grid, solve_mild
+from oracles import lq_quadratic
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
@@ -220,6 +226,26 @@ class TestMinimize:
         up = eval_cost(spec, cost, param.expand(grid, [[theta_star + h]]), tol=1e-13)
         dn = eval_cost(spec, cost, param.expand(grid, [[theta_star - h]]), tol=1e-13)
         assert (up - dn) / (2 * h) > 0.0
+
+    def test_lq_exact_minimum_in_400_evals(self):
+        # the P = 8 problem of the optimize_lq_1d benchmark at its default
+        # options; the minimizer of the superposition quadratic lies inside
+        # the box, so it is the exact constrained minimum
+        spec = load_problem(CONFIGS / "linear1d.json")
+        cost = load_cost(CONFIGS / "cost_quadratic.json")
+        grid = Grid(spec, 0.01)
+        param = ControlParameterization.boxed(8, 1, 10.0)
+        b, Q, J_quadratic = lq_quadratic(spec, grid, param)
+        theta = np.linalg.solve(Q, -b).reshape(8, 1)
+        assert np.all(np.abs(theta) < 10.0)
+        j_min = float(J_quadratic(theta)[0])
+        direct = eval_cost(spec, cost, param.expand(grid, theta), tol=1e-13)
+        assert j_min == pytest.approx(direct, rel=1e-10)
+
+        result = minimize(spec, grid, cost, param)
+        assert result.converged
+        assert abs(result.J_opt - j_min) / j_min <= 1e-9
+        assert result.n_evals <= 400
 
     @staticmethod
     def assert_box_stationary(spec, grid, cost, param, theta):
