@@ -87,8 +87,8 @@ def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
     grid = x.grid
     if grid.spec is not spec:
         raise DomainError("trajectory grid belongs to a different problem instance")
-    table = SolutionKernel(spec, grid).table
-    return h - mild_map(spec, grid, table, x.values, np.zeros_like(table))[-1]
+    kernel = SolutionKernel(spec, grid)
+    return h - mild_map(spec, grid, kernel, x.values, np.zeros_like(kernel.table))[-1]
 
 
 def synthesize_control(

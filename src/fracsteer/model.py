@@ -76,18 +76,18 @@ class HistorySegment:
     A scalar base_t describes one window and values holds its samples.  An
     array of M window ends describes M windows one grid step apart: values
     then holds the M + W - 1 trajectory rows they share (W = len(offsets))
-    and window i is values[i : i + W]."""
+    and window i is values[i : i + W]; leading axes of values stack paths."""
 
     base_t: float | FloatArray
     offsets: FloatArray  # uniform, offsets[0] = -r, offsets[-1] = 0
-    values: FloatArray  # shape (M + W - 1, N)
+    values: FloatArray  # shape (..., M + W - 1, N)
 
     def sup_norm(self) -> float | FloatArray:
         """Largest sample norm in each window (a float for one window)."""
         if self.values.size == 0:
             return 0.0
-        norms = np.linalg.norm(self.values, axis=1)
-        sup = sliding_window_view(norms, len(self.offsets)).max(axis=-1)
+        norms = np.linalg.norm(self.values, axis=-1)
+        sup = sliding_window_view(norms, len(self.offsets), axis=-1).max(axis=-1)
         return sup if np.ndim(self.base_t) else float(sup[0])
 
 
@@ -309,10 +309,11 @@ def eval_f(
     """Nonlinearity value f(t, x, x_t), at one time or at a stack of them.
 
     With an array t, x holds one state row per time and hist the matching
-    stacked windows.  The memory kind integrates h(t-s) f2(s, x(s)) over each
-    trailing delay window by the composite trapezoid rule on the window's own
-    sub-grid: f2 is applied once per trajectory row, then every window is
-    summed over a sliding view of those rows.
+    stacked windows; leading axes of x and hist.values stack paths.  The
+    memory kind integrates h(t-s) f2(s, x(s)) over each trailing delay window
+    by the composite trapezoid rule on the window's own sub-grid: f2 is
+    applied once per trajectory row, then every window is summed over a
+    sliding view of those rows.
     """
     ts = np.asarray(t, dtype=float)
     outside = ~((0.0 <= ts) & (ts <= spec.horizon + 1e-12))
@@ -336,8 +337,8 @@ def eval_f(
         rows = desc._pointwise(p.get("f2_form", "linear"), f2_gain, hist.values)
         w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
         w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
-        windows = sliding_window_view(rows, width, axis=0)  # (M, N, W), no copy
-        return f1 + np.einsum("inw,w->in", windows, w).reshape(x.shape)
+        windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
+        return f1 + np.einsum("...inw,w->...in", windows, w).reshape(x.shape)
     except (ValueError, FloatingPointError) as exc:  # pragma: no cover
         raise NonlinearityError(str(exc), t) from exc
 

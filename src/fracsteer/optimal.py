@@ -52,7 +52,8 @@ class CostDescriptor:
 
     def evaluate(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray):
         """L at one time (a float), or at a stack of times with one row of x
-        and u per time and hist the matching stacked windows (an array)."""
+        and u per time and hist the matching stacked windows (an array);
+        leading axes of x, u and hist.values stack paths."""
         hist_norm = hist.sup_norm() if self.w_hist != 0.0 else 0.0
         value = (
             self.w_state * np.einsum("...i,...i->...", x, x)
@@ -101,15 +102,16 @@ class ControlParameterization:
 
     def expand(self, grid: Grid, theta: FloatArray) -> ControlSignal:
         """Piecewise-constant expansion onto the forward grid (right-open
-        intervals; the final node belongs to the last interval)."""
+        intervals; the final node belongs to the last interval); leading axes
+        stack parameter sets."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.intervals, self.n_modes):
+        if theta.shape[-2:] != (self.intervals, self.n_modes):
             raise DomainError(f"theta must have shape ({self.intervals}, {self.n_modes})")
         ts = grid.forward_times()
         idx = np.minimum(
             (ts / grid.spec.horizon * self.intervals).astype(int), self.intervals - 1
         )
-        return ControlSignal(grid, theta[idx])
+        return ControlSignal(grid, theta[..., idx, :])
 
 
 def eval_cost(
@@ -118,15 +120,17 @@ def eval_cost(
     u: ControlSignal,
     tol: float = 1e-10,
     traj: Trajectory | None = None,
-) -> float:
-    """Trapezoid approximation of int_0^T L dt along the solved trajectory."""
+) -> float | FloatArray:
+    """Trapezoid approximation of int_0^T L dt along the solved trajectory, per path."""
     if traj is None:
         traj = solve_mild(spec, u, tol=tol)
     grid = u.grid
     samples = cost.evaluate(
         grid.forward_times(), traj.forward_values(), traj.history(), u.samples
     )
-    return float(grid.trapezoid_weights(grid.n_fwd) @ samples)
+    w = grid.trapezoid_weights(grid.n_fwd)
+    # one dot product per path: a matrix-vector product rounds differently
+    return float(w @ samples) if samples.ndim == 1 else np.array([w @ row for row in samples])
 
 
 # An accepted step shorter than this ends the descent as stationary.
@@ -176,9 +180,10 @@ def minimize(
     to the box.  H starts as opts.step * I, so the first trial point is
     theta - opts.step * g; after the first accepted step H is rescaled to
     (s.y / y.y) I before its first update, and an update with s.y <= 0 is
-    skipped.  Steps are accepted only when they decrease J (backtracking
-    halving), so the best-J history is non-increasing; exhausting the
-    evaluation budget returns the best iterate flagged as non-converged."""
+    skipped.  Steps are accepted only when they decrease J by more than
+    1e-15 (backtracking halving), so the best-J history is non-increasing; a
+    predicted decrease -g.d within that margin is stationary, and exhausting
+    the evaluation budget returns the best iterate flagged as non-converged."""
     if param.n_modes != spec.n_modes:
         raise ConfigError("parameterization dimension does not match the problem")
     n_evals = 0
@@ -186,10 +191,11 @@ def minimize(
         np.zeros((param.intervals, param.n_modes)) if theta0 is None else np.asarray(theta0, float)
     )
 
-    def J_of(x: FloatArray) -> float:
+    def J_of(x: FloatArray):  # J at x, or at each row of a stack of points
         nonlocal n_evals
-        n_evals += 1
-        return eval_cost(spec, cost, param.expand(grid, x.reshape(theta.shape)), tol=tol)
+        n_evals += x.size // theta.size
+        thetas = x.reshape(x.shape[:-1] + theta.shape)
+        return eval_cost(spec, cost, param.expand(grid, thetas), tol=tol)
 
     x, lo, hi = theta.ravel(), param.lower.ravel(), param.upper.ravel()
     J = J_of(x)
@@ -201,10 +207,8 @@ def minimize(
 
     while n_evals + 2 * x.size <= opts.max_evals:
         hstep = opts.fd_step * np.maximum(1.0, np.abs(x))
-        g = np.array([
-            (J_of(x + hstep[i] * eye[i]) - J_of(x - hstep[i] * eye[i])) / (2.0 * hstep[i])
-            for i in range(x.size)
-        ])
+        J_pm = J_of(np.concatenate([x + np.diag(hstep), x - np.diag(hstep)]))
+        g = (J_pm[: x.size] - J_pm[x.size :]) / (2.0 * hstep)
         if s is not None:
             y = g - g_old
             sy = s @ y
@@ -214,10 +218,10 @@ def minimize(
                 V = eye - np.outer(s, y) / sy
                 H = V @ H @ V.T + np.outer(s, s) / sy
         free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        if not g[free].any():
+        d = free * -(H @ (free * g))
+        if not -(g @ d) > 1e-15:  # predicted decrease within the acceptance margin
             converged = True
             break
-        d = free * -(H @ (free * g))
 
         for k in range(min(_MAX_BACKTRACKS, opts.max_evals - n_evals)):
             cand = np.clip(x + 0.5**k * d, lo, hi)

@@ -107,7 +107,8 @@ _KERNEL_CACHE_MAX = 8
 
 class SolutionKernel:
     """Table of the diagonal solution operator on every grid lag:
-    table[m, n] = E_{alpha,1}(lam_n * (m h)^alpha)."""
+    table[m, n] = E_{alpha,1}(lam_n * (m h)^alpha).  spectra[n] caches the
+    real FFT of table[:n] that _convolve_all uses, with the table."""
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
         self.spec = spec
@@ -121,25 +122,26 @@ class SolutionKernel:
         cached = _KERNEL_CACHE.get(key)
         if cached is not None:
             _KERNEL_CACHE.move_to_end(key)
-            self.table = cached
+            self.table, self.spectra = cached
             return
         lags = np.arange(grid.n_fwd + 1) * grid.h
-        self.table = _KERNEL_CACHE[key] = solution_operator_diag(lags, spec.alpha, spec.eigenvalues)
+        table = solution_operator_diag(lags, spec.alpha, spec.eigenvalues)
+        self.table, self.spectra = _KERNEL_CACHE[key] = table, {}
         if len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
             _KERNEL_CACHE.popitem(last=False)
 
 
 @dataclass
 class ControlSignal:
-    """Control samples u(t) on the forward grid nodes 0..n_fwd."""
+    """Control samples u(t) on the forward grid nodes 0..n_fwd; leading axes stack controls."""
 
     grid: Grid
-    samples: FloatArray  # shape (n_fwd + 1, N)
+    samples: FloatArray  # shape (n_fwd + 1, N) or (batch, n_fwd + 1, N)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
         expect = (self.grid.n_fwd + 1, self.grid.spec.n_modes)
-        if self.samples.shape != expect:
+        if self.samples.shape[-2:] != expect or self.samples.ndim > 3:
             raise DomainError(f"control samples must have shape {expect}")
 
     @classmethod
@@ -161,29 +163,30 @@ class Trajectory:
     """Piecewise-continuous sampled path on [-r, T].
 
     values[row] holds x at grid.times[row]; at an impulse node that is the
-    left limit, and right_value applies the jump to it."""
+    left limit, and right_value applies the jump to it.  A batched solve
+    stacks its paths along a leading axis, with one residual list per path."""
 
     grid: Grid
-    values: FloatArray  # shape (len(grid), N)
+    values: FloatArray  # shape (len(grid), N) or (batch, len(grid), N)
     warnings: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
 
     def value_at_time(self, t: float) -> FloatArray:
-        return self.values[self.grid.row(t)]
+        return self.values[..., self.grid.row(t), :]
 
     def right_value(self, m: int) -> FloatArray:
         """x(t_m^+): the left value plus I_k at impulse node m, else x(t_m)."""
-        left = self.values[self.grid.fwd_row(m)]
+        left = self.values[..., self.grid.fwd_row(m), :]
         if m in self.grid.impulse_nodes:
             k = self.grid.impulse_nodes.index(m)
             return left + eval_impulse(self.grid.spec, k, left)
         return left
 
     def terminal(self) -> FloatArray:
-        return self.values[-1]
+        return self.values[..., -1, :]
 
     def forward_values(self) -> FloatArray:
-        return self.values[self.grid.n_hist :]
+        return self.values[..., self.grid.n_hist :, :]
 
     def history(self) -> HistorySegment:
         """Trailing delay windows ending at every forward node, stacked over
@@ -220,28 +223,31 @@ def picard_factor(spec: ProblemSpec) -> float:
 
 
 def _convolve_all(
-    table: FloatArray,
+    kernel: SolutionKernel,
     forcing: FloatArray,
     h: float,
     right_overrides: dict,
 ) -> FloatArray:
     """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every node m,
-    with table[l] = D(l h) and forcing[j] = w(t_j).
+    with kernel.table[l] = D(l h) and forcing[..., j, :] = w(t_j).
 
     One real-FFT product gives h * sum_{j <= m} D(t_m - t_j) w(t_j) for all m
     at once (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
     1985); the two half-weight endpoint terms are then taken off.
     right_overrides maps an impulse node j to the forcing's right value
     there, so each segment starting at j integrates the correct branch."""
-    n = len(forcing)
+    n = forcing.shape[-2]
     size = next_fast_len(2 * n - 1, real=True)
-    ker = table[:n]
-    out = irfft(rfft(ker, size, axis=0) * rfft(forcing, size, axis=0), size, axis=0)[:n]
+    ker = kernel.table[:n]
+    if n not in kernel.spectra:
+        kernel.spectra[n] = rfft(ker, size, axis=0)
+    out = irfft(kernel.spectra[n] * rfft(forcing, size, axis=-2), size, axis=-2)[..., :n, :]
     out *= h
-    out -= 0.5 * h * (ker * forcing[0] + ker[0] * forcing)
-    out[0] = 0.0
+    out -= 0.5 * h * (ker * forcing[..., :1, :] + ker[0] * forcing)
+    out[..., 0, :] = 0.0
     for j, f_right in right_overrides.items():
-        out[j + 1 :] += 0.5 * h * ker[1 : n - j] * (f_right - forcing[j])
+        jump = f_right - forcing[..., j, :]
+        out[..., j + 1 :, :] += 0.5 * h * ker[1 : n - j] * jump[..., None, :]
     return out
 
 
@@ -256,10 +262,10 @@ def forcing_on_grid(
     stored left value, the impulse node's own window included."""
     hist = Trajectory(grid, values).history()
     ts = grid.forward_times()
-    f_left = eval_f(spec, ts, values[grid.n_hist :], hist)
-    width = grid.n_hist + 1
+    f_left = eval_f(spec, ts, values[..., grid.n_hist :, :], hist)
+    width, offsets = grid.n_hist + 1, hist.offsets
     f_right = {
-        m: eval_f(spec, ts[m], x, HistorySegment(ts[m], hist.offsets, values[m : m + width]))
+        m: eval_f(spec, ts[m], x, HistorySegment(ts[m], offsets, values[..., m : m + width, :]))
         for m, x in zip(grid.impulse_nodes, right)
     }
     return f_left, f_right
@@ -268,39 +274,42 @@ def forcing_on_grid(
 def _nonlocal_samples(spec: ProblemSpec, grid: Grid, values: FloatArray) -> FloatArray:
     """g(x)(s) for every history node s; zero when no nonlocal terms."""
     n_hist = grid.n_hist
-    out = np.zeros((n_hist + 1, spec.n_modes))
+    out = np.zeros(values.shape[:-2] + (n_hist + 1, spec.n_modes))
     for term in spec.nonlocal_terms:
         anchor = grid.row(term.tau)
-        out += term.c * values[anchor - n_hist : anchor + 1]
+        out += term.c * values[..., anchor - n_hist : anchor + 1, :]
     return out
 
 
 def mild_map(
-    spec: ProblemSpec, grid: Grid, table: FloatArray, values: FloatArray, bu: FloatArray
+    spec: ProblemSpec, grid: Grid, kernel: SolutionKernel, values: FloatArray, bu: FloatArray
 ) -> FloatArray:
     """The variation-of-parameters formula applied to the sampled path values.
 
     Returns phi - g(values) on the history rows and, on the forward rows,
     D(t)(phi(0) - g(values)(0)) + sum_k D(t - t_k) I_k(values(t_k^-))
-    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with table the
-    grid's SolutionKernel table and bu the input B u on every forward node.
+    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with kernel the
+    grid's SolutionKernel and bu the input B u on every forward node.  Leading
+    axes of values and bu stack paths, each mapped on its own.
     """
     n_hist = grid.n_hist
     out = np.empty_like(values)
-    out[: n_hist + 1] = spec.phi(grid.times[: n_hist + 1]) - _nonlocal_samples(spec, grid, values)
+    out[..., : n_hist + 1, :] = spec.phi(grid.times[: n_hist + 1])
+    out[..., : n_hist + 1, :] -= _nonlocal_samples(spec, grid, values)
 
     # forcing at the left limits of every node and the right values of the
     # impulse nodes
-    lefts = [values[grid.fwd_row(m)] for m in grid.impulse_nodes]
+    lefts = [values[..., grid.fwd_row(m), :] for m in grid.impulse_nodes]
     jumps = [eval_impulse(spec, k, x) for k, x in enumerate(lefts)]
     f_left, f_right = forcing_on_grid(
         spec, grid, values, [x + jump for x, jump in zip(lefts, jumps)]
     )
-    right_overrides = {m: f + bu[m] for m, f in f_right.items()}
-    fwd = table * out[n_hist] + _convolve_all(table, bu + f_left, grid.h, right_overrides)
+    right_overrides = {m: f + bu[..., m, :] for m, f in f_right.items()}
+    fwd = kernel.table * out[..., n_hist, None, :]
+    fwd += _convolve_all(kernel, bu + f_left, grid.h, right_overrides)
     for m_imp, jump in zip(grid.impulse_nodes, jumps):
-        fwd[m_imp + 1 :] += table[1 : grid.n_fwd + 1 - m_imp] * jump
-    out[n_hist:] = fwd
+        fwd[..., m_imp + 1 :, :] += kernel.table[1 : grid.n_fwd + 1 - m_imp] * jump[..., None, :]
+    out[..., n_hist:, :] = fwd
     return out
 
 
@@ -315,6 +324,8 @@ def solve_mild(
     Stops when the sup-norm distance between successive iterates drops to
     tol; raises ConvergenceError (with the residual history) on budget
     exhaustion.  A contraction factor >= 1 attaches a warning, not an error.
+    A stack of controls runs through the same loop (one control is a stack
+    of one); each path stops, or raises, at the sweep where it would alone.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be > 0, got {tol}")
@@ -323,7 +334,7 @@ def solve_mild(
     grid = u.grid
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")
-    table = SolutionKernel(spec, grid).table
+    kernel = SolutionKernel(spec, grid)
     n_hist = grid.n_hist
 
     warnings_list = []
@@ -333,35 +344,44 @@ def solve_mild(
             f"contraction factor {rho:.3g} >= 1: convergence not guaranteed"
         )
 
-    bu = u.samples @ spec.B.T
+    bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
 
-    # initial iterate: phi on [-r, 0], extended constantly by phi(0)
-    values = np.empty((len(grid), spec.n_modes))
-    values[: n_hist + 1] = spec.phi(grid.times[: n_hist + 1])
-    values[n_hist + 1 :] = values[n_hist]
+    # initial iterates: phi on [-r, 0], extended constantly by phi(0)
+    values = np.empty((len(bu), len(grid), spec.n_modes))
+    values[:, : n_hist + 1] = spec.phi(grid.times[: n_hist + 1])
+    values[:, n_hist + 1 :] = values[:, n_hist : n_hist + 1]
 
-    residuals: list[float] = []
+    # values and bu hold the paths still iterating, ids their rows in out
+    out, ids = np.empty_like(values), np.arange(len(values))
+    residuals: list[list[float]] = [[] for _ in ids]
     for it in range(max_iter):
-        new_values = mild_map(spec, grid, table, values, bu)
-        res = float(np.max(np.linalg.norm(new_values - values, axis=1)))
-        residuals.append(res)
+        new_values = mild_map(spec, grid, kernel, values, bu)
+        res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
         values = new_values
-        if not math.isfinite(res):
-            raise ConvergenceError(
-                f"Picard iteration produced a non-finite iterate at sweep {it + 1}",
-                residuals=residuals,
-                last_iterate=Trajectory(grid, values),
-            )
-        if res <= tol:
-            break
+        for j, (k, r) in enumerate(zip(ids, res.tolist())):
+            residuals[k].append(r)
+            if not math.isfinite(r):
+                raise ConvergenceError(
+                    f"Picard iteration produced a non-finite iterate at sweep {it + 1}",
+                    residuals=residuals[k],
+                    last_iterate=Trajectory(grid, values[j]),
+                )
+        done = res <= tol
+        if done.any():
+            out[ids[done]] = values[done]
+            ids, values, bu = ids[~done], values[~done], bu[~done]
+            if not ids.size:
+                break
     else:
         raise ConvergenceError(
             f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
-            f"(last residual {residuals[-1]:.3e})",
-            residuals=residuals,
-            last_iterate=Trajectory(grid, values),
+            f"(last residual {residuals[ids[0]][-1]:.3e})",
+            residuals=residuals[ids[0]],
+            last_iterate=Trajectory(grid, values[0]),
         )
-    return Trajectory(grid, values, warnings=warnings_list, residuals=residuals)
+    if u.samples.ndim == 2:
+        out, residuals = out[0], residuals[0]
+    return Trajectory(grid, out, warnings=warnings_list, residuals=residuals)
 
 
 def nonlocal_residual(spec: ProblemSpec, traj: Trajectory) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracsteer import optimal
 from fracsteer.config import load_cost, load_problem
 from fracsteer.errors import DomainError
 from fracsteer.mittag import mittag_leffler
@@ -227,10 +228,11 @@ class TestMinimize:
         dn = eval_cost(spec, cost, param.expand(grid, [[theta_star - h]]), tol=1e-13)
         assert (up - dn) / (2 * h) > 0.0
 
-    def test_lq_exact_minimum_in_400_evals(self):
-        # the P = 8 problem of the optimize_lq_1d benchmark at its default
-        # options; the minimizer of the superposition quadratic lies inside
-        # the box, so it is the exact constrained minimum
+    @staticmethod
+    def lq_problem():
+        # the P = 8 problem of the optimize_lq_1d benchmark; the minimizer of
+        # the superposition quadratic lies inside the box, so it is the exact
+        # constrained minimum
         spec = load_problem(CONFIGS / "linear1d.json")
         cost = load_cost(CONFIGS / "cost_quadratic.json")
         grid = Grid(spec, 0.01)
@@ -241,11 +243,73 @@ class TestMinimize:
         j_min = float(J_quadratic(theta)[0])
         direct = eval_cost(spec, cost, param.expand(grid, theta), tol=1e-13)
         assert j_min == pytest.approx(direct, rel=1e-10)
+        return spec, cost, grid, param, j_min
 
+    def test_lq_exact_minimum_in_400_evals(self):
+        # at the default options
+        spec, cost, grid, param, j_min = self.lq_problem()
         result = minimize(spec, grid, cost, param)
         assert result.converged
         assert abs(result.J_opt - j_min) / j_min <= 1e-9
         assert result.n_evals <= 400
+
+    def test_lq_stops_without_a_failing_line_search(self):
+        # at the minimizer the predicted decrease -g.d is below the acceptance
+        # margin, so the descent stops there instead of halving a step 30
+        # times: 1 start, 9 gradients of 16 points and 8 accepted steps
+        spec, cost, grid, param, j_min = self.lq_problem()
+        result = minimize(spec, grid, cost, param)
+        assert result.converged
+        assert abs(result.J_opt - j_min) / j_min <= 1e-9
+        assert result.n_evals <= 160
+
+    def test_batched_gradient_equals_serial_differences(self, monkeypatch):
+        # the 2P points of a gradient go through one batched eval_cost call;
+        # its values, the gradient and so the first trial point theta - step g
+        # must equal 2P one-at-a-time evaluations bit for bit
+        spec, cost, grid, param, _ = self.lq_problem()
+        theta0 = np.random.default_rng(4).uniform(-0.5, 0.5, (8, 1))
+        opts = MinimizeOptions()
+        calls = []
+
+        def recording(spec_, cost_, u, tol=1e-10):
+            J = eval_cost(spec_, cost_, u, tol=tol)
+            calls.append((u.samples.copy(), J))
+            return J
+
+        monkeypatch.setattr(optimal, "eval_cost", recording)
+        minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=18), theta0=theta0)
+        monkeypatch.undo()
+        assert [np.ndim(J) for _, J in calls] == [0, 1, 0]
+
+        x = theta0.ravel()
+        hstep = opts.fd_step * np.maximum(1.0, np.abs(x))
+        g = np.empty(x.size)
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = hstep[i]
+            up = eval_cost(spec, cost, param.expand(grid, (x + e).reshape(8, 1)))
+            dn = eval_cost(spec, cost, param.expand(grid, (x - e).reshape(8, 1)))
+            assert calls[1][1][i] == up and calls[1][1][x.size + i] == dn
+            g[i] = (up - dn) / (2.0 * hstep[i])
+        trial = param.expand(grid, np.clip(x - opts.step * g, -10.0, 10.0).reshape(8, 1))
+        np.testing.assert_array_equal(calls[2][0], trial.samples)
+
+    def test_batched_eval_cost_equals_single_calls(self):
+        # delay, memory forcing and the history term of the cost all active
+        f = NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": 0.5, "f2_gain": 0.5, "kernel_rate": 1.0,
+             "f1_form": "saturating", "f2_form": "saturating"},
+            L1=0.5, L2=0.5, M1=1.0,
+        )
+        spec = make_spec(n=2, alpha=1.5, r=0.25, phi_coeffs=[1.0, -0.5], f=f)
+        grid = Grid(spec, 0.01)
+        samples = np.random.default_rng(6).standard_normal((4, grid.n_fwd + 1, 2))
+        batch = eval_cost(spec, QUAD, ControlSignal(grid, samples))
+        assert batch.shape == (4,)
+        for i, u in enumerate(samples):
+            assert batch[i] == eval_cost(spec, QUAD, ControlSignal(grid, u))
 
     @staticmethod
     def assert_box_stationary(spec, grid, cost, param, theta):

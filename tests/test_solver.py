@@ -3,11 +3,13 @@ refined-grid and closed-form oracles, free/impulse closed forms, quadrature
 order, superposition, nonlocal consistency, and contraction arithmetic."""
 
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fracsteer.config import load_problem
 from fracsteer.control import residual_p
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError
 from fracsteer.mittag import mittag_leffler
@@ -28,12 +30,15 @@ from fracsteer.solver import (
     contraction_check,
     eval_f,
     forcing_on_grid,
+    mild_map,
     nonlocal_residual,
     picard_factor,
     solve_mild,
 )
 
 from oracles import refined_convolution
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_spec(
@@ -90,8 +95,7 @@ class TestConvolve:
     def test_zero_forcing(self):
         spec = make_spec()
         grid = Grid(spec, 0.01)
-        table = SolutionKernel(spec, grid).table
-        out = _convolve_all(table, np.zeros((101, 1)), grid.h, {})[-1]
+        out = _convolve_all(SolutionKernel(spec, grid), np.zeros((101, 1)), grid.h, {})[-1]
         np.testing.assert_array_equal(out, np.zeros(1))
 
     def test_unit_kernel_weights_integrate_to_t(self):
@@ -106,7 +110,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 400.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = _convolve_all(SolutionKernel(spec, grid).table, forcing, grid.h, {})[-1, 0]
+        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h, {})[-1, 0]
         want = t * mittag_leffler(1.5, 2.0, -(t**1.5))
         assert got == pytest.approx(want, abs=5e-6)
 
@@ -115,7 +119,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 100.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = _convolve_all(SolutionKernel(spec, grid).table, forcing, grid.h, {})[-1, 0]
+        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h, {})[-1, 0]
         want = refined_convolution(1.5, -1.0, lambda s: 1.0, t, refine=10)
         # agreement at O(dt^2): coarse grid error ~ (10x finer)^2 * 100
         assert got == pytest.approx(want, abs=1e-4)
@@ -539,8 +543,9 @@ class TestWholeGridPrimitives:
                 want = eval_f(spec, float(t), right[k], window)
                 np.testing.assert_allclose(f_right[m], want, rtol=0, atol=1e-15)
 
-        table = SolutionKernel(spec, grid).table
-        conv = _convolve_all(table, f_left, grid.h, f_right)
+        kernel = SolutionKernel(spec, grid)
+        table = kernel.table
+        conv = _convolve_all(kernel, f_left, grid.h, f_right)
         np.testing.assert_array_equal(conv[0], 0.0)
         for m in range(1, grid.n_fwd + 1):
             want = np.zeros(3)
@@ -551,3 +556,50 @@ class TestWholeGridPrimitives:
                 if j < m:
                     want += 0.5 * grid.h * table[m - j] * (fr - f_left[j])
             np.testing.assert_allclose(conv[m], want, rtol=0, atol=1e-14)
+
+
+class TestBatchAxis:
+    # A leading batch axis maps or solves several paths in one call; every
+    # entry must equal its own one-path call bit for bit.  The flagship has
+    # every ingredient: impulse, nonlocal term, delay, saturating memory f.
+    @pytest.fixture(scope="class")
+    def flagship(self):
+        spec = load_problem(CONFIGS / "flagship.json")
+        grid = Grid(spec, 1.0 / 200.0)
+        base = np.random.default_rng(1).standard_normal((grid.n_fwd + 1, 16))
+        return spec, grid, base
+
+    def test_mild_map_stack_equals_single_paths(self, flagship):
+        spec, grid, _ = flagship
+        kernel = SolutionKernel(spec, grid)
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((3, len(grid), 16))
+        bu = rng.standard_normal((3, grid.n_fwd + 1, 16))
+        stacked = mild_map(spec, grid, kernel, values, bu)
+        assert stacked.shape == values.shape
+        for i in range(3):
+            np.testing.assert_array_equal(
+                stacked[i], mild_map(spec, grid, kernel, values[i], bu[i])
+            )
+
+    def test_solve_stack_equals_single_solves(self, flagship):
+        # the three controls stop at different sweeps; each leaves the loop
+        # at its own sweep with its own residual list
+        spec, grid, base = flagship
+        samples = np.stack([c * base for c in (0.0, 100.0, 1000.0)])
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11)
+        singles = [solve_mild(spec, ControlSignal(grid, u), tol=1e-11) for u in samples]
+        assert len({len(t.residuals) for t in singles}) == 3
+        assert batch.values.shape == (3, len(grid), 16)
+        for i, single in enumerate(singles):
+            np.testing.assert_array_equal(batch.values[i], single.values)
+            assert batch.residuals[i] == single.residuals
+
+    def test_non_finite_entry_raises_at_first_sweep(self, flagship):
+        spec, grid, base = flagship
+        samples = np.stack([base, base.copy(), base])
+        samples[1, 7, 3] = np.nan
+        with pytest.raises(ConvergenceError, match="non-finite iterate at sweep 1") as info:
+            solve_mild(spec, ControlSignal(grid, samples), tol=1e-11)
+        assert len(info.value.residuals) == 1
+        assert not np.isfinite(info.value.last_iterate.values).all()
