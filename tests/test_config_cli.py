@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracsteer import __version__
 from fracsteer.cli import run
 from fracsteer.config import load_cost, load_problem, load_target, problem_from_dict
 from fracsteer.errors import ConfigError
@@ -466,6 +467,72 @@ class TestInvalidFlags:
         code, err = _run_captured(argv)
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+MANIFEST_KEYS = ["subcommand", "tool_version", "config", "parameters", "outputs", "duration_s"]
+
+# the manifest parameters of each FLAG_RUNS run, in the order they are written
+MANIFEST_PARAMETERS = {
+    "ml": {"alpha": 1.5, "beta": 1.0, "z": [-1.0]},
+    "solve": {"dt": 0.05, "tol": 1e-10, "picard_iters": 15,
+              "warnings": ["contraction factor 1.35 >= 1: convergence not guaranteed"]},
+    "steer": {"dt": 0.05, "eps": 0.1, "tol": 1e-8, "theta": 1.0},
+    "sweep": {"dt": 0.05, "eps_list": [0.1, 0.01], "tol": 1e-8, "theta": 1.0,
+              "errors_non_increasing": True},
+    "optimize": {"dt": 0.02, "intervals": 2, "bound": 10.0, "converged": True},
+    "check": {"eps": 0.1, "factor": 14.850000000000001},
+}
+
+
+class TestManifests:
+    def check_manifest(self, path, sub, argv, outputs):
+        manifest = json.loads(path.read_text())
+        assert list(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == sub
+        assert manifest["tool_version"] == __version__
+        config = [a.split("=", 1)[1] for a in argv if a.startswith("--config=")]
+        assert manifest["config"] == (config[0] if config else None)
+        assert list(manifest["parameters"].items()) == list(MANIFEST_PARAMETERS[sub].items())
+        assert manifest["outputs"] == outputs
+        duration = manifest["duration_s"]
+        assert isinstance(duration, float) and duration >= 0.0
+
+    @pytest.mark.parametrize("sub", sorted(FLAG_RUNS))
+    def test_stdout_and_out_runs(self, tmp_path, capsys, monkeypatch, sub):
+        # a stdout run writes <subcommand>.manifest.json in the working
+        # directory; an --out run writes the same text to the file and the
+        # manifest next to it
+        monkeypatch.chdir(tmp_path)
+        argv = FLAG_RUNS[sub]
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        self.check_manifest(tmp_path / f"{sub}.manifest.json", sub, argv, [])
+        out = tmp_path / "new" / "result"
+        assert run(argv + [f"--out={out}"]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == text.encode()
+        self.check_manifest(tmp_path / "new" / "result.manifest.json", sub, argv, [str(out)])
+
+    def test_manifest_flag_sets_the_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = FLAG_RUNS["check"]
+        out, manifest = tmp_path / "check.txt", tmp_path / "new" / "run.json"
+        assert run(argv + [f"--out={out}", f"--manifest={manifest}"]) == 0
+        self.check_manifest(manifest, "check", argv, [str(out)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["check.txt", "new"]
+
+    def test_failed_sweep_writes_csv_and_manifest(self, tmp_path):
+        argv = FLAG_RUNS["sweep"] + ["--max-outer=1"]
+        out = tmp_path / "sweep.csv"
+        code, err = _run_captured(argv + [f"--out={out}"])
+        assert code == 3 and err == ""
+        rows = out.read_text().splitlines()
+        assert rows[0] == "eps,terminal_error,control_energy,outer_iters"
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            ["0.1", "failed", "failed"], ["0.01", "failed", "failed"],
+        ]
+        assert all("did not converge in 1 iterations" in row for row in rows[1:])
+        self.check_manifest(tmp_path / "sweep.csv.manifest.json", "sweep", argv, [str(out)])
 
 
 # every config file, with a cheap run that reads it
