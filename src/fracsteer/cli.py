@@ -1,16 +1,18 @@
 """Command-line front end.
 
-Subcommands: ml | solve | steer | sweep | optimize | check.  Every run writes
-one JSON manifest alongside its outputs (or <subcommand>.manifest.json in the
-working directory for stdout-only runs).  Outputs are written atomically via
-a temp file and rename.  Exit codes: 0 success, 2 configuration error,
-3 numerical non-convergence.
+Subcommands: ml | solve | steer | sweep | optimize | check.  Each _cmd_*
+returns its output text, its manifest parameters and its exit code; `run`
+then writes the text and one JSON manifest alongside it (or
+<subcommand>.manifest.json in the working directory for stdout-only runs).
+Outputs are written atomically via a temp file and rename.  Exit codes:
+0 success, 2 configuration error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -49,48 +51,13 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-class RunManifest:
-    """One record per run: what ran, with which inputs, producing what."""
-
-    def __init__(self, subcommand: str, args: argparse.Namespace):
-        self.data = {
-            "subcommand": subcommand,
-            "tool_version": __version__,
-            "config": getattr(args, "config", None),
-            "parameters": {},
-            "outputs": [],
-            "duration_s": None,
-        }
-        self._t0 = time.monotonic()
-
-    def param(self, **kwargs) -> None:
-        self.data["parameters"].update(kwargs)
-
-    def output(self, path) -> None:
-        self.data["outputs"].append(str(path))
-
-    def write(self, args: argparse.Namespace) -> None:
-        self.data["duration_s"] = round(time.monotonic() - self._t0, 6)
-        if getattr(args, "manifest", None):
-            path = Path(args.manifest)
-        elif self.data["outputs"]:
-            path = Path(self.data["outputs"][0] + ".manifest.json")
-        else:
-            path = Path(f"{self.data['subcommand']}.manifest.json")
-        _atomic_write(path, json.dumps(self.data, indent=2) + "\n")
+def _load(args) -> tuple:
+    """The problem of --config and its grid of step --dt."""
+    spec = load_problem(args.config)
+    return spec, Grid(spec, args.dt)
 
 
-def _emit(args, text: str, manifest: RunManifest) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        _atomic_write(Path(out), text)
-        manifest.output(out)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_ml(args) -> int:
-    manifest = RunManifest("ml", args)
+def _cmd_ml(args) -> tuple[str, dict, int]:
     if args.grid:
         try:
             lo, hi, steps = args.grid.split(",")
@@ -102,15 +69,12 @@ def _cmd_ml(args) -> int:
         zs = np.linspace(lo, hi, steps)
     else:
         zs = [args.z]
-    manifest.param(alpha=args.alpha, beta=args.beta, z=list(map(float, zs)))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["alpha", "beta", "z", "value"])
     for z, val in zip(zs, mittag_leffler(args.alpha, args.beta, zs)):
         writer.writerow([args.alpha, args.beta, float(z), repr(float(val))])
-    _emit(args, buf.getvalue(), manifest)
-    manifest.write(args)
-    return EXIT_OK
+    return buf.getvalue(), dict(alpha=args.alpha, beta=args.beta, z=list(map(float, zs))), EXIT_OK
 
 
 def _trajectory_csv(traj) -> str:
@@ -130,40 +94,30 @@ def _trajectory_csv(traj) -> str:
     return buf.getvalue()
 
 
-def _cmd_solve(args) -> int:
-    manifest = RunManifest("solve", args)
-    spec = load_problem(args.config)
-    grid = Grid(spec, args.dt)
-    u = ControlSignal.zeros(grid)
-    traj = solve_mild(spec, u, tol=args.tol, max_iter=args.max_iter)
-    manifest.param(dt=args.dt, tol=args.tol, picard_iters=len(traj.residuals),
-                   warnings=traj.warnings)
-    _emit(args, _trajectory_csv(traj), manifest)
-    manifest.write(args)
-    return EXIT_OK
+def _cmd_solve(args) -> tuple[str, dict, int]:
+    spec, grid = _load(args)
+    traj = solve_mild(spec, ControlSignal.zeros(grid), tol=args.tol, max_iter=args.max_iter)
+    return _trajectory_csv(traj), dict(
+        dt=args.dt, tol=args.tol, picard_iters=len(traj.residuals), warnings=traj.warnings,
+    ), EXIT_OK
 
 
-def _cmd_steer(args) -> int:
-    manifest = RunManifest("steer", args)
-    spec = load_problem(args.config)
-    grid = Grid(spec, args.dt)
+def _cmd_steer(args) -> tuple[str, dict, int]:
+    spec, grid = _load(args)
     h = load_target(args.target, spec.n_modes)
     report, traj, u = steer(
         spec, grid, h, args.eps,
         tol=args.tol, max_outer=args.max_outer, theta=args.theta,
     )
-    payload = report.as_dict()
+    payload = dataclasses.asdict(report)
     payload["terminal_state"] = [float(v) for v in traj.terminal()]
-    manifest.param(dt=args.dt, eps=args.eps, tol=args.tol, theta=args.theta)
-    _emit(args, json.dumps(payload, indent=2) + "\n", manifest)
-    manifest.write(args)
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n", dict(
+        dt=args.dt, eps=args.eps, tol=args.tol, theta=args.theta,
+    ), EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    manifest = RunManifest("sweep", args)
-    spec = load_problem(args.config)
-    grid = Grid(spec, args.dt)
+def _cmd_sweep(args) -> tuple[str, dict, int]:
+    spec, grid = _load(args)
     h = load_target(args.target, spec.n_modes)
     try:
         eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
@@ -182,20 +136,15 @@ def _cmd_sweep(args) -> int:
         else:
             r = entry.report
             writer.writerow([r.eps, repr(r.terminal_error), repr(r.control_energy), r.outer_iters])
-    manifest.param(
+    failed = any(e.report is None for e in result.entries)
+    return buf.getvalue(), dict(
         dt=args.dt, eps_list=eps_list, tol=args.tol, theta=args.theta,
         errors_non_increasing=result.errors_non_increasing,
-    )
-    _emit(args, buf.getvalue(), manifest)
-    manifest.write(args)
-    failed = any(e.report is None for e in result.entries)
-    return EXIT_NUMERICAL if failed else EXIT_OK
+    ), EXIT_NUMERICAL if failed else EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    manifest = RunManifest("optimize", args)
-    spec = load_problem(args.config)
-    grid = Grid(spec, args.dt)
+def _cmd_optimize(args) -> tuple[str, dict, int]:
+    spec, grid = _load(args)
     cost = load_cost(args.cost)
     param = ControlParameterization.boxed(args.intervals, spec.n_modes, args.bound)
     opts = MinimizeOptions(step=args.step, max_evals=args.max_evals, fd_step=args.fd_step)
@@ -207,15 +156,12 @@ def _cmd_optimize(args) -> int:
         "converged": result.converged,
         "n_evals": result.n_evals,
     }
-    manifest.param(dt=args.dt, intervals=args.intervals, bound=args.bound,
-                   converged=result.converged)
-    _emit(args, json.dumps(payload, indent=2) + "\n", manifest)
-    manifest.write(args)
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n", dict(
+        dt=args.dt, intervals=args.intervals, bound=args.bound, converged=result.converged,
+    ), EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    manifest = RunManifest("check", args)
+def _cmd_check(args) -> tuple[str, dict, int]:
     spec = load_problem(args.config)
     factor = contraction_check(spec, args.eps)
     c = spec.constants
@@ -225,10 +171,27 @@ def _cmd_check(args) -> int:
         f"  |L1|_1/p={c.norm_L1!r} |L2|_1/p={c.norm_L2!r} |M1|_1/p={c.norm_M1!r}",
         f"  contraction satisfied: {factor < 1.0}",
     ]
-    manifest.param(eps=args.eps, factor=factor)
-    _emit(args, "\n".join(lines) + "\n", manifest)
-    manifest.write(args)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", dict(eps=args.eps, factor=factor), EXIT_OK
+
+
+def _write_run(args, text: str, parameters: dict, started: float) -> None:
+    """Write a run's text (atomically to --out, else to stdout) and then its
+    manifest: to --manifest, else next to --out, else to
+    <subcommand>.manifest.json in the working directory."""
+    if args.out:
+        _atomic_write(Path(args.out), text)
+    else:
+        sys.stdout.write(text)
+    manifest = {
+        "subcommand": args.subcommand,
+        "tool_version": __version__,
+        "config": getattr(args, "config", None),
+        "parameters": parameters,
+        "outputs": [args.out] if args.out else [],
+        "duration_s": round(time.monotonic() - started, 6),
+    }
+    default = f"{args.out}.manifest.json" if args.out else f"{args.subcommand}.manifest.json"
+    _atomic_write(Path(args.manifest or default), json.dumps(manifest, indent=2) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,10 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        started = time.monotonic()
         # a non-finite value ends the run with a one-line error below, so
         # numpy's overflow/invalid warnings on the way there are noise
         with np.errstate(all="ignore"):
-            return args.func(args)
+            text, parameters, code = args.func(args)
+        _write_run(args, text, parameters, started)
+        return code
     except (ConvergenceError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    F_PARAMS,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
@@ -26,6 +27,15 @@ from .optimal import CostDescriptor
 _TOP_KEYS = {"alpha", "omega", "N", "T", "r", "impulses", "nonlocal", "phi", "f", "B"}
 # Largest accepted N: the input map alone is an N x N matrix.
 _MAX_MODES = 1024
+
+
+def _read_json(path, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -97,17 +107,10 @@ def _build_phi(raw: dict, n: int) -> PhiDescriptor:
 def _build_f(raw: dict) -> NonlinearityDescriptor:
     _reject_unknown(raw, {"kind", "params", "L1", "L2", "M1", "p"}, "f")
     kind = _require(raw, "kind", "f")
-    params = raw.get("params", {})
-    if kind == "zero":
-        _reject_unknown(params, set(), "f.params")
-    elif kind == "linear":
-        _reject_unknown(params, {"gain"}, "f.params")
-    elif kind == "memory":
-        _reject_unknown(
-            params, {"f1_gain", "f2_gain", "kernel_rate", "f1_form", "f2_form"}, "f.params"
-        )
-    else:
+    if not (isinstance(kind, str) and kind in F_PARAMS):
         raise ConfigError(f"unknown nonlinearity kind {kind!r}")
+    params = raw.get("params", {})
+    _reject_unknown(params, F_PARAMS[kind], "f.params")
     return NonlinearityDescriptor(
         kind=kind,
         params={k: v if k.endswith("_form") else _number(v, f"f.params.{k}")
@@ -185,23 +188,12 @@ def problem_from_dict(raw: dict) -> ProblemSpec:
 
 
 def load_problem(path) -> ProblemSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return problem_from_dict(raw)
+    return problem_from_dict(_read_json(path, "config"))
 
 
 def load_target(path, n: int) -> np.ndarray:
     """Target state file: {"coeffs": [...]} (short vectors are zero-padded)."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read target {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    raw = _read_json(path, "target")
     _reject_unknown(raw, {"coeffs"}, "target file")
     coeffs = _coeff_vector(_require(raw, "coeffs", "target file"), n, "target coeffs")
     if not np.all(np.isfinite(coeffs)):
@@ -229,10 +221,4 @@ def cost_from_dict(raw: dict) -> CostDescriptor:
 
 
 def load_cost(path) -> CostDescriptor:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read cost config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return cost_from_dict(raw)
+    return cost_from_dict(_read_json(path, "cost config"))

@@ -56,17 +56,6 @@ class SteeringReport:
         if self.terminal_error < 0.0 or self.control_energy < 0.0:
             raise ConfigError("report metrics must be non-negative")
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "terminal_error": self.terminal_error,
-            "control_energy": self.control_energy,
-            "outer_iters": self.outer_iters,
-            "inner_residuals": self.inner_residuals,
-            "converged": self.converged,
-            "warnings": self.warnings,
-        }
-
 
 def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
     """Trapezoid-rule Grammian on the trajectory grid.

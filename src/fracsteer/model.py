@@ -119,6 +119,14 @@ class PhiDescriptor:
         return self.coeffs + s[..., None] * self.slope
 
 
+# the params each nonlinearity kind takes
+F_PARAMS = {
+    "zero": set(),
+    "linear": {"gain"},
+    "memory": {"f1_gain", "f2_gain", "kernel_rate", "f1_form", "f2_form"},
+}
+
+
 @dataclass(frozen=True)
 class NonlinearityDescriptor:
     """Forcing nonlinearity f(t, x, x_t) with its declared Lipschitz/bound data.
@@ -142,8 +150,15 @@ class NonlinearityDescriptor:
     holder_p: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in ("zero", "linear", "memory"):
+        if self.kind not in F_PARAMS:
             raise ConfigError(f"unknown nonlinearity kind {self.kind!r}")
+        unknown = set(self.params) - F_PARAMS[self.kind]
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} in f.params")
+        for key in ("f1_form", "f2_form"):
+            form = self.params.get(key, "linear")
+            if form not in ("linear", "saturating"):
+                raise ConfigError(f"f.params.{key} must be 'linear' or 'saturating', got {form!r}")
         if min(self.L1, self.L2, self.M1) < 0.0:
             raise ConfigError("Lipschitz/bound constants must be >= 0")
 
@@ -163,9 +178,7 @@ class NonlinearityDescriptor:
     def _pointwise(self, form: str, gain: float, x: FloatArray) -> FloatArray:
         if form == "linear":
             return gain * x
-        if form == "saturating":
-            return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))
-        raise ConfigError(f"unknown pointwise form {form!r}")
+        return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))  # "saturating"
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,18 @@ a second, and agrees with the Taylor oracle wherever both are cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from mpmath import mp
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_term(alpha: float, beta: float, k: int, prec: int):
+    """Gamma(alpha k + beta) at prec bits.  Every z of one (alpha, beta) at
+    one working precision needs the same terms, so they are computed once."""
+    with mp.workprec(prec):
+        return mp.gamma(mp.mpf(alpha) * k + mp.mpf(beta))
 
 
 def ml_oracle(alpha: float, beta: float, z: float, dps: int = 64, min_terms: int = 200) -> float:
@@ -34,11 +43,9 @@ def ml_oracle(alpha: float, beta: float, z: float, dps: int = 64, min_terms: int
     with mp.workdps(dps):
         s = mp.mpf(0)
         zz = mp.mpf(z)
-        aa = mp.mpf(alpha)
-        bb = mp.mpf(beta)
         k = 0
         while True:
-            t = zz**k / mp.gamma(aa * k + bb)
+            t = zz**k / _gamma_term(alpha, beta, k, mp.prec)
             s += t
             if k >= min_terms and abs(t) < mp.mpf(10) ** (-dps) * max(abs(s), mp.mpf(1)):
                 break

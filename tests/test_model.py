@@ -92,6 +92,17 @@ class TestValidation:
         assert c.norm_L1 == pytest.approx(0.2 * 1.0**0.4)
         assert c.M == pytest.approx(1.0, abs=1e-9)  # attained at t = 0
 
+    def test_misspelled_param_rejected(self):
+        # a silently ignored "gian" would leave f = 0 and is_linear True
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['gian'\] in f.params"):
+            NonlinearityDescriptor("linear", {"gian": 0.3})
+
+    def test_bad_f2_form_rejected_with_f2_off(self):
+        # eval_f never reads f2_form while f2_gain is 0; the descriptor still does
+        params = {"f1_gain": 0.1, "f2_gain": 0.0, "f1_form": "linear", "f2_form": "satrating"}
+        with pytest.raises(ConfigError, match="f.params.f2_form must be 'linear' or 'saturating'"):
+            NonlinearityDescriptor("memory", params)
+
 
 def flat_history(spec, grid, value):
     offs = np.arange(-grid.n_hist, 1) * grid.h
