@@ -368,8 +368,6 @@ class TestInvalidFields:
         ("flagship.json", ("f", "L1"), [1], "f.L1"),
         ("flagship.json", ("f", "params", "f1_gain"), True, "f.params.f1_gain"),
         ("flagship.json", ("f", "params"), [1], "f.params"),
-        ("flagship.json", ("f", "params", "f1_form"), "bogus", "f.params.f1_form"),
-        ("flagship.json", ("f", "params", "f2_form"), 3, "f.params.f2_form"),
         ("flagship.json", ("impulses",), 5, "impulses"),
         ("flagship.json", ("impulses", 0), "x", "impulses[0]"),
         ("flagship.json", ("nonlocal", 0, "tau"), {}, "nonlocal[0].tau"),
@@ -381,6 +379,8 @@ class TestInvalidFields:
         ("cost_quadratic.json", ("weights",), 5, "cost.weights"),
         ("cost_quadratic.json", ("coercivity", "d"), "x", "cost.coercivity.d"),
         ("target_1d.json", ("coeffs",), "abc", "target coeffs"),
+        ("flagship.json", ("f", "params", "f1_form"), "bogus", "f.params.f1_form"),
+        ("flagship.json", ("f", "params", "f2_form"), 3, "f.params.f2_form"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, name, path, value, field):
         raw = json.loads((CONFIGS / name).read_text())
