@@ -87,10 +87,10 @@ def _trajectory_csv(traj) -> str:
     for row in range(len(grid)):
         t = grid.times[row]
         is_imp = row in impulse_rows
-        writer.writerow([repr(float(t))] + [repr(v) for v in traj.values[row]] + [1 if is_imp else 0])
+        writer.writerow([repr(float(v)) for v in (t, *traj.values[row])] + [int(is_imp)])
         if is_imp:
             right = traj.right_value(impulse_rows[row])
-            writer.writerow([repr(float(t))] + [repr(v) for v in right] + [0])
+            writer.writerow([repr(float(v)) for v in (t, *right)] + [0])
     return buf.getvalue()
 
 
@@ -105,15 +105,11 @@ def _cmd_solve(args) -> tuple[str, dict, int]:
 def _cmd_steer(args) -> tuple[str, dict, int]:
     spec, grid = _load(args)
     h = load_target(args.target, spec.n_modes)
-    report, traj, u = steer(
-        spec, grid, h, args.eps,
-        tol=args.tol, max_outer=args.max_outer, theta=args.theta,
-    )
+    report, traj, u = steer(spec, grid, h, args.eps, tol=args.tol, max_outer=args.max_outer)
     payload = dataclasses.asdict(report)
     payload["terminal_state"] = [float(v) for v in traj.terminal()]
-    return json.dumps(payload, indent=2) + "\n", dict(
-        dt=args.dt, eps=args.eps, tol=args.tol, theta=args.theta,
-    ), EXIT_OK
+    parameters = dict(dt=args.dt, eps=args.eps, tol=args.tol)
+    return json.dumps(payload, indent=2) + "\n", parameters, EXIT_OK
 
 
 def _cmd_sweep(args) -> tuple[str, dict, int]:
@@ -123,10 +119,7 @@ def _cmd_sweep(args) -> tuple[str, dict, int]:
         eps_list = [float(tok) for tok in args.eps_list.split(",") if tok]
     except ValueError as exc:
         raise ConfigError(f"--eps-list must be comma-separated floats: {exc}") from exc
-    result = epsilon_sweep(
-        spec, grid, h, eps_list,
-        tol=args.tol, max_outer=args.max_outer, theta=args.theta,
-    )
+    result = epsilon_sweep(spec, grid, h, eps_list, tol=args.tol, max_outer=args.max_outer)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["eps", "terminal_error", "control_energy", "outer_iters"])
@@ -138,7 +131,7 @@ def _cmd_sweep(args) -> tuple[str, dict, int]:
             writer.writerow([r.eps, repr(r.terminal_error), repr(r.control_energy), r.outer_iters])
     failed = any(e.report is None for e in result.entries)
     return buf.getvalue(), dict(
-        dt=args.dt, eps_list=eps_list, tol=args.tol, theta=args.theta,
+        dt=args.dt, eps_list=eps_list, tol=args.tol,
         errors_non_increasing=result.errors_non_increasing,
     ), EXIT_NUMERICAL if failed else EXIT_OK
 
@@ -239,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-outer", type=int, default=120)
-    p.add_argument("--theta", type=float, default=1.0, help="outer damping in (0, 1]")
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("sweep", help="steer across a decreasing list of eps")
@@ -248,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-list", required=True, help="comma-separated, decreasing")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-outer", type=int, default=120)
-    p.add_argument("--theta", type=float, default=1.0)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="minimize the performance index")
@@ -276,7 +267,10 @@ def run(argv=None) -> int:
         # numpy's overflow/invalid warnings on the way there are noise
         with np.errstate(all="ignore"):
             text, parameters, code = args.func(args)
-        _write_run(args, text, parameters, started)
+        try:
+            _write_run(args, text, parameters, started)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         return code
     except (ConvergenceError, EvaluationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ def _read_json(path, what: str):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 

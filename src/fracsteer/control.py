@@ -114,19 +114,17 @@ def steer(
     eps: float,
     tol: float = 1e-8,
     max_outer: int = 120,
-    theta: float = 1.0,
     picard_tol: float = 1e-11,
     picard_max: int = 400,
 ) -> tuple[SteeringReport, Trajectory, ControlSignal]:
-    """Outer fixed point x -> u_eps(x) -> x, damped by theta in (0, 1].
+    """Undamped outer fixed point x -> u_eps(x) -> x: each iterate solves
+    the mild problem under the control synthesized from the last one.
 
     Successive controls must agree to tol in sup-norm.  The final report
     carries the terminal error |x(T) - h| and the control energy.
     """
     if not (0.0 < eps < math.inf and tol > 0.0):
         raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
-    if not (0.0 < theta <= 1.0):
-        raise ConfigError("damping theta must lie in (0, 1]")
     if max_outer < 1:
         raise ConfigError(f"max_outer must be >= 1, got {max_outer}")
     h = spec.check_vector(h)
@@ -136,22 +134,15 @@ def steer(
     traj = solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
-    converged = False
-    outer = 0
     diffs = []
     for outer in range(1, max_outer + 1):
-        u_raw = synthesize_control(spec, traj, h, eps, gram=gram)
-        blended = (1.0 - theta) * u.samples + theta * u_raw.samples
-        u_new = ControlSignal(grid, blended)
-        diff = u_new.sup_distance(u)
-        diffs.append(diff)
-        traj = solve_mild(spec, u_new, tol=picard_tol, max_iter=picard_max)
+        u_prev, u = u, synthesize_control(spec, traj, h, eps, gram=gram)
+        diffs.append(u.sup_distance(u_prev))
+        traj = solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
         inner.append(traj.residuals)
-        u = u_new
-        if diff <= tol:
-            converged = True
+        if diffs[-1] <= tol:
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"outer steering loop did not converge in {max_outer} iterations "
             f"(last control change {diffs[-1]:.3e})",
@@ -164,7 +155,6 @@ def steer(
         control_energy=u.energy(),
         outer_iters=outer,
         inner_residuals=inner,
-        converged=True,
         warnings=warnings_list,
     )
     return report, traj, u
@@ -190,7 +180,6 @@ def epsilon_sweep(
     eps_list,
     tol: float = 1e-8,
     max_outer: int = 120,
-    theta: float = 1.0,
     picard_tol: float = 1e-11,
     picard_max: int = 400,
 ) -> SweepResult:
@@ -207,8 +196,7 @@ def epsilon_sweep(
         try:
             report, _, _ = steer(
                 spec, grid, h, eps,
-                tol=tol, max_outer=max_outer, theta=theta,
-                picard_tol=picard_tol, picard_max=picard_max,
+                tol=tol, max_outer=max_outer, picard_tol=picard_tol, picard_max=picard_max,
             )
             return SweepEntry(eps=eps, report=report)
         except (ConvergenceError, EvaluationError) as exc:

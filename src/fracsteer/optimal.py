@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,9 +25,9 @@ from .solver import ControlSignal, Grid, Trajectory, solve_mild
 class CostDescriptor:
     """Running cost L(t, x, x_t, u) with its declared coercivity data.
 
-    The default weights reproduce the quadratic flagship cost; d, e, f_u and
-    the M2 curve document the lower bound L >= M2(t) + d|x| + e|x_t|_r +
-    f_u |u|^2 that the descriptor is expected to satisfy."""
+    The default weights reproduce the quadratic flagship cost; d, e and f_u
+    document the lower bound L >= d|x| + e|x_t|_r + f_u |u|^2 that the
+    descriptor is expected to satisfy."""
 
     w_state: float = 1.0
     w_hist: float = 1.0
@@ -36,7 +35,6 @@ class CostDescriptor:
     d: float = 0.0
     e: float = 0.0
     f_u: float = 1.0
-    M2: Callable[[float], float] | float = 0.0
 
     def __post_init__(self):
         for name in ("w_state", "w_hist", "w_control", "d", "e", "f_u"):
@@ -46,9 +44,6 @@ class CostDescriptor:
             raise ConfigError("cost weights must be >= 0")
         if self.f_u > self.w_control:
             raise ConfigError("coercivity f_u cannot exceed the control weight")
-
-    def m2_at(self, t: float) -> float:
-        return self.M2(t) if callable(self.M2) else float(self.M2)
 
     def evaluate(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray):
         """L at one time (a float), or at a stack of times with one row of x
@@ -64,8 +59,7 @@ class CostDescriptor:
 
     def lower_bound(self, t: float, x: FloatArray, hist: HistorySegment, u: FloatArray) -> float:
         return (
-            self.m2_at(t)
-            + self.d * float(np.linalg.norm(x))
+            self.d * float(np.linalg.norm(x))
             + self.e * hist.sup_norm()
             + self.f_u * float(np.dot(u, u))
         )
@@ -170,7 +164,6 @@ def minimize(
     param: ControlParameterization,
     opts: MinimizeOptions = MinimizeOptions(),
     theta0: FloatArray | None = None,
-    tol: float = 1e-10,
 ) -> MinimizeResult:
     """Projected quasi-Newton descent with central finite-difference gradients.
 
@@ -195,7 +188,7 @@ def minimize(
         nonlocal n_evals
         n_evals += x.size // theta.size
         thetas = x.reshape(x.shape[:-1] + theta.shape)
-        return eval_cost(spec, cost, param.expand(grid, thetas), tol=tol)
+        return eval_cost(spec, cost, param.expand(grid, thetas))
 
     x, lo, hi = theta.ravel(), param.lower.ravel(), param.upper.ravel()
     J = J_of(x)
@@ -248,6 +241,10 @@ def minimize(
     )
 
 
+# Absolute margin the midpoint may exceed the chord by and still pass.
+_CONVEXITY_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
 class ConvexityReport:
     lhs: float  # J((u1 + u2) / 2)
@@ -260,10 +257,8 @@ def verify_convexity(
     cost: CostDescriptor,
     u1: ControlSignal,
     u2: ControlSignal,
-    tol: float = 1e-10,
-    slack: float = 1e-8,
 ) -> ConvexityReport:
-    """Midpoint convexity check J((u1+u2)/2) <= (J(u1)+J(u2))/2 + slack.
+    """Midpoint convexity check J((u1+u2)/2) <= (J(u1)+J(u2))/2 + _CONVEXITY_SLACK.
 
     Only meaningful when the control-to-trajectory map is affine, so specs
     with a non-affine nonlinearity are refused."""
@@ -275,6 +270,6 @@ def verify_convexity(
     if not u1.grid.compatible_with(u2.grid):
         raise DomainError("controls must share one grid")
     mid = ControlSignal(u1.grid, 0.5 * (u1.samples + u2.samples))
-    lhs = eval_cost(spec, cost, mid, tol=tol)
-    rhs = 0.5 * (eval_cost(spec, cost, u1, tol=tol) + eval_cost(spec, cost, u2, tol=tol))
-    return ConvexityReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + slack)
+    lhs = eval_cost(spec, cost, mid)
+    rhs = 0.5 * (eval_cost(spec, cost, u1) + eval_cost(spec, cost, u2))
+    return ConvexityReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + _CONVEXITY_SLACK)

@@ -18,6 +18,7 @@ from fracsteer import __version__
 from fracsteer.cli import run
 from fracsteer.config import load_cost, load_problem, load_target, problem_from_dict
 from fracsteer.errors import ConfigError
+from fracsteer.solver import ControlSignal, Grid, solve_mild
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -73,6 +74,55 @@ class TestConfigSchema:
         spec = problem_from_dict(cfg)
         np.testing.assert_array_equal(spec.B, np.diag([1.0, 0.5]))
         assert spec.constants.M_B == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("B, matrix", [
+        ({"kind": "scale", "params": {"value": 2.0}}, [[2.0, 0.0], [0.0, 2.0]]),
+        ({"kind": "matrix", "params": {"rows": [[1.0, 0.5], [-0.5, 2.0]]}},
+         [[1.0, 0.5], [-0.5, 2.0]]),
+    ])
+    def test_scale_and_matrix_b_kinds(self, B, matrix):
+        spec = problem_from_dict(minimal_config(N=2, B=B))
+        np.testing.assert_array_equal(spec.B, matrix)
+
+    def test_b_scale_steers_like_identity_at_scaled_eps(self, tmp_path):
+        # B = c I gives u = c D (eps + c^2 Gamma)^{-1} p, which is 1/c times
+        # the identity map's control at eps/c^2: the same terminal error and
+        # 1/c^2 of its energy (c = 2 here)
+        reports = []
+        for name, B, eps in [("scale", {"kind": "scale", "params": {"value": 2.0}}, "0.4"),
+                             ("identity", {"kind": "identity"}, "0.1")]:
+            cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out"
+            cfg.write_text(json.dumps(minimal_config(B=B)))
+            assert run([
+                "steer", "--config", str(cfg), "--dt", "0.05",
+                "--target", str(CONFIGS / "target_1d.json"), "--eps", eps, "--out", str(out),
+            ]) == 0
+            reports.append(json.loads(out.read_text()))
+        scaled, identity = reports
+        assert scaled["terminal_error"] == pytest.approx(identity["terminal_error"], rel=1e-12)
+        assert scaled["control_energy"] == pytest.approx(identity["control_energy"] / 4, rel=1e-12)
+
+    # phi is the history on [-r, 0]; with f = 0 and no nonlocal term the
+    # forward path depends on phi(0) alone, so a zero or linear phi runs
+    # forward like the constant phi of its coeffs
+    @pytest.mark.parametrize("phi, coeffs, slope", [
+        ({"kind": "zero"}, 0.0, 0.0),
+        ({"kind": "linear", "params": {"coeffs": [1.0], "slope": [2.0]}}, 1.0, 2.0),
+    ])
+    def test_zero_and_linear_phi_through_solve(self, tmp_path, phi, coeffs, slope):
+        constant = {"kind": "constant", "params": {"coeffs": [coeffs]}}
+        rows = {}
+        for name, data in [("phi", phi), ("constant", constant)]:
+            cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg.write_text(json.dumps(minimal_config(r=0.5, phi=data)))
+            assert run(["solve", "--config", str(cfg), "--dt", "0.125", "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()[1:]
+            rows[name] = [[float(c) for c in ln.split(",")] for ln in lines]
+        history = [(t, x) for t, x, _ in rows["phi"] if t <= 0.0]
+        assert [t for t, _ in history] == [-0.5, -0.375, -0.25, -0.125, 0.0]
+        assert [x for _, x in history] == [coeffs + t * slope for t, _ in history]
+        forward = [row for row in rows["phi"] if row[0] > 0.0]
+        assert forward == [row for row in rows["constant"] if row[0] > 0.0]
 
     def test_target_loading(self, tmp_path):
         path = tmp_path / "h.json"
@@ -137,6 +187,26 @@ class TestCliSolve:
         assert t_imp == 0.5
         # the duplicated node appears once as left limit and once as right value
         assert sum(1 for ln in lines[1:] if float(ln.split(",")[0]) == 0.5) == 2
+
+    def test_flagship_cells_parse_as_the_trajectory(self, tmp_path):
+        # every cell is a plain float literal; a grid row holds traj.values,
+        # and the row after an impulse node's left limit its right value
+        out = tmp_path / "traj.csv"
+        assert run([
+            "solve", "--config", str(CONFIGS / "flagship.json"), "--dt", "0.05", "--out", str(out),
+        ]) == 0
+        rows = [[float(c) for c in ln.split(",")] for ln in out.read_text().splitlines()[1:]]
+        spec = load_problem(CONFIGS / "flagship.json")
+        grid = Grid(spec, 0.05)
+        traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-10)
+        impulse_rows = {grid.fwd_row(m): m for m in grid.impulse_nodes}
+        assert len(impulse_rows) == 1
+        expected = []
+        for row, t in enumerate(grid.times):
+            expected.append([t, *traj.values[row], float(row in impulse_rows)])
+            if row in impulse_rows:
+                expected.append([t, *traj.right_value(impulse_rows[row]), 0.0])
+        assert rows == expected
 
     def test_manifest_written(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -391,6 +461,23 @@ class TestInvalidFields:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"error: {field} must be ")
 
+    # a problem, target or cost file that is not UTF-8, or that nests past
+    # the decoder's recursion limit, reads as invalid JSON
+    @pytest.mark.parametrize("name, data", [
+        ("flagship.json", b"\xff{}"),
+        ("target_1d.json", b"\xff{}"),
+        ("cost_quadratic.json", b"\xff{}"),
+        ("flagship.json", b"[" * 100_000),
+    ])
+    def test_undecodable_file_exits_2(self, tmp_path, name, data):
+        cfg = tmp_path / name
+        cfg.write_bytes(data)
+        argv = [a.replace("{cfg}", str(cfg)) for a in FUZZ_RUNS[name]]
+        code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"error: invalid JSON in {cfg}: ")
+        assert not (tmp_path / "out").exists()
+
 
 # one cheap run per subcommand; each flag case below sets one of its flags
 FLAG_RUNS = {
@@ -456,14 +543,24 @@ class TestInvalidFlags:
         assert err.count("\n") == 1 and err.startswith("error: grid steps must ")
         assert not (tmp_path / "out").exists()
 
+    # a z sweep that is not from,to,steps
+    @pytest.mark.parametrize("grid", ["0,1", "0,1,2,3", "a,1,5", "0,1,2.5"])
+    def test_malformed_grid(self, tmp_path, grid):
+        argv = ["ml", "--alpha=1.5", "--beta=1", f"--grid={grid}"]
+        code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: --grid must be from,to,steps: ")
+        assert not (tmp_path / "out").exists()
+
     # argparse's own usage errors: a value of the wrong type, a missing
-    # required flag, no subcommand
+    # required flag, no subcommand, a flag the subcommand does not take
     @pytest.mark.parametrize("argv, message", [
         (FLAG_RUNS["solve"] + ["--max-iter=nan"], "argument --max-iter: invalid int value"),
         (FLAG_RUNS["optimize"] + ["--max-evals=inf"], "argument --max-evals: invalid int value"),
         ([a for a in FLAG_RUNS["steer"] if not a.startswith("--eps=")],
          "the following arguments are required: --eps"),
         ([], "the following arguments are required: subcommand"),
+        (FLAG_RUNS["steer"] + ["--theta=1"], "unrecognized arguments: --theta=1"),
     ])
     def test_usage_error_is_one_line(self, argv, message):
         code, err = _run_captured(argv)
@@ -478,9 +575,8 @@ MANIFEST_PARAMETERS = {
     "ml": {"alpha": 1.5, "beta": 1.0, "z": [-1.0]},
     "solve": {"dt": 0.05, "tol": 1e-10, "picard_iters": 15,
               "warnings": ["contraction factor 1.35 >= 1: convergence not guaranteed"]},
-    "steer": {"dt": 0.05, "eps": 0.1, "tol": 1e-8, "theta": 1.0},
-    "sweep": {"dt": 0.05, "eps_list": [0.1, 0.01], "tol": 1e-8, "theta": 1.0,
-              "errors_non_increasing": True},
+    "steer": {"dt": 0.05, "eps": 0.1, "tol": 1e-8},
+    "sweep": {"dt": 0.05, "eps_list": [0.1, 0.01], "tol": 1e-8, "errors_non_increasing": True},
     "optimize": {"dt": 0.02, "intervals": 2, "bound": 10.0, "converged": True},
     "check": {"eps": 0.1, "factor": 14.850000000000001},
 }
@@ -522,6 +618,17 @@ class TestManifests:
         assert run(argv + [f"--out={out}", f"--manifest={manifest}"]) == 0
         self.check_manifest(manifest, "check", argv, [str(out)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["check.txt", "new"]
+
+    # an output or manifest path below a regular file cannot be written
+    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
+    def test_unwritable_path_exits_2(self, tmp_path, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, err = _run_captured(FLAG_RUNS["check"] + [f"{flag}={blocker / 'x'}"])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
+        assert str(blocker) in err
 
     def test_failed_sweep_writes_csv_and_manifest(self, tmp_path):
         argv = FLAG_RUNS["sweep"] + ["--max-outer=1"]
