@@ -171,3 +171,103 @@ def lq_grid_search(spec, grid, param, points_per_axis: int = 21):
     J_all = J_quadratic(mesh)
     best = int(J_all.argmin())  # argmin returns the lowest tied index
     return float(J_all[best]), mesh[best].reshape(P, 1), J_quadratic
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_by_hand(alpha: float, omega: float, n_modes: int, h: float, n: int):
+    """D(l h) for l = 0..n: the diagonal E_{alpha,1}(lam_k (l h)^alpha) with
+    lam_k = -k^2 - omega, one scalar mittag_leffler call per lag and mode."""
+    import numpy as np
+
+    from fracsteer.mittag import mittag_leffler
+
+    lam = [-(k * k) - omega for k in range(1, n_modes + 1)]
+    return [
+        np.array([mittag_leffler(alpha, 1.0, lv * (lag * h) ** alpha) for lv in lam])
+        for lag in range(n + 1)
+    ]
+
+
+def mild_map_by_hand(spec, h: float, values, bu):
+    """The variation-of-parameters formula applied to one sampled path, one
+    grid node at a time, on the grid of step h from -r to T.
+
+    values[i] holds x at time -r + i h, bu[m] the input B u(t_m) on the
+    forward nodes.  History rows get phi(s) - g(x)(s) with
+    g(x)(s) = sum_i c_i x(tau_i + s).  Forward node m gets
+
+        D(t_m)(phi(0) - g(x)(0)) + sum_{t_k < t_m} D(t_m - t_k) I_k(x(t_k))
+        + trapezoid sum over j <= m of D(t_m - t_j) F_j,
+
+    with F_j = B u(t_j) + f1(x(t_j)) + the trapezoid sum of
+    exp(-rate (t_j - s)) f2(x(s)) over the window [t_j - r, t_j].  At an
+    impulse node t_k < t_m the trapezoid weight h is split in two halves:
+    one takes F_k, the other F_k with f1 at the right value x + I_k(x) (the
+    memory window still ends at x(t_k)).  D comes from _kernel_by_hand.
+    The nonlinearity, impulses, phi and eigenvalues are rebuilt here
+    from the descriptors' fields; nothing of the package's solver is used.
+    f must be of the memory kind.
+    """
+    import numpy as np
+
+    if spec.f_desc.kind != "memory":
+        raise ValueError("the oracle covers the memory nonlinearity only")
+    values = np.asarray(values, dtype=float)
+    n_hist, n = round(spec.delay / h), round(spec.horizon / h)
+    D = _kernel_by_hand(spec.alpha, spec.omega, spec.n_modes, h, n)
+
+    def phi(s):
+        if spec.phi.kind == "zero":
+            return np.zeros(spec.n_modes)
+        if spec.phi.kind == "constant":
+            return np.array(spec.phi.coeffs, dtype=float)
+        return spec.phi.coeffs + s * spec.phi.slope
+
+    def g(i):  # g(x) at history row i
+        total = np.zeros(spec.n_modes)
+        for term in spec.nonlocal_terms:
+            total += term.c * values[round(term.tau / h) + i]
+        return total
+
+    p = spec.f_desc.params
+
+    def form(name, gain, v):
+        if name == "linear":
+            return gain * v
+        return gain * v / (1.0 + math.sqrt(sum(c * c for c in v)))
+
+    def f1(v):
+        return form(p.get("f1_form", "linear"), p.get("f1_gain", 0.0), v)
+
+    def memory(j):  # window of forward node j: rows j .. j + n_hist
+        total = np.zeros(spec.n_modes)
+        if n_hist == 0:
+            return total
+        for i in range(n_hist + 1):
+            wt = 0.5 * h if i in (0, n_hist) else h
+            kern = math.exp(-p.get("kernel_rate", 1.0) * (n_hist - i) * h)
+            total += wt * kern * form(p.get("f2_form", "linear"), p.get("f2_gain", 0.0),
+                                      values[j + i])
+        return total
+
+    out = np.empty_like(values)
+    for i in range(n_hist + 1):
+        out[i] = phi((i - n_hist) * h) - g(i)
+    impulses = {round(imp.t / h): imp.scale for imp in spec.impulses}
+    forcing = [bu[j] + f1(values[n_hist + j]) + memory(j) for j in range(n + 1)]
+    for m in range(n + 1):
+        x_m = D[m] * (phi(0.0) - g(n_hist))
+        for k, scale in impulses.items():
+            if k < m:
+                x_m = x_m + D[m - k] * (scale * values[n_hist + k])
+        for j in range(m + 1 if m > 0 else 0):  # the integral over [0, 0] is 0
+            if j in (0, m):
+                x_m = x_m + 0.5 * h * D[m - j] * forcing[j]
+            elif j in impulses:
+                left = values[n_hist + j]
+                right = bu[j] + f1(left + impulses[j] * left) + memory(j)
+                x_m = x_m + 0.5 * h * D[m - j] * (forcing[j] + right)
+            else:
+                x_m = x_m + h * D[m - j] * forcing[j]
+        out[n_hist + m] = x_m
+    return out

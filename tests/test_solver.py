@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsteer.config import load_problem
 from fracsteer.control import residual_p
@@ -36,7 +38,7 @@ from fracsteer.solver import (
     solve_mild,
 )
 
-from oracles import refined_convolution
+from oracles import mild_map_by_hand, refined_convolution
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -603,3 +605,75 @@ class TestBatchAxis:
             solve_mild(spec, ControlSignal(grid, samples), tol=1e-11)
         assert len(info.value.residuals) == 1
         assert not np.isfinite(info.value.last_iterate.values).all()
+
+
+class TestMildMapOracle:
+    # mild_map and solve_mild against tests/oracles.py::mild_map_by_hand on
+    # small random problems that have every ingredient the formula handles:
+    # a delay with a memory nonlinearity of each form, impulses, nonlocal
+    # terms and a nonzero control.
+    TOL = 1e-11
+
+    @staticmethod
+    def draw_problem(data):
+        n_fwd = data.draw(st.integers(6, 40), label="n_fwd")
+        T = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="T")
+        h = T / n_fwd
+        n_hist = data.draw(st.integers(1, min(n_fwd, 8)), label="n_hist")
+        n = data.draw(st.integers(1, 3), label="N")
+        signed = st.tuples(st.floats(0.05, 0.6), st.sampled_from([-1.0, 1.0])).map(
+            lambda t: t[0] * t[1]
+        )
+        imp_nodes = data.draw(
+            st.lists(st.integers(1, n_fwd - 1), max_size=2, unique=True), label="impulses"
+        )
+        impulses = [ImpulseDescriptor(m * h, "linear", data.draw(signed)) for m in sorted(imp_nodes)]
+        anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
+        nonlocal_terms = [NonlocalTerm(0.5 * data.draw(signed), m * h) for m in anchors]
+        forms = st.sampled_from(["linear", "saturating"])
+        f1_gain, f2_gain = data.draw(signed), data.draw(signed)
+        f = NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": f1_gain, "f2_gain": f2_gain,
+             "kernel_rate": data.draw(st.floats(0.0, 3.0), label="rate"),
+             "f1_form": data.draw(forms, label="f1_form"),
+             "f2_form": data.draw(forms, label="f2_form")},
+            L1=abs(f1_gain), L2=abs(f2_gain), M1=1.0, holder_p=0.01,
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        phi = data.draw(st.sampled_from(["constant", "linear"]), label="phi")
+        spec = ProblemSpec(
+            alpha=data.draw(st.floats(1.05, 1.95), label="alpha"),
+            omega=data.draw(st.floats(0.0, 1.0), label="omega"),
+            n_modes=n,
+            horizon=T,
+            delay=n_hist * h,
+            impulses=tuple(impulses),
+            nonlocal_terms=tuple(nonlocal_terms),
+            phi=PhiDescriptor(phi, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
+            f_desc=f,
+            B=rng.uniform(-1, 1, (n, n)),
+        )
+        return spec, Grid(spec, h), rng
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_mild_map_and_fixed_points_match_oracle(self, data):
+        spec, grid, rng = self.draw_problem(data)
+        n = spec.n_modes
+
+        # the mild map of a random path, node by node
+        values = rng.standard_normal((len(grid), n))
+        bu = rng.standard_normal((grid.n_fwd + 1, n))
+        got = mild_map(spec, grid, SolutionKernel(spec, grid), values, bu)
+        want = mild_map_by_hand(spec, grid.h, values, bu)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+        # converged paths are fixed points of the oracle, alone and in a batch
+        samples = np.stack([c * rng.standard_normal((grid.n_fwd + 1, n)) for c in (1.0, 0.5, 2.0)])
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=self.TOL)
+        for i, u in enumerate(samples):
+            single = solve_mild(spec, ControlSignal(grid, u), tol=self.TOL)
+            np.testing.assert_array_equal(batch.values[i], single.values)
+            step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
+            assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
