@@ -138,7 +138,7 @@ def steer(
     for outer in range(1, max_outer + 1):
         u_prev, u = u, synthesize_control(spec, traj, h, eps, gram=gram)
         diffs.append(u.sup_distance(u_prev))
-        traj = solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
+        traj = solve_mild(spec, u, tol=picard_tol, max_iter=picard_max, start=traj)
         inner.append(traj.residuals)
         if diffs[-1] <= tol:
             break
@@ -180,7 +180,6 @@ def epsilon_sweep(
     eps_list,
     tol: float = 1e-8,
     max_outer: int = 120,
-    picard_tol: float = 1e-11,
     picard_max: int = 400,
 ) -> SweepResult:
     """One steering run per eps (strictly decreasing list); failures are
@@ -195,8 +194,7 @@ def epsilon_sweep(
     def run_one(eps: float) -> SweepEntry:
         try:
             report, _, _ = steer(
-                spec, grid, h, eps,
-                tol=tol, max_outer=max_outer, picard_tol=picard_tol, picard_max=picard_max,
+                spec, grid, h, eps, tol=tol, max_outer=max_outer, picard_max=picard_max
             )
             return SweepEntry(eps=eps, report=report)
         except (ConvergenceError, EvaluationError) as exc:

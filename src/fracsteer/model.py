@@ -351,7 +351,7 @@ def eval_f(
         w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
         w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
         windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
-        return f1 + np.einsum("...inw,w->...in", windows, w).reshape(x.shape)
+        return f1 + (windows @ w).reshape(x.shape)
     except (ValueError, FloatingPointError) as exc:  # pragma: no cover
         raise NonlinearityError(str(exc), t) from exc
 

@@ -318,9 +318,13 @@ def solve_mild(
     u: ControlSignal,
     tol: float = 1e-10,
     max_iter: int = 200,
+    start: Trajectory | None = None,
 ) -> Trajectory:
     """Picard iteration for the mild solution under the control u.
 
+    Iterates start from start.values (a trajectory on u's grid: one path
+    for every control, or one per control) when it is given, else from phi
+    on [-r, 0] extended constantly by phi(0).
     Stops when the sup-norm distance between successive iterates drops to
     tol; raises ConvergenceError (with the residual history) on budget
     exhaustion.  A contraction factor >= 1 attaches a warning, not an error.
@@ -335,7 +339,6 @@ def solve_mild(
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")
     kernel = SolutionKernel(spec, grid)
-    n_hist = grid.n_hist
 
     warnings_list = []
     rho = picard_factor(spec)
@@ -345,11 +348,13 @@ def solve_mild(
         )
 
     bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
+    shape = (len(bu), len(grid), spec.n_modes)
+    if start is not None and (start.grid.spec is not spec or not grid.compatible_with(start.grid)
+                              or start.values.shape not in (shape, shape[1:])):
+        raise DomainError("start must be a trajectory on u's grid, one path or one per control")
 
-    # initial iterates: phi on [-r, 0], extended constantly by phi(0)
-    values = np.empty((len(bu), len(grid), spec.n_modes))
-    values[:, : n_hist + 1] = spec.phi(grid.times[: n_hist + 1])
-    values[:, n_hist + 1 :] = values[:, n_hist : n_hist + 1]
+    values = np.empty(shape)
+    values[:] = spec.phi(np.minimum(grid.times, 0.0)) if start is None else start.values
 
     # values and bu hold the paths still iterating, ids their rows in out
     out, ids = np.empty_like(values), np.arange(len(values))

@@ -2,6 +2,11 @@
 steering residual in closed form, the regularized law, the 1-D discrete
 steering identity, sweeps, scaling, and degenerate input maps."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -252,6 +257,46 @@ class TestGoldenFlagship:
         assert report.terminal_error == pytest.approx(want["terminal_error"], rel=1e-9)
         assert report.control_energy == pytest.approx(want["control_energy"], rel=1e-9)
         assert report.outer_iters == want["outer_iters"]
+
+    def test_inner_solves_start_from_last_iterate(self):
+        # each inner solve starts from the previous outer iterate, so the
+        # 12 solves take at most 135 Picard sweeps (204 when each started
+        # from phi), in the same 11 outer iterations
+        spec, h = flagship_problem()
+        report, _, _ = steer(spec, Grid(spec, 1.0 / 200.0), h, eps=1e-2, tol=1e-8)
+        assert report.outer_iters == 11
+        assert len(report.inner_residuals) == 12
+        assert sum(map(len, report.inner_residuals)) <= 135
+
+
+def flagship_problem():
+    """The flagship problem of the acceptance tests and its target."""
+    from test_acceptance import flagship_spec
+
+    h = np.zeros(16)
+    h[:4] = [0.3, -0.2, 0.1, 0.05]
+    return flagship_spec(), h
+
+
+def flagship_sweep_reprs() -> str:
+    """repr of the terminal errors and control energies of the 3-eps
+    flagship sweep at dt = 1/200."""
+    spec, h = flagship_problem()
+    result = epsilon_sweep(spec, Grid(spec, 1.0 / 200.0), h, [1e-1, 1e-2, 1e-3], tol=1e-8)
+    return repr([(e.report.terminal_error, e.report.control_energy) for e in result.entries])
+
+
+def test_sweep_bits_independent_of_blas_threads():
+    # the memory window is summed by BLAS matrix-vector products; the sweep
+    # must give the same bits on one BLAS thread as at the default count
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    probe = "import test_control; print(test_control.flagship_sweep_reprs())"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == flagship_sweep_reprs()
 
 
 class TestCrossInstanceMisuse:

@@ -627,7 +627,9 @@ class TestMildMapOracle:
         imp_nodes = data.draw(
             st.lists(st.integers(1, n_fwd - 1), max_size=2, unique=True), label="impulses"
         )
-        impulses = [ImpulseDescriptor(m * h, "linear", data.draw(signed)) for m in sorted(imp_nodes)]
+        impulses = [
+            ImpulseDescriptor(m * h, "linear", data.draw(signed)) for m in sorted(imp_nodes)
+        ]
         anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
         nonlocal_terms = [NonlocalTerm(0.5 * data.draw(signed), m * h) for m in anchors]
         forms = st.sampled_from(["linear", "saturating"])
@@ -677,3 +679,77 @@ class TestMildMapOracle:
             np.testing.assert_array_equal(batch.values[i], single.values)
             step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
             assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
+
+
+class TestWarmStart:
+    # solve_mild(start=traj) begins the Picard loop at traj.values instead of
+    # phi extended by phi(0); steer passes the last outer iterate this way.
+    @pytest.fixture(scope="class")
+    def flagship(self):
+        spec = load_problem(CONFIGS / "flagship.json")
+        grid = Grid(spec, 1.0 / 200.0)
+        base = 100.0 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
+        return spec, grid, base
+
+    def test_converged_start_stops_after_one_sweep(self, flagship):
+        spec, grid, base = flagship
+        u = ControlSignal(grid, base)
+        cold = solve_mild(spec, u, tol=1e-11)
+        warm = solve_mild(spec, u, tol=1e-11, start=cold)
+        assert len(cold.residuals) > 10
+        assert len(warm.residuals) == 1
+        np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-11)
+
+    def test_stack_equals_solo_warm_solves(self, flagship):
+        spec, grid, base = flagship
+        start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11)
+        samples = np.stack([c * base for c in (1.0, 0.0, 3.0)])
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=start)
+        singles = [
+            solve_mild(spec, ControlSignal(grid, u), tol=1e-11, start=start) for u in samples
+        ]
+        assert len({len(t.residuals) for t in singles}) == 3
+        for i, single in enumerate(singles):
+            np.testing.assert_array_equal(batch.values[i], single.values)
+            assert batch.residuals[i] == single.residuals
+
+    def test_start_left_unchanged(self, flagship):
+        spec, grid, base = flagship
+        start = Trajectory(grid, np.ones((len(grid), 16)))
+        solve_mild(spec, ControlSignal(grid, base), tol=1e-11, start=start)
+        np.testing.assert_array_equal(start.values, 1.0)
+
+    @pytest.mark.parametrize("other", ["step", "problem"])
+    def test_start_from_another_grid_rejected(self, flagship, other):
+        spec, grid, _ = flagship
+        if other == "step":
+            foreign = Grid(spec, 2.0 * grid.h)
+        else:  # same file and step, another problem instance
+            foreign = Grid(load_problem(CONFIGS / "flagship.json"), grid.h)
+        start = Trajectory(foreign, np.zeros((len(foreign), 16)))
+        with pytest.raises(DomainError, match="start must be a trajectory"):
+            solve_mild(spec, ControlSignal.zeros(grid), start=start)
+
+    def test_start_with_another_batch_size_rejected(self, flagship):
+        spec, grid, base = flagship
+        start = Trajectory(grid, np.zeros((2, len(grid), 16)))
+        with pytest.raises(DomainError, match="one per control"):
+            solve_mild(spec, ControlSignal(grid, np.stack([base] * 3)), start=start)
+
+    def test_stack_of_starts_matches_solo_starts(self, flagship):
+        spec, grid, base = flagship
+        starts = [solve_mild(spec, ControlSignal(grid, c * base), tol=1e-11) for c in (1.0, 2.0)]
+        samples = np.stack([2.0 * base, base])
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11,
+                           start=Trajectory(grid, np.stack([s.values for s in starts[::-1]])))
+        for i, start in enumerate(starts[::-1]):
+            single = solve_mild(spec, ControlSignal(grid, samples[i]), tol=1e-11, start=start)
+            np.testing.assert_array_equal(batch.values[i], single.values)
+            assert batch.residuals[i] == single.residuals == [single.residuals[0]]
+
+    def test_start_on_an_equal_grid_accepted(self, flagship):
+        spec, grid, base = flagship
+        u = ControlSignal(grid, base)
+        cold = solve_mild(spec, u, tol=1e-11)
+        rebuilt = Trajectory(Grid(spec, grid.h), cold.values)
+        assert len(solve_mild(spec, u, tol=1e-11, start=rebuilt).residuals) == 1
