@@ -691,11 +691,14 @@ class TestWarmStart:
         base = 100.0 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
         return spec, grid, base
 
-    def test_converged_start_stops_after_one_sweep(self, flagship):
+    @pytest.mark.parametrize("rebuilt", [False, True], ids=["same-grid", "equal-grid"])
+    def test_converged_start_stops_after_one_sweep(self, flagship, rebuilt):
+        # a start on a grid rebuilt with the same problem and step is accepted
         spec, grid, base = flagship
         u = ControlSignal(grid, base)
         cold = solve_mild(spec, u, tol=1e-11)
-        warm = solve_mild(spec, u, tol=1e-11, start=cold)
+        start = Trajectory(Grid(spec, grid.h), cold.values) if rebuilt else cold
+        warm = solve_mild(spec, u, tol=1e-11, start=start)
         assert len(cold.residuals) > 10
         assert len(warm.residuals) == 1
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-11)
@@ -736,20 +739,14 @@ class TestWarmStart:
         with pytest.raises(DomainError, match="one per control"):
             solve_mild(spec, ControlSignal(grid, np.stack([base] * 3)), start=start)
 
-    def test_stack_of_starts_matches_solo_starts(self, flagship):
+    def test_one_start_per_control(self, flagship):
         spec, grid, base = flagship
-        starts = [solve_mild(spec, ControlSignal(grid, c * base), tol=1e-11) for c in (1.0, 2.0)]
         samples = np.stack([2.0 * base, base])
-        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11,
-                           start=Trajectory(grid, np.stack([s.values for s in starts[::-1]])))
-        for i, start in enumerate(starts[::-1]):
+        starts = [solve_mild(spec, ControlSignal(grid, u), tol=1e-11) for u in samples]
+        stacked = Trajectory(grid, np.stack([t.values for t in starts]))
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=stacked)
+        for i, start in enumerate(starts):
             single = solve_mild(spec, ControlSignal(grid, samples[i]), tol=1e-11, start=start)
+            assert len(single.residuals) == 1
             np.testing.assert_array_equal(batch.values[i], single.values)
-            assert batch.residuals[i] == single.residuals == [single.residuals[0]]
-
-    def test_start_on_an_equal_grid_accepted(self, flagship):
-        spec, grid, base = flagship
-        u = ControlSignal(grid, base)
-        cold = solve_mild(spec, u, tol=1e-11)
-        rebuilt = Trajectory(Grid(spec, grid.h), cold.values)
-        assert len(solve_mild(spec, u, tol=1e-11, start=rebuilt).residuals) == 1
+            assert batch.residuals[i] == single.residuals
