@@ -27,7 +27,7 @@ from fracsteer.model import (
     PhiDescriptor,
     ProblemSpec,
 )
-from fracsteer.solver import ControlSignal, Grid, solve_mild
+from fracsteer.solver import ControlSignal, Grid, SolutionKernel, mild_map, solve_mild
 
 from oracles import refined_grammian_1d
 
@@ -267,6 +267,32 @@ class TestGoldenFlagship:
         assert report.outer_iters == 11
         assert len(report.inner_residuals) == 12
         assert sum(map(len, report.inner_residuals)) <= 135
+
+
+class TestInnerSolveSemantics:
+    def test_returned_trajectory_is_picard_fixed_point(self):
+        # the last inner solve runs to picard_tol, so one more mild-map sweep
+        # under the returned control moves the returned path by at most
+        # picard_tol in the solver's residual norm
+        spec, h = flagship_problem()
+        grid = Grid(spec, 1.0 / 200.0)
+        kernel = SolutionKernel(spec, grid)
+        for eps, tol, picard_tol in ((1e-2, 1e-8, 1e-11), (1e-5, 1e-6, 1e-12)):
+            report, traj, u = steer(spec, grid, h, eps, tol=tol, picard_tol=picard_tol)
+            step = mild_map(spec, grid, kernel, traj.values, u.samples @ spec.B.T) - traj.values
+            assert np.max(np.linalg.norm(step, axis=-1)) <= picard_tol
+            assert len(report.inner_residuals) == report.outer_iters + 1
+
+    def test_sweep_entry_equals_solo_steer(self):
+        spec, h = flagship_problem()
+        grid = Grid(spec, 1.0 / 200.0)
+        result = epsilon_sweep(spec, grid, h, [1e-1, 1e-2], tol=1e-8)
+        for entry in result.entries:
+            solo, _, _ = steer(spec, grid, h, entry.eps, tol=1e-8)
+            assert entry.report.terminal_error == solo.terminal_error
+            assert entry.report.control_energy == solo.control_energy
+            assert entry.report.outer_iters == solo.outer_iters
+            assert entry.report.inner_residuals == solo.inner_residuals
 
 
 def flagship_problem():
