@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     FracsteerError,
-    NonlinearityError,
     ParameterError,
 )
 from .mittag import mittag_leffler, solution_operator_diag

@@ -27,6 +27,8 @@ from .errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from .model import FloatArray, ProblemSpec
 from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, mild_map, solve_mild
 
+PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve, and of a sweep's u = 0 solve
+
 
 @dataclass(frozen=True)
 class Grammian:
@@ -114,14 +116,18 @@ def steer(
     eps: float,
     tol: float = 1e-8,
     max_outer: int = 120,
-    picard_tol: float = 1e-11,
+    picard_tol: float = PICARD_TOL,
     picard_max: int = 400,
+    free: Trajectory | None = None,
 ) -> tuple[SteeringReport, Trajectory, ControlSignal]:
     """Undamped outer fixed point x -> u_eps(x) -> x: each iterate solves
     the mild problem under the control synthesized from the last one.
 
-    Successive controls must agree to tol in sup-norm.  The final report
-    carries the terminal error |x(T) - h| and the control energy.
+    Successive controls must agree to tol in sup-norm.  Each inner solve
+    starts from the last trajectory and runs to max(picard_tol, 1e-3 * d),
+    d the control's sup change; the last (d <= tol) runs to picard_tol.
+    free, if given, must be the u = 0 solution on grid to picard_tol.  The
+    report carries the terminal error |x(T) - h| and the control energy.
     """
     if not (0.0 < eps < math.inf and tol > 0.0):
         raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
@@ -131,14 +137,15 @@ def steer(
     gram = grammian(spec, grid)
 
     u = ControlSignal.zeros(grid)
-    traj = solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
+    traj = free if free is not None else solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
     diffs = []
     for outer in range(1, max_outer + 1):
         u_prev, u = u, synthesize_control(spec, traj, h, eps, gram=gram)
         diffs.append(u.sup_distance(u_prev))
-        traj = solve_mild(spec, u, tol=picard_tol, max_iter=picard_max, start=traj)
+        inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, 1e-3 * diffs[-1])
+        traj = solve_mild(spec, u, tol=inner_tol, max_iter=picard_max, start=traj)
         inner.append(traj.residuals)
         if diffs[-1] <= tol:
             break
@@ -182,8 +189,9 @@ def epsilon_sweep(
     max_outer: int = 120,
     picard_max: int = 400,
 ) -> SweepResult:
-    """One steering run per eps (strictly decreasing list); failures are
-    recorded per entry and the sweep continues."""
+    """One steering run per eps (strictly decreasing list), all from one
+    shared u = 0 solve, which does not depend on eps and is solved as steer
+    would; failures are recorded per entry and the sweep continues."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ConfigError("eps list must not be empty")
@@ -193,14 +201,18 @@ def epsilon_sweep(
 
     def run_one(eps: float) -> SweepEntry:
         try:
-            report, _, _ = steer(
-                spec, grid, h, eps, tol=tol, max_outer=max_outer, picard_max=picard_max
-            )
+            report, _, _ = steer(spec, grid, h, eps, tol=tol, max_outer=max_outer,
+                                 picard_max=picard_max, free=free)
             return SweepEntry(eps=eps, report=report)
         except (ConvergenceError, EvaluationError) as exc:
             return SweepEntry(eps=eps, error=str(exc))
 
-    entries = [run_one(e) for e in eps_list]
+    try:
+        free = solve_mild(spec, ControlSignal.zeros(grid), tol=PICARD_TOL, max_iter=picard_max)
+    except (ConvergenceError, EvaluationError) as exc:
+        entries = [SweepEntry(eps=e, error=str(exc)) for e in eps_list]
+    else:
+        entries = [run_one(e) for e in eps_list]
 
     errs = [e.report.terminal_error for e in entries if e.report is not None]
     non_increasing = all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))

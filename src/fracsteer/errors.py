@@ -32,14 +32,6 @@ class EvaluationError(FracsteerError):
         self.regime = regime
 
 
-class NonlinearityError(EvaluationError):
-    """The nonlinearity descriptor failed to evaluate at a given time."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} at t={t}", regime="nonlinearity")
-        self.t = t
-
-
 class ConvergenceError(FracsteerError):
     """An iteration exhausted its budget; carries the residual history."""
 

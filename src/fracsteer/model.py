@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DomainError, NonlinearityError
+from .errors import ConfigError, DomainError
 from .mittag import mittag_leffler
 
 FloatArray = NDArray[np.float64]
@@ -336,24 +336,21 @@ def eval_f(
     x = np.asarray(x, dtype=float)
     if desc.kind == "zero":
         return np.zeros_like(x)
-    try:
-        if desc.kind == "linear":
-            return desc._pointwise("linear", float(desc.params.get("gain", 0.0)), x)
-        # memory kind
-        p = desc.params
-        f1 = desc._pointwise(p.get("f1_form", "linear"), float(p.get("f1_gain", 0.0)), x)
-        f2_gain = float(p.get("f2_gain", 0.0))
-        width = len(hist.offsets)
-        if f2_gain == 0.0 or width < 2:
-            return f1
-        rate = float(p.get("kernel_rate", 1.0))
-        rows = desc._pointwise(p.get("f2_form", "linear"), f2_gain, hist.values)
-        w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
-        w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
-        windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
-        return f1 + (windows @ w).reshape(x.shape)
-    except (ValueError, FloatingPointError) as exc:  # pragma: no cover
-        raise NonlinearityError(str(exc), t) from exc
+    if desc.kind == "linear":
+        return desc._pointwise("linear", float(desc.params.get("gain", 0.0)), x)
+    # memory kind
+    p = desc.params
+    f1 = desc._pointwise(p.get("f1_form", "linear"), float(p.get("f1_gain", 0.0)), x)
+    f2_gain = float(p.get("f2_gain", 0.0))
+    width = len(hist.offsets)
+    if f2_gain == 0.0 or width < 2:
+        return f1
+    rate = float(p.get("kernel_rate", 1.0))
+    rows = desc._pointwise(p.get("f2_form", "linear"), f2_gain, hist.values)
+    w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
+    w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
+    windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
+    return f1 + (windows @ w).reshape(x.shape)
 
 
 def eval_impulse(spec: ProblemSpec, k: int, x_left: FloatArray) -> FloatArray:
