@@ -18,7 +18,7 @@ from fracsteer.control import (
     steer,
     synthesize_control,
 )
-from fracsteer.errors import ConfigError
+from fracsteer.errors import ConfigError, ConvergenceError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
     ImpulseDescriptor,
@@ -298,6 +298,28 @@ class TestInnerSolveSemantics:
             step = mild_map(spec, grid, kernel, traj.values, u.samples @ spec.B.T) - traj.values
             assert np.max(np.linalg.norm(step, axis=-1)) <= picard_tol
             assert len(report.inner_residuals) == report.outer_iters + 1
+
+    @pytest.mark.parametrize("f1_form", ["linear", "saturating"])
+    def test_outer_budget_failure_keeps_finite_last_iterate(self, f1_form):
+        # memory gains of 3 at eps 1e-4: with a linear f1 the outer control
+        # change grows each iteration, with a saturating one it shrinks too
+        # slowly; either way the loop spends max_outer iterations and raises
+        # with a finite last trajectory, not a Picard failure on a NaN
+        f = NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": 3.0, "f2_gain": 3.0, "kernel_rate": 1.0,
+             "f1_form": f1_form, "f2_form": "linear"},
+            L1=3.0, L2=3.0, M1=0.1, holder_p=0.4,
+        )
+        spec = make_spec(n=2, omega=1.0, r=0.25, f=f)
+        grid = Grid(spec, 0.125)
+        with pytest.raises(ConvergenceError) as info:
+            steer(spec, grid, np.array([0.3, -0.2]), eps=1e-4, max_outer=30)
+        exc = info.value
+        assert str(exc).startswith("outer steering loop did not converge in 30 iterations")
+        assert len(exc.residuals) == 30
+        traj, u = exc.last_iterate
+        assert np.isfinite(traj.values).all() and np.isfinite(u.samples).all()
 
     def test_sweep_entry_equals_solo_steer(self):
         spec, h = flagship_problem()
