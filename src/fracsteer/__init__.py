@@ -23,7 +23,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     FracsteerError,
-    ParameterError,
 )
 from .mittag import mittag_leffler, solution_operator_diag
 from .model import (
@@ -54,7 +53,6 @@ from .solver import (
     contraction_check,
     forcing_on_grid,
     mild_map,
-    nonlocal_residual,
     picard_factor,
     solve_mild,
 )

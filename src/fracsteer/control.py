@@ -123,9 +123,12 @@ def steer(
     """Undamped outer fixed point x -> u_eps(x) -> x: each iterate solves
     the mild problem under the control synthesized from the last one.
 
-    Successive controls must agree to tol in sup-norm.  Each inner solve
-    starts from the last trajectory and runs to max(picard_tol, 1e-3 * d),
-    d the control's sup change; the last (d <= tol) runs to picard_tol.
+    Successive controls must agree to tol in sup-norm.  The loop contracts
+    along one dominant direction, so inner solve k+1 starts from the
+    extrapolation x_k + a (x_k - x_{k-1}), a = <du_{k+1}, du_k> / <du_k, du_k>
+    with du_k = u_k - u_{k-1} summed over all samples (from x_k when no
+    earlier step exists).  It runs to max(picard_tol, 1e-3 * d), d the
+    control's sup change; the last (d <= tol) runs to picard_tol.
     free, if given, must be the u = 0 solution on grid to picard_tol.  The
     report carries the terminal error |x(T) - h| and the control energy.
     """
@@ -140,12 +143,19 @@ def steer(
     traj = free if free is not None else solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
-    diffs = []
+    diffs, du_prev, x_prev = [], None, None
     for outer in range(1, max_outer + 1):
         u_prev, u = u, synthesize_control(spec, traj, h, eps, gram=gram)
         diffs.append(u.sup_distance(u_prev))
         inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, 1e-3 * diffs[-1])
-        traj = solve_mild(spec, u, tol=inner_tol, max_iter=picard_max, start=traj)
+        du, start = u.samples - u_prev.samples, traj
+        if x_prev is not None:
+            # np.sum, not np.vdot: BLAS splits a long dot product over its
+            # threads, so its rounding would follow the thread count
+            a = np.sum(du * du_prev) / np.sum(du_prev * du_prev)
+            start = Trajectory(grid, traj.values + a * (traj.values - x_prev.values))
+        du_prev, x_prev = du, traj
+        traj = solve_mild(spec, u, tol=inner_tol, max_iter=picard_max, start=start)
         inner.append(traj.residuals)
         if diffs[-1] <= tol:
             break

@@ -12,12 +12,9 @@ class FracsteerError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ParameterError(FracsteerError):
-    """A scalar parameter is outside its admissible range."""
-
-
 class ConfigError(FracsteerError):
-    """A configuration file or descriptor is malformed or inconsistent."""
+    """A configuration file, descriptor or parameter is malformed, out of
+    range or inconsistent."""
 
 
 class DomainError(FracsteerError):

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import ConfigError, EvaluationError
 
 _EPS = 2.220446049250313e-16
 
@@ -62,12 +62,12 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
 
 def _check(alpha: float, beta: float, z: np.ndarray) -> None:
     if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
+        raise ConfigError(f"alpha must lie in (0, 2], got {alpha}")
     if not (0.0 < beta < math.inf):
-        raise ParameterError(f"beta must be finite and > 0, got {beta}")
+        raise ConfigError(f"beta must be finite and > 0, got {beta}")
     bad = z[~np.isfinite(z)]
     if bad.size:
-        raise ParameterError(f"z must be finite, got {bad[0]}")
+        raise ConfigError(f"z must be finite, got {bad[0]}")
 
 
 def mittag_leffler(alpha: float, beta: float, z):
@@ -89,14 +89,14 @@ def solution_operator_diag(t, alpha: float, eigs) -> np.ndarray:
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(ts >= 0.0):
-        raise ParameterError(f"t must be >= 0, got {ts[~(ts >= 0.0)].flat[0]}")
+        raise ConfigError(f"t must be >= 0, got {ts[~(ts >= 0.0)].flat[0]}")
     if not (1.0 < alpha < 2.0):
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+        raise ConfigError(f"alpha must lie in (1, 2), got {alpha}")
     lam = np.asarray(eigs, dtype=float)
     if lam.ndim != 1:
-        raise ParameterError("eigs must be a one-dimensional sequence")
+        raise ConfigError("eigs must be a one-dimensional sequence")
     if np.any(lam > 0.0):
-        raise ParameterError("positive eigenvalue: outside the sectorial regime")
+        raise ConfigError("positive eigenvalue: outside the sectorial regime")
     z = np.multiply.outer(ts**alpha, lam)
     return _evaluate(alpha, 1.0, z.ravel()).reshape(z.shape)
 

@@ -171,9 +171,6 @@ class Trajectory:
     warnings: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
 
-    def value_at_time(self, t: float) -> FloatArray:
-        return self.values[..., self.grid.row(t), :]
-
     def right_value(self, m: int) -> FloatArray:
         """x(t_m^+): the left value plus I_k at impulse node m, else x(t_m)."""
         left = self.values[..., self.grid.fwd_row(m), :]
@@ -387,11 +384,3 @@ def solve_mild(
     if u.samples.ndim == 2:
         out, residuals = out[0], residuals[0]
     return Trajectory(grid, out, warnings=warnings_list, residuals=residuals)
-
-
-def nonlocal_residual(spec: ProblemSpec, traj: Trajectory) -> float:
-    """max over the history window of |x(s) + g(x)(s) - phi(s)|."""
-    grid = traj.grid
-    g_hist = _nonlocal_samples(spec, grid, traj.values)
-    mismatch = traj.values[: grid.n_hist + 1] + g_hist - spec.phi(grid.times[: grid.n_hist + 1])
-    return float(np.max(np.linalg.norm(mismatch, axis=1)))

@@ -188,6 +188,32 @@ def _kernel_by_hand(alpha: float, omega: float, n_modes: int, h: float, n: int):
     ]
 
 
+def _phi_by_hand(spec, s: float):
+    """phi(s) rebuilt from the descriptor's kind, coefficients and slope."""
+    import numpy as np
+
+    if spec.phi.kind == "zero":
+        return np.zeros(spec.n_modes)
+    if spec.phi.kind == "constant":
+        return np.array(spec.phi.coeffs, dtype=float)
+    return spec.phi.coeffs + s * spec.phi.slope
+
+
+def nonlocal_residual(spec, traj) -> float:
+    """max over the history rows of |x(s) + g(x)(s) - phi(s)|, one row and
+    one anchor at a time: g(x)(s) = sum_i c_i x(tau_i + s) is summed over
+    spec.nonlocal_terms, and traj.values[i] holds x at -r + i h."""
+    h = traj.grid.h
+    n_hist = round(spec.delay / h)
+    worst = 0.0
+    for i in range(n_hist + 1):
+        mismatch = traj.values[i] - _phi_by_hand(spec, (i - n_hist) * h)
+        for term in spec.nonlocal_terms:
+            mismatch = mismatch + term.c * traj.values[round(term.tau / h) + i]
+        worst = max(worst, math.sqrt(sum(float(v) ** 2 for v in mismatch)))
+    return worst
+
+
 def mild_map_by_hand(spec, h: float, values, bu):
     """The variation-of-parameters formula applied to one sampled path, one
     grid node at a time, on the grid of step h from -r to T.
@@ -215,13 +241,6 @@ def mild_map_by_hand(spec, h: float, values, bu):
     values = np.asarray(values, dtype=float)
     n_hist, n = round(spec.delay / h), round(spec.horizon / h)
     D = _kernel_by_hand(spec.alpha, spec.omega, spec.n_modes, h, n)
-
-    def phi(s):
-        if spec.phi.kind == "zero":
-            return np.zeros(spec.n_modes)
-        if spec.phi.kind == "constant":
-            return np.array(spec.phi.coeffs, dtype=float)
-        return spec.phi.coeffs + s * spec.phi.slope
 
     def g(i):  # g(x) at history row i
         total = np.zeros(spec.n_modes)
@@ -252,11 +271,11 @@ def mild_map_by_hand(spec, h: float, values, bu):
 
     out = np.empty_like(values)
     for i in range(n_hist + 1):
-        out[i] = phi((i - n_hist) * h) - g(i)
+        out[i] = _phi_by_hand(spec, (i - n_hist) * h) - g(i)
     impulses = {round(imp.t / h): imp.scale for imp in spec.impulses}
     forcing = [bu[j] + f1(values[n_hist + j]) + memory(j) for j in range(n + 1)]
     for m in range(n + 1):
-        x_m = D[m] * (phi(0.0) - g(n_hist))
+        x_m = D[m] * (_phi_by_hand(spec, 0.0) - g(n_hist))
         for k, scale in impulses.items():
             if k < m:
                 x_m = x_m + D[m - k] * (scale * values[n_hist + k])

@@ -39,11 +39,10 @@ from fracsteer.solver import (
     ControlSignal,
     Grid,
     contraction_check,
-    nonlocal_residual,
     solve_mild,
 )
 
-from oracles import lq_grid_search, ml_oracle
+from oracles import lq_grid_search, ml_oracle, nonlocal_residual
 
 TEST_ALPHAS = [1.1, 1.25, 1.5, 1.75, 1.9]
 
@@ -178,7 +177,7 @@ def test_criterion_4_impulse_composition():
             want = mittag_leffler(alpha, 1.0, -(t**alpha)) - mittag_leffler(
                 alpha, 1.0, -((t - t1) ** alpha)
             ) * e_t1
-        worst = max(worst, abs(traj.value_at_time(float(t))[0] - want))
+        worst = max(worst, abs(traj.values[grid.row(float(t)), 0] - want))
     ok = worst <= 1e-6
     _report(4, ok, f"max deviation from the ML composition {worst:.2e} (<= 1e-6)")
     assert worst <= 1e-6

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fracsteer import mittag, solver
 from fracsteer.cli import run
 from fracsteer.config import load_problem
-from fracsteer.errors import EvaluationError, ParameterError
+from fracsteer.errors import ConfigError, EvaluationError
 from fracsteer.mittag import mittag_leffler, solution_operator_diag
 
 from oracles import ml_branch_cut_oracle, ml_oracle
@@ -35,23 +35,23 @@ FROZEN = {
 
 class TestValidation:
     def test_alpha_range(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             mittag_leffler(0.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             mittag_leffler(2.5, 1.0, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             mittag_leffler(1.5, 0.0, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             mittag_leffler(1.5, 1.0, math.nan)
 
     def test_diag_rejects_positive_eigenvalue(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             solution_operator_diag(1.0, 1.5, [-1.0, 0.5])
 
     def test_diag_rejects_bad_t_and_alpha(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             solution_operator_diag(-0.1, 1.5, [-1.0])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigError):
             solution_operator_diag(1.0, 2.0, [-1.0])
 
 

@@ -221,7 +221,7 @@ class TestEvalG:
         grid = Grid(spec, 0.25)
         traj = Trajectory(grid, np.cos(grid.times)[:, None])
         np.testing.assert_allclose(
-            _nonlocal_samples(spec, grid, traj.values)[-1], traj.value_at_time(0.0)
+            _nonlocal_samples(spec, grid, traj.values)[-1], traj.values[grid.row(0.0)]
         )
 
     def test_weighted_sum_on_known_trajectory(self):

@@ -33,12 +33,11 @@ from fracsteer.solver import (
     eval_f,
     forcing_on_grid,
     mild_map,
-    nonlocal_residual,
     picard_factor,
     solve_mild,
 )
 
-from oracles import mild_map_by_hand, refined_convolution
+from oracles import mild_map_by_hand, nonlocal_residual, refined_convolution
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -148,7 +147,7 @@ class TestFreeResponse:
                 c * mittag_leffler(1.5, 1.0, lam[i] * t**1.5)
                 for i, c in enumerate([1.0, -0.5])
             ]
-            np.testing.assert_allclose(traj.value_at_time(t), want, atol=1e-12)
+            np.testing.assert_allclose(traj.values[grid.row(t)], want, atol=1e-12)
 
 
 class TestImpulse:
@@ -164,7 +163,7 @@ class TestImpulse:
             want = mittag_leffler(alpha, 1.0, -(t**alpha)) - mittag_leffler(
                 alpha, 1.0, -((t - t1) ** alpha)
             ) * e_t1
-            assert traj.value_at_time(t)[0] == pytest.approx(want, abs=1e-6)
+            assert traj.values[grid.row(t), 0] == pytest.approx(want, abs=1e-6)
 
     def test_left_limit_convention_and_jump_record(self):
         spec = make_spec(alpha=1.5, impulses=[ImpulseDescriptor(0.5, "linear", -1.0)])
@@ -281,10 +280,9 @@ class TestNonlocal:
         )
         grid = Grid(spec, 1.0 / 16.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
-        x_half = traj.value_at_time(0.5)
         for s in (-0.25, -0.125, 0.0):
-            want = spec.phi(s) - 0.3 * traj.value_at_time(0.5 + s)
-            np.testing.assert_allclose(traj.value_at_time(s), want, atol=1e-11)
+            want = spec.phi(s) - 0.3 * traj.values[grid.row(0.5 + s)]
+            np.testing.assert_allclose(traj.values[grid.row(s)], want, atol=1e-11)
 
 
 class TestPicardBehaviour:
