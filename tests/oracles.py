@@ -226,18 +226,17 @@ def mild_map_by_hand(spec, h: float, values, bu):
         + trapezoid sum over j <= m of D(t_m - t_j) F_j,
 
     with F_j = B u(t_j) + f1(x(t_j)) + the trapezoid sum of
-    exp(-rate (t_j - s)) f2(x(s)) over the window [t_j - r, t_j].  At an
-    impulse node t_k < t_m the trapezoid weight h is split in two halves:
-    one takes F_k, the other F_k with f1 at the right value x + I_k(x) (the
-    memory window still ends at x(t_k)).  D comes from _kernel_by_hand.
-    The nonlinearity, impulses, phi and eigenvalues are rebuilt here
-    from the descriptors' fields; nothing of the package's solver is used.
-    f must be of the memory kind.
+    exp(-rate (t_j - s)) f2(x(s)) over the window [t_j - r, t_j] for the
+    memory kind; the linear kind has f1(x) = gain x and no window sum, the
+    zero kind neither.  At an impulse node t_k < t_m the trapezoid weight h
+    is split in two halves: one takes F_k, the other F_k with f1 at the
+    right value x + I_k(x) (the memory window still ends at x(t_k)).  D comes
+    from _kernel_by_hand.  The nonlinearity, impulses, phi and eigenvalues
+    are rebuilt here from the descriptors' fields; nothing of the package's
+    solver is used.
     """
     import numpy as np
 
-    if spec.f_desc.kind != "memory":
-        raise ValueError("the oracle covers the memory nonlinearity only")
     values = np.asarray(values, dtype=float)
     n_hist, n = round(spec.delay / h), round(spec.horizon / h)
     D = _kernel_by_hand(spec.alpha, spec.omega, spec.n_modes, h, n)
@@ -248,7 +247,7 @@ def mild_map_by_hand(spec, h: float, values, bu):
             total += term.c * values[round(term.tau / h) + i]
         return total
 
-    p = spec.f_desc.params
+    kind, p = spec.f_desc.kind, spec.f_desc.params
 
     def form(name, gain, v):
         if name == "linear":
@@ -256,11 +255,15 @@ def mild_map_by_hand(spec, h: float, values, bu):
         return gain * v / (1.0 + math.sqrt(sum(c * c for c in v)))
 
     def f1(v):
+        if kind == "zero":
+            return np.zeros(spec.n_modes)
+        if kind == "linear":
+            return p.get("gain", 0.0) * v
         return form(p.get("f1_form", "linear"), p.get("f1_gain", 0.0), v)
 
     def memory(j):  # window of forward node j: rows j .. j + n_hist
         total = np.zeros(spec.n_modes)
-        if n_hist == 0:
+        if n_hist == 0 or kind != "memory":
             return total
         for i in range(n_hist + 1):
             wt = 0.5 * h if i in (0, n_hist) else h

@@ -608,12 +608,33 @@ class TestBatchAxis:
 class TestMildMapOracle:
     # mild_map and solve_mild against tests/oracles.py::mild_map_by_hand on
     # small random problems that have every ingredient the formula handles:
-    # a delay with a memory nonlinearity of each form, impulses, nonlocal
+    # a delay with a nonlinearity of each kind and form, impulses, nonlocal
     # terms and a nonzero control.
     TOL = 1e-11
 
     @staticmethod
-    def draw_problem(data):
+    def draw_memory_f(data, signed):
+        forms = st.sampled_from(["linear", "saturating"])
+        f1_gain, f2_gain = data.draw(signed), data.draw(signed)
+        return NonlinearityDescriptor(
+            "memory",
+            {"f1_gain": f1_gain, "f2_gain": f2_gain,
+             "kernel_rate": data.draw(st.floats(0.0, 3.0), label="rate"),
+             "f1_form": data.draw(forms, label="f1_form"),
+             "f2_form": data.draw(forms, label="f2_form")},
+            L1=abs(f1_gain), L2=abs(f2_gain), M1=1.0, holder_p=0.01,
+        )
+
+    @staticmethod
+    def draw_pointwise_f(data, signed):
+        # the kinds without a memory window: f = 0 and f = gain * x
+        if data.draw(st.sampled_from(["zero", "linear"]), label="f_kind") == "zero":
+            return NonlinearityDescriptor("zero", {}, holder_p=0.01)
+        gain = data.draw(signed, label="gain")
+        return NonlinearityDescriptor("linear", {"gain": gain}, L1=abs(gain), holder_p=0.01)
+
+    @classmethod
+    def draw_problem(cls, data, draw_f=None):
         n_fwd = data.draw(st.integers(6, 40), label="n_fwd")
         T = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="T")
         h = T / n_fwd
@@ -630,16 +651,7 @@ class TestMildMapOracle:
         ]
         anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
         nonlocal_terms = [NonlocalTerm(0.5 * data.draw(signed), m * h) for m in anchors]
-        forms = st.sampled_from(["linear", "saturating"])
-        f1_gain, f2_gain = data.draw(signed), data.draw(signed)
-        f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": f1_gain, "f2_gain": f2_gain,
-             "kernel_rate": data.draw(st.floats(0.0, 3.0), label="rate"),
-             "f1_form": data.draw(forms, label="f1_form"),
-             "f2_form": data.draw(forms, label="f2_form")},
-            L1=abs(f1_gain), L2=abs(f2_gain), M1=1.0, holder_p=0.01,
-        )
+        f = (draw_f or cls.draw_memory_f)(data, signed)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         phi = data.draw(st.sampled_from(["constant", "linear"]), label="phi")
         spec = ProblemSpec(
@@ -677,6 +689,25 @@ class TestMildMapOracle:
             np.testing.assert_array_equal(batch.values[i], single.values)
             step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
             assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_pointwise_kinds_match_oracle(self, data):
+        # f = 0 and f = gain * x: at an impulse node only the pointwise part
+        # of f takes the right value
+        spec, grid, rng = self.draw_problem(data, self.draw_pointwise_f)
+        n = spec.n_modes
+        values = rng.standard_normal((2, len(grid), n))
+        bu = rng.standard_normal((2, grid.n_fwd + 1, n))
+        got = mild_map(spec, grid, SolutionKernel(spec, grid), values, bu)
+        for i in range(2):
+            want = mild_map_by_hand(spec, grid.h, values[i], bu[i])
+            np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-13)
+
+        u = rng.standard_normal((grid.n_fwd + 1, n))
+        x = solve_mild(spec, ControlSignal(grid, u), tol=self.TOL).values
+        step = mild_map_by_hand(spec, grid.h, x, u @ spec.B.T) - x
+        assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
 
 
 class TestWarmStart:
