@@ -51,7 +51,6 @@ from .solver import (
     SolutionKernel,
     Trajectory,
     contraction_check,
-    forcing_on_grid,
     mild_map,
     picard_factor,
     solve_mild,

@@ -28,6 +28,7 @@ from .model import FloatArray, ProblemSpec
 from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, mild_map, solve_mild
 
 PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve, and of a sweep's u = 0 solve
+PICARD_MAX = 400  # Picard sweep budget of every inner solve
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ def steer(
     tol: float = 1e-8,
     max_outer: int = 120,
     picard_tol: float = PICARD_TOL,
-    picard_max: int = 400,
     free: Trajectory | None = None,
 ) -> tuple[SteeringReport, Trajectory, ControlSignal]:
     """Undamped outer fixed point x -> u_eps(x) -> x: each iterate solves
@@ -140,7 +140,7 @@ def steer(
     gram = grammian(spec, grid)
 
     u = ControlSignal.zeros(grid)
-    traj = free if free is not None else solve_mild(spec, u, tol=picard_tol, max_iter=picard_max)
+    traj = free if free is not None else solve_mild(spec, u, tol=picard_tol, max_iter=PICARD_MAX)
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
     diffs, du_prev, x_prev = [], None, None
@@ -155,7 +155,7 @@ def steer(
             a = np.sum(du * du_prev) / np.sum(du_prev * du_prev)
             start = Trajectory(grid, traj.values + a * (traj.values - x_prev.values))
         du_prev, x_prev = du, traj
-        traj = solve_mild(spec, u, tol=inner_tol, max_iter=picard_max, start=start)
+        traj = solve_mild(spec, u, tol=inner_tol, max_iter=PICARD_MAX, start=start)
         inner.append(traj.residuals)
         if diffs[-1] <= tol:
             break
@@ -197,7 +197,6 @@ def epsilon_sweep(
     eps_list,
     tol: float = 1e-8,
     max_outer: int = 120,
-    picard_max: int = 400,
 ) -> SweepResult:
     """One steering run per eps (strictly decreasing list), all from one
     shared u = 0 solve, which does not depend on eps and is solved as steer
@@ -211,14 +210,13 @@ def epsilon_sweep(
 
     def run_one(eps: float) -> SweepEntry:
         try:
-            report, _, _ = steer(spec, grid, h, eps, tol=tol, max_outer=max_outer,
-                                 picard_max=picard_max, free=free)
+            report, _, _ = steer(spec, grid, h, eps, tol=tol, max_outer=max_outer, free=free)
             return SweepEntry(eps=eps, report=report)
         except (ConvergenceError, EvaluationError) as exc:
             return SweepEntry(eps=eps, error=str(exc))
 
     try:
-        free = solve_mild(spec, ControlSignal.zeros(grid), tol=PICARD_TOL, max_iter=picard_max)
+        free = solve_mild(spec, ControlSignal.zeros(grid), tol=PICARD_TOL, max_iter=PICARD_MAX)
     except (ConvergenceError, EvaluationError) as exc:
         entries = [SweepEntry(eps=e, error=str(exc)) for e in eps_list]
     else:

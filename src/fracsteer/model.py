@@ -69,26 +69,19 @@ class NonlocalTerm:
 
 @dataclass(frozen=True)
 class HistorySegment:
-    """Trailing delay windows: samples of x(t + s), s in [-r, 0], aligned with
-    the trajectory grid.  base_t is the absolute time of a window's right
-    end, so sample j sits at absolute time base_t + offsets[j].
+    """Trailing delay windows of M grid nodes one step apart: window i holds
+    samples of x(t_i + s), s in offsets, aligned with the trajectory grid.
+    values holds the M + W - 1 trajectory rows the windows share
+    (W = len(offsets)) and window i is values[i : i + W]; leading axes of
+    values stack paths."""
 
-    A scalar base_t describes one window and values holds its samples.  An
-    array of M window ends describes M windows one grid step apart: values
-    then holds the M + W - 1 trajectory rows they share (W = len(offsets))
-    and window i is values[i : i + W]; leading axes of values stack paths."""
-
-    base_t: float | FloatArray
     offsets: FloatArray  # uniform, offsets[0] = -r, offsets[-1] = 0
     values: FloatArray  # shape (..., M + W - 1, N)
 
-    def sup_norm(self) -> float | FloatArray:
-        """Largest sample norm in each window (a float for one window)."""
-        if self.values.size == 0:
-            return 0.0
+    def sup_norm(self) -> FloatArray:
+        """Largest sample norm in each window."""
         norms = np.linalg.norm(self.values, axis=-1)
-        sup = sliding_window_view(norms, len(self.offsets), axis=-1).max(axis=-1)
-        return sup if np.ndim(self.base_t) else float(sup[0])
+        return sliding_window_view(norms, len(self.offsets), axis=-1).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,17 @@ class NonlinearityDescriptor:
             )
         return False
 
-    def _pointwise(self, form: str, gain: float, x: FloatArray) -> FloatArray:
+    def pointwise(self, x: FloatArray) -> FloatArray:
+        """The part of f that depends on x(t) alone: gain * x for "linear",
+        f1(x) for "memory", 0 for "zero"."""
+        p = self.params
+        if self.kind == "zero":
+            return np.zeros_like(x)
+        if self.kind == "linear":
+            return self._form("linear", float(p.get("gain", 0.0)), x)
+        return self._form(p.get("f1_form", "linear"), float(p.get("f1_gain", 0.0)), x)
+
+    def _form(self, form: str, gain: float, x: FloatArray) -> FloatArray:
         if form == "linear":
             return gain * x
         return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))  # "saturating"
@@ -316,41 +319,32 @@ class ProblemSpec:
         return x
 
 
-def eval_f(
-    spec: ProblemSpec, t: float | FloatArray, x: FloatArray, hist: HistorySegment
-) -> FloatArray:
-    """Nonlinearity value f(t, x, x_t), at one time or at a stack of them.
+def eval_f(spec: ProblemSpec, t: FloatArray, x: FloatArray, hist: HistorySegment) -> FloatArray:
+    """Nonlinearity value f(t, x, x_t) at a stack of times.
 
-    With an array t, x holds one state row per time and hist the matching
-    stacked windows; leading axes of x and hist.values stack paths.  The
-    memory kind integrates h(t-s) f2(s, x(s)) over each trailing delay window
-    by the composite trapezoid rule on the window's own sub-grid: f2 is
-    applied once per trajectory row, then every window is summed over a
-    sliding view of those rows.
+    x holds one state row per time and hist the matching stacked windows;
+    leading axes of x and hist.values stack paths.  f is its pointwise part
+    plus, for the memory kind, h(t-s) f2(s, x(s)) integrated over each
+    trailing delay window by the composite trapezoid rule on the window's own
+    sub-grid: f2 is applied once per trajectory row, then every window is
+    summed over a sliding view of those rows.
     """
     ts = np.asarray(t, dtype=float)
     outside = ~((0.0 <= ts) & (ts <= spec.horizon + 1e-12))
     if np.any(outside):
         raise DomainError(f"t={ts[outside].flat[0]} outside [0, T]")
-    desc = spec.f_desc
-    x = np.asarray(x, dtype=float)
-    if desc.kind == "zero":
-        return np.zeros_like(x)
-    if desc.kind == "linear":
-        return desc._pointwise("linear", float(desc.params.get("gain", 0.0)), x)
-    # memory kind
-    p = desc.params
-    f1 = desc._pointwise(p.get("f1_form", "linear"), float(p.get("f1_gain", 0.0)), x)
-    f2_gain = float(p.get("f2_gain", 0.0))
+    desc, p = spec.f_desc, spec.f_desc.params
+    f1 = desc.pointwise(np.asarray(x, dtype=float))
+    f2_gain = float(p.get("f2_gain", 0.0))  # 0 unless the kind is memory
     width = len(hist.offsets)
     if f2_gain == 0.0 or width < 2:
         return f1
     rate = float(p.get("kernel_rate", 1.0))
-    rows = desc._pointwise(p.get("f2_form", "linear"), f2_gain, hist.values)
+    rows = desc._form(p.get("f2_form", "linear"), f2_gain, hist.values)
     w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
     w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
     windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
-    return f1 + (windows @ w).reshape(x.shape)
+    return f1 + windows @ w
 
 
 def eval_impulse(spec: ProblemSpec, k: int, x_left: FloatArray) -> FloatArray:

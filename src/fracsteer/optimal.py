@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import FloatArray, HistorySegment, ProblemSpec
-from .solver import ControlSignal, Grid, Trajectory, solve_mild
+from .solver import ControlSignal, Grid, solve_mild
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,22 @@ class CostDescriptor:
         if self.f_u > self.w_control:
             raise ConfigError("coercivity f_u cannot exceed the control weight")
 
-    def evaluate(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray):
-        """L at one time (a float), or at a stack of times with one row of x
-        and u per time and hist the matching stacked windows (an array);
-        leading axes of x, u and hist.values stack paths."""
+    def evaluate(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
+        """L at a stack of times: one row of x and u per time and hist the
+        matching stacked windows; leading axes of x, u and hist.values stack
+        paths."""
         hist_norm = hist.sup_norm() if self.w_hist != 0.0 else 0.0
-        value = (
+        return (
             self.w_state * np.einsum("...i,...i->...", x, x)
             + self.w_hist * hist_norm**2
             + self.w_control * np.einsum("...i,...i->...", u, u)
         )
-        return value if np.ndim(value) else float(value)
 
-    def lower_bound(self, t: float, x: FloatArray, hist: HistorySegment, u: FloatArray) -> float:
+    def lower_bound(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
         return (
-            self.d * float(np.linalg.norm(x))
+            self.d * np.linalg.norm(x, axis=-1)
             + self.e * hist.sup_norm()
-            + self.f_u * float(np.dot(u, u))
+            + self.f_u * np.einsum("...i,...i->...", u, u)
         )
 
 
@@ -113,11 +112,9 @@ def eval_cost(
     cost: CostDescriptor,
     u: ControlSignal,
     tol: float = 1e-10,
-    traj: Trajectory | None = None,
 ) -> float | FloatArray:
     """Trapezoid approximation of int_0^T L dt along the solved trajectory, per path."""
-    if traj is None:
-        traj = solve_mild(spec, u, tol=tol)
+    traj = solve_mild(spec, u, tol=tol)
     grid = u.grid
     samples = cost.evaluate(
         grid.forward_times(), traj.forward_values(), traj.history(), u.samples

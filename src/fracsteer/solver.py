@@ -10,8 +10,10 @@ impulses and to quadrature accuracy,
 
 with D the diagonal solution operator, while x(s) = phi(s) - g(x)(s) holds on
 [-r, 0].  mild_map applies this formula to a sampled path.  Values stored at
-impulse nodes are left limits; the right value x(t_k^-) + I_k(x(t_k^-)) is
-used by every integral segment that starts there.
+impulse nodes are left limits.  The integral segment that starts at t_k
+takes f at the right value x(t_k^+) = x(t_k^-) + I_k(x(t_k^-)), while the
+delay window x_{t_k} still ends at x(t_k^-), so only the pointwise part of f
+jumps there.
 """
 
 from __future__ import annotations
@@ -189,11 +191,7 @@ class Trajectory:
         """Trailing delay windows ending at every forward node, stacked over
         the stored rows: window m is values[m : m + n_hist + 1]."""
         g = self.grid
-        return HistorySegment(
-            base_t=g.forward_times(),
-            offsets=np.arange(-g.n_hist, 1) * g.h,
-            values=self.values,
-        )
+        return HistorySegment(offsets=np.arange(-g.n_hist, 1) * g.h, values=self.values)
 
 
 def contraction_check(spec: ProblemSpec, eps: float) -> float:
@@ -219,20 +217,13 @@ def picard_factor(spec: ProblemSpec) -> float:
     )
 
 
-def _convolve_all(
-    kernel: SolutionKernel,
-    forcing: FloatArray,
-    h: float,
-    right_overrides: dict,
-) -> FloatArray:
+def _convolve_all(kernel: SolutionKernel, forcing: FloatArray, h: float) -> FloatArray:
     """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every node m,
     with kernel.table[l] = D(l h) and forcing[..., j, :] = w(t_j).
 
     One real-FFT product gives h * sum_{j <= m} D(t_m - t_j) w(t_j) for all m
     at once (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
-    1985); the two half-weight endpoint terms are then taken off.
-    right_overrides maps an impulse node j to the forcing's right value
-    there, so each segment starting at j integrates the correct branch."""
+    1985); the two half-weight endpoint terms are then taken off."""
     n = forcing.shape[-2]
     size = next_fast_len(2 * n - 1, real=True)
     ker = kernel.table[:n]
@@ -242,30 +233,7 @@ def _convolve_all(
     out *= h
     out -= 0.5 * h * (ker * forcing[..., :1, :] + ker[0] * forcing)
     out[..., 0, :] = 0.0
-    for j, f_right in right_overrides.items():
-        jump = f_right - forcing[..., j, :]
-        out[..., j + 1 :, :] += 0.5 * h * ker[1 : n - j] * jump[..., None, :]
     return out
-
-
-def forcing_on_grid(
-    spec: ProblemSpec, grid: Grid, values: FloatArray, right
-) -> tuple[FloatArray, dict]:
-    """f(s, x(s), x_s) along the sampled path values (rows of grid.times).
-
-    Returns f on every forward node, evaluated at the stored (left) values,
-    and a map from each impulse node to f evaluated at the right value given
-    for it in right (one row per impulse).  Every memory window ends at the
-    stored left value, the impulse node's own window included."""
-    hist = Trajectory(grid, values).history()
-    ts = grid.forward_times()
-    f_left = eval_f(spec, ts, values[..., grid.n_hist :, :], hist)
-    width, offsets = grid.n_hist + 1, hist.offsets
-    f_right = {
-        m: eval_f(spec, ts[m], x, HistorySegment(ts[m], offsets, values[..., m : m + width, :]))
-        for m, x in zip(grid.impulse_nodes, right)
-    }
-    return f_left, f_right
 
 
 def _nonlocal_samples(spec: ProblemSpec, grid: Grid, values: FloatArray) -> FloatArray:
@@ -288,24 +256,28 @@ def mild_map(
     + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with kernel the
     grid's SolutionKernel and bu the input B u on every forward node.  Leading
     axes of values and bu stack paths, each mapped on its own.
+
+    f is evaluated once, at the stored left values.  At impulse node m the
+    trapezoid segment starting there takes f at the right value instead;
+    the delay window ends at the left value on both sides, so the half
+    weight h/2 carries only the jump of f's pointwise part, added with
+    I_k(values(t_m^-)) in one term per later node.
     """
-    n_hist = grid.n_hist
+    n_hist, table = grid.n_hist, kernel.table
     out = np.empty_like(values)
     out[..., : n_hist + 1, :] = spec.phi(grid.times[: n_hist + 1])
     out[..., : n_hist + 1, :] -= _nonlocal_samples(spec, grid, values)
 
-    # forcing at the left limits of every node and the right values of the
-    # impulse nodes
-    lefts = [values[..., grid.fwd_row(m), :] for m in grid.impulse_nodes]
-    jumps = [eval_impulse(spec, k, x) for k, x in enumerate(lefts)]
-    f_left, f_right = forcing_on_grid(
-        spec, grid, values, [x + jump for x, jump in zip(lefts, jumps)]
-    )
-    right_overrides = {m: f + bu[..., m, :] for m, f in f_right.items()}
-    fwd = kernel.table * out[..., n_hist, None, :]
-    fwd += _convolve_all(kernel, bu + f_left, grid.h, right_overrides)
-    for m_imp, jump in zip(grid.impulse_nodes, jumps):
-        fwd[..., m_imp + 1 :, :] += kernel.table[1 : grid.n_fwd + 1 - m_imp] * jump[..., None, :]
+    x = values[..., n_hist:, :]
+    f = eval_f(spec, grid.forward_times(), x, Trajectory(grid, values).history())
+    fwd = table * out[..., n_hist, None, :]
+    fwd += _convolve_all(kernel, bu + f, grid.h)
+    pointwise = spec.f_desc.pointwise
+    for k, m in enumerate(grid.impulse_nodes):
+        left = x[..., m, :]
+        jump = eval_impulse(spec, k, left)
+        kick = jump + 0.5 * grid.h * (pointwise(left + jump) - pointwise(left))
+        fwd[..., m + 1 :, :] += table[1 : grid.n_fwd + 1 - m] * kick[..., None, :]
     out[..., n_hist:, :] = fwd
     return out
 

@@ -232,9 +232,7 @@ class TestSweep:
         # record the failure and the sweep itself must not raise
         spec = make_spec(n=1, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
         grid = Grid(spec, 0.25)
-        result = epsilon_sweep(
-            spec, grid, np.array([0.5]), [1e-1, 1e-2], picard_max=10
-        )
+        result = epsilon_sweep(spec, grid, np.array([0.5]), [1e-1, 1e-2])
         assert all(e.report is None and e.error for e in result.entries)
 
 

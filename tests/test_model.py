@@ -106,7 +106,7 @@ class TestValidation:
 
 def flat_history(spec, grid, value):
     offs = np.arange(-grid.n_hist, 1) * grid.h
-    return HistorySegment(0.0, offs, np.tile(value, (len(offs), 1)))
+    return HistorySegment(offs, np.tile(value, (len(offs), 1)))  # one window
 
 
 class TestEvalF:
@@ -114,7 +114,7 @@ class TestEvalF:
         spec = make_spec(n=3)
         grid = Grid(spec, 0.25)
         x = np.array([1.0, 2.0, 3.0])
-        out = eval_f(spec, 0.5, x, flat_history(spec, grid, x))
+        out = eval_f(spec, [0.5], [x], flat_history(spec, grid, x))[0]
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_memory_with_kernel_off(self):
@@ -128,7 +128,7 @@ class TestEvalF:
         spec = make_spec(n=2, r=0.5, f=f)
         grid = Grid(spec, 0.25)
         x = np.array([2.0, -1.0])
-        out = eval_f(spec, 0.75, x, flat_history(spec, grid, x))
+        out = eval_f(spec, [0.75], [x], flat_history(spec, grid, x))[0]
         np.testing.assert_allclose(out, 0.3 * x)
 
     def test_memory_integral_against_hand_quadrature(self):
@@ -144,8 +144,8 @@ class TestEvalF:
         spec = make_spec(n=1, r=r, T=2.0, f=f)
         offs = np.linspace(-r, 0.0, 5)
         hist_vals = np.array([[1.0], [1.0], [-2.0], [-2.0], [0.5]])
-        hist = HistorySegment(1.0, offs, hist_vals)
-        got = eval_f(spec, 1.0, np.array([0.0]), hist)[0]
+        hist = HistorySegment(offs, hist_vals)
+        got = eval_f(spec, [1.0], [[0.0]], hist)[0, 0]
         h_step = r / 4
         expected = 0.0
         for j, s in enumerate(offs):
@@ -178,14 +178,14 @@ class TestEvalF:
             x2 = rng.standard_normal(2)
             hv1 = rng.standard_normal((len(offs), 2))
             hv2 = rng.standard_normal((len(offs), 2))
-            h1 = HistorySegment(0.5, offs, hv1)
-            h2 = HistorySegment(0.5, offs, hv2)
+            h1 = HistorySegment(offs, hv1)
+            h2 = HistorySegment(offs, hv2)
             d_state = np.linalg.norm(
-                eval_f(spec, 0.5, x1, h1) - eval_f(spec, 0.5, x2, h1)
+                eval_f(spec, [0.5], [x1], h1) - eval_f(spec, [0.5], [x2], h1)
             )
             assert d_state <= 1.01 * f.L1 * np.linalg.norm(x1 - x2) + 1e-12
             d_hist = np.linalg.norm(
-                eval_f(spec, 0.5, x1, h1) - eval_f(spec, 0.5, x1, h2)
+                eval_f(spec, [0.5], [x1], h1) - eval_f(spec, [0.5], [x1], h2)
             )
             sup_dist = np.max(np.linalg.norm(hv1 - hv2, axis=1))
             assert d_hist <= 1.01 * f.L2 * sup_dist + 1e-12
@@ -203,7 +203,7 @@ class TestEvalF:
         rng = np.random.default_rng(11)
         for _ in range(25):
             x = 10.0 * rng.standard_normal(2)
-            out = eval_f(spec, 0.5, x, flat_history(spec, grid, x))
+            out = eval_f(spec, [0.5], [x], flat_history(spec, grid, x))[0]
             assert np.linalg.norm(out) <= f.M1 + 1e-12
 
 

@@ -90,14 +90,14 @@ class TestEvalCost:
         offs = np.arange(-grid.n_hist, 1) * grid.h
         samples = [
             cost.evaluate(
-                float(t), traj.values[grid.fwd_row(m)],
-                HistorySegment(float(t), offs, traj.values[m : m + grid.n_hist + 1]),
-                u.samples[m],
-            )
+                [t], traj.values[grid.fwd_row(m)][None],
+                HistorySegment(offs, traj.values[m : m + grid.n_hist + 1]),
+                u.samples[m][None],
+            )[0]
             for m, t in enumerate(grid.forward_times())
         ]
         want = float(grid.trapezoid_weights(grid.n_fwd) @ samples)
-        assert eval_cost(spec, cost, u, traj=traj) == pytest.approx(want, rel=1e-14)
+        assert eval_cost(spec, cost, u) == pytest.approx(want, rel=1e-14)
 
     def test_lower_bound_holds_on_random_samples(self):
         spec = make_spec(n=2, r=0.25, phi_coeffs=[1.0, -0.5])
@@ -109,10 +109,11 @@ class TestEvalCost:
         width = len(windows.offsets)
         for _ in range(50):
             m = int(rng.integers(0, grid.n_fwd + 1))
-            t = float(grid.forward_times()[m])
-            u = rng.standard_normal(2)
-            x = traj.values[grid.fwd_row(m)]
-            hist = HistorySegment(t, windows.offsets, windows.values[m : m + width])
+            # stacks of one time, state, window and control
+            t = grid.forward_times()[m : m + 1]
+            u = rng.standard_normal((1, 2))
+            x = traj.values[grid.fwd_row(m)][None]
+            hist = HistorySegment(windows.offsets, windows.values[m : m + width])
             assert cost.evaluate(t, x, hist, u) >= cost.lower_bound(t, x, hist, u) - 1e-12
 
 

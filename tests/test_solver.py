@@ -31,7 +31,6 @@ from fracsteer.solver import (
     _convolve_all,
     contraction_check,
     eval_f,
-    forcing_on_grid,
     mild_map,
     picard_factor,
     solve_mild,
@@ -96,7 +95,7 @@ class TestConvolve:
     def test_zero_forcing(self):
         spec = make_spec()
         grid = Grid(spec, 0.01)
-        out = _convolve_all(SolutionKernel(spec, grid), np.zeros((101, 1)), grid.h, {})[-1]
+        out = _convolve_all(SolutionKernel(spec, grid), np.zeros((101, 1)), grid.h)[-1]
         np.testing.assert_array_equal(out, np.zeros(1))
 
     def test_unit_kernel_weights_integrate_to_t(self):
@@ -111,7 +110,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 400.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h, {})[-1, 0]
+        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h)[-1, 0]
         want = t * mittag_leffler(1.5, 2.0, -(t**1.5))
         assert got == pytest.approx(want, abs=5e-6)
 
@@ -120,7 +119,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 100.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h, {})[-1, 0]
+        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h)[-1, 0]
         want = refined_convolution(1.5, -1.0, lambda s: 1.0, t, refine=10)
         # agreement at O(dt^2): coarse grid error ~ (10x finer)^2 * 100
         assert got == pytest.approx(want, abs=1e-4)
@@ -511,50 +510,37 @@ class TestImpulseNodeForcing:
 
 class TestWholeGridPrimitives:
     def test_match_per_node_evaluation(self):
-        # forcing_on_grid against eval_f on one window per node, and the FFT
-        # convolution against the direct trapezoid sum with the impulse
-        # segment's right value; the sums only change order, so the gaps
-        # stay at rounding level
+        # whole-grid eval_f against one call per window, and the FFT
+        # convolution against the direct trapezoid sum; the sums only change
+        # order, so the gaps stay at rounding level
         f = NonlinearityDescriptor(
             "memory",
             {"f1_gain": 0.3, "f2_gain": 0.2, "kernel_rate": 2.0,
              "f1_form": "saturating", "f2_form": "saturating"},
             L1=0.3, L2=0.2, M1=0.5, holder_p=0.4,
         )
-        spec = make_spec(
-            n=3, omega=0.5, r=0.25, f=f,
-            impulses=[ImpulseDescriptor(0.25, "linear", -0.5),
-                      ImpulseDescriptor(0.75, "linear", 0.3)],
-        )
+        spec = make_spec(n=3, omega=0.5, r=0.25, f=f)
         grid = Grid(spec, 1.0 / 40.0)
         rng = np.random.default_rng(5)
         values = rng.standard_normal((len(grid), 3))
-        right = rng.standard_normal((len(grid.impulse_nodes), 3))
-        f_left, f_right = forcing_on_grid(spec, grid, values, right)
-        assert sorted(f_right) == list(grid.impulse_nodes)
+        ts = grid.forward_times()
+        forcing = eval_f(spec, ts, values[grid.n_hist :], Trajectory(grid, values).history())
 
         offs = np.arange(-grid.n_hist, 1) * grid.h
-        for m, t in enumerate(grid.forward_times()):
-            window = HistorySegment(float(t), offs, values[m : m + grid.n_hist + 1])
-            want = eval_f(spec, float(t), values[grid.fwd_row(m)], window)
-            np.testing.assert_allclose(f_left[m], want, rtol=0, atol=1e-15)
-            if m in grid.impulse_nodes:
-                k = grid.impulse_nodes.index(m)
-                want = eval_f(spec, float(t), right[k], window)
-                np.testing.assert_allclose(f_right[m], want, rtol=0, atol=1e-15)
+        for m in range(grid.n_fwd + 1):
+            window = HistorySegment(offs, values[m : m + grid.n_hist + 1])
+            want = eval_f(spec, ts[m : m + 1], values[grid.fwd_row(m)][None], window)[0]
+            np.testing.assert_allclose(forcing[m], want, rtol=0, atol=1e-15)
 
         kernel = SolutionKernel(spec, grid)
         table = kernel.table
-        conv = _convolve_all(kernel, f_left, grid.h, f_right)
+        conv = _convolve_all(kernel, forcing, grid.h)
         np.testing.assert_array_equal(conv[0], 0.0)
         for m in range(1, grid.n_fwd + 1):
             want = np.zeros(3)
             for j in range(m + 1):
                 wt = grid.h if 0 < j < m else 0.5 * grid.h
-                want += wt * table[m - j] * f_left[j]
-            for j, fr in f_right.items():
-                if j < m:
-                    want += 0.5 * grid.h * table[m - j] * (fr - f_left[j])
+                want += wt * table[m - j] * forcing[j]
             np.testing.assert_allclose(conv[m], want, rtol=0, atol=1e-14)
 
 

@@ -4,10 +4,14 @@ there without failing the run, and every per-layer metric built on it drops
 out of the result, so a rename or a deletion must fail here instead."""
 
 import importlib
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 # gone since the kernel table is built in array code
 KNOWN_MISSING = {"fracsteer.solver.mittag_leffler"}
@@ -20,3 +24,20 @@ def test_every_span_target_resolves():
         if not hasattr(importlib.import_module(module_name), attr):
             missing.add(f"{module_name}.{attr}")
     assert missing <= KNOWN_MISSING
+
+
+def _refuse(constant):
+    raise ValueError(f"non-finite number {constant} in the result line")
+
+
+def test_traced_steer_run_prints_a_well_formed_result():
+    # a traced run can exit 0 and still print a result line the benchmark
+    # cannot use; run one end to end (about 5 s)
+    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload",
+           "steer_flagship_400", "--seed", "0", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_refuse)
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} <= set(result["metrics"])
