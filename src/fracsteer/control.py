@@ -55,10 +55,6 @@ class SteeringReport:
     converged: bool = True
     warnings: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.terminal_error < 0.0 or self.control_energy < 0.0:
-            raise ConfigError("report metrics must be non-negative")
-
 
 def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
     """Trapezoid-rule Grammian on the trajectory grid.
@@ -79,8 +75,7 @@ def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
     grid = x.grid
     if grid.spec is not spec:
         raise DomainError("trajectory grid belongs to a different problem instance")
-    kernel = SolutionKernel(spec, grid)
-    return h - mild_map(spec, grid, kernel, x.values, np.zeros_like(kernel.table))[-1]
+    return h - mild_map(grid, x.values, np.zeros_like(grid.kernel_table))[-1]
 
 
 def synthesize_control(

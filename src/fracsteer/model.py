@@ -319,8 +319,8 @@ class ProblemSpec:
         return x
 
 
-def eval_f(spec: ProblemSpec, t: FloatArray, x: FloatArray, hist: HistorySegment) -> FloatArray:
-    """Nonlinearity value f(t, x, x_t) at a stack of times.
+def eval_f(spec: ProblemSpec, x: FloatArray, hist: HistorySegment) -> FloatArray:
+    """Nonlinearity value f(t, x, x_t) at a stack of times; no kind reads t.
 
     x holds one state row per time and hist the matching stacked windows;
     leading axes of x and hist.values stack paths.  f is its pointwise part
@@ -329,10 +329,6 @@ def eval_f(spec: ProblemSpec, t: FloatArray, x: FloatArray, hist: HistorySegment
     sub-grid: f2 is applied once per trajectory row, then every window is
     summed over a sliding view of those rows.
     """
-    ts = np.asarray(t, dtype=float)
-    outside = ~((0.0 <= ts) & (ts <= spec.horizon + 1e-12))
-    if np.any(outside):
-        raise DomainError(f"t={ts[outside].flat[0]} outside [0, T]")
     desc, p = spec.f_desc, spec.f_desc.params
     f1 = desc.pointwise(np.asarray(x, dtype=float))
     f2_gain = float(p.get("f2_gain", 0.0))  # 0 unless the kind is memory

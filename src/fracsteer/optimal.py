@@ -45,7 +45,7 @@ class CostDescriptor:
         if self.f_u > self.w_control:
             raise ConfigError("coercivity f_u cannot exceed the control weight")
 
-    def evaluate(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
+    def evaluate(self, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
         """L at a stack of times: one row of x and u per time and hist the
         matching stacked windows; leading axes of x, u and hist.values stack
         paths."""
@@ -56,7 +56,7 @@ class CostDescriptor:
             + self.w_control * np.einsum("...i,...i->...", u, u)
         )
 
-    def lower_bound(self, t, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
+    def lower_bound(self, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
         return (
             self.d * np.linalg.norm(x, axis=-1)
             + self.e * hist.sup_norm()
@@ -116,9 +116,7 @@ def eval_cost(
     """Trapezoid approximation of int_0^T L dt along the solved trajectory, per path."""
     traj = solve_mild(spec, u, tol=tol)
     grid = u.grid
-    samples = cost.evaluate(
-        grid.forward_times(), traj.forward_values(), traj.history(), u.samples
-    )
+    samples = cost.evaluate(traj.forward_values(), traj.history(), u.samples)
     w = grid.trapezoid_weights(grid.n_fwd)
     # one dot product per path: a matrix-vector product rounds differently
     return float(w @ samples) if samples.ndim == 1 else np.array([w @ row for row in samples])

@@ -9,18 +9,18 @@ impulses and to quadrature accuracy,
          + int_0^t D(t - s) (B u(s) + f(s, x(s), x_s)) ds,
 
 with D the diagonal solution operator, while x(s) = phi(s) - g(x)(s) holds on
-[-r, 0].  mild_map applies this formula to a sampled path.  Values stored at
-impulse nodes are left limits.  The integral segment that starts at t_k
-takes f at the right value x(t_k^+) = x(t_k^-) + I_k(x(t_k^-)), while the
-delay window x_{t_k} still ends at x(t_k^-), so only the pointwise part of f
-jumps there.
+[-r, 0].  mild_map applies this formula to a sampled path, with D tabulated
+once per Grid (Grid.kernel_table).  Values stored at impulse nodes are left
+limits.  The integral segment that starts at t_k takes f at the right value
+x(t_k^+) = x(t_k^-) + I_k(x(t_k^-)), while the delay window x_{t_k} still
+ends at x(t_k^-), so only the pointwise part of f jumps there.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -32,9 +32,11 @@ from .model import (
 )
 
 _NODE_TOL = 1e-9
-# Largest number of grid steps a span may take: a mistyped T, r or dt must
-# not allocate arrays with that many rows.
+# Largest number of grid steps a span may take, and of grid rows times modes
+# (80 MB of float64 per array): a mistyped T, r, N or dt must not allocate
+# arrays that large.
 _MAX_STEPS = 10**6
+_MAX_CELLS = 10**7
 
 
 def _as_steps(value: float, h: float, what: str) -> int:
@@ -70,6 +72,9 @@ class Grid:
         imp = tuple(_as_steps(d.t, self.h, f"impulse time {d.t}") for d in self.spec.impulses)
         for term in self.spec.nonlocal_terms:
             _as_steps(term.tau, self.h, f"nonlocal anchor {term.tau}")
+        rows, n = nh + nf + 1, self.spec.n_modes
+        if rows * n > _MAX_CELLS:
+            raise ConfigError(f"grid of {rows} rows x N={n} modes exceeds {_MAX_CELLS} cells")
         object.__setattr__(self, "n_hist", nh)
         object.__setattr__(self, "n_fwd", nf)
         object.__setattr__(self, "times", np.arange(-nh, nf + 1) * self.h)
@@ -100,37 +105,28 @@ class Grid:
     def trapezoid_weights(self, m: int) -> FloatArray:
         return trapezoid_weights(m + 1, self.h)
 
+    @cached_property
+    def kernel_table(self) -> FloatArray:
+        """table[m, n] = E_{alpha,1}(lam_n * (m h)^alpha) on every lag 0..n_fwd,
+        built on first use and kept while the grid lives."""
+        lags = np.arange(self.n_fwd + 1) * self.h
+        return solution_operator_diag(lags, self.spec.alpha, self.spec.eigenvalues)
 
-# Kernel tables are shared across Picard sweeps, outer iterations and the
-# entries of an epsilon sweep; a handful of (alpha, grid, eigs) keys suffices.
-_KERNEL_CACHE: OrderedDict = OrderedDict()
-_KERNEL_CACHE_MAX = 8
+    @cached_property
+    def kernel_spectrum(self) -> FloatArray:
+        """Real FFT of kernel_table, zero-padded for a linear convolution over
+        the forward grid; the first convolution builds it."""
+        size = next_fast_len(2 * self.n_fwd + 1, real=True)
+        return rfft(self.kernel_table, size, axis=0)
 
 
 class SolutionKernel:
-    """Table of the diagonal solution operator on every grid lag:
-    table[m, n] = E_{alpha,1}(lam_n * (m h)^alpha).  spectra[n] caches the
-    real FFT of table[:n] that _convolve_all uses, with the table."""
+    """The kernel table of grid, which must be a grid of spec."""
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
-        self.spec = spec
-        self.grid = grid
-        key = (
-            spec.alpha,
-            grid.h,
-            grid.n_fwd,
-            spec.eigenvalues.tobytes(),
-        )
-        cached = _KERNEL_CACHE.get(key)
-        if cached is not None:
-            _KERNEL_CACHE.move_to_end(key)
-            self.table, self.spectra = cached
-            return
-        lags = np.arange(grid.n_fwd + 1) * grid.h
-        table = solution_operator_diag(lags, spec.alpha, spec.eigenvalues)
-        self.table, self.spectra = _KERNEL_CACHE[key] = table, {}
-        if len(_KERNEL_CACHE) > _KERNEL_CACHE_MAX:
-            _KERNEL_CACHE.popitem(last=False)
+        if grid.spec is not spec:
+            raise DomainError("grid belongs to a different problem instance")
+        self.table = grid.kernel_table
 
 
 @dataclass
@@ -217,45 +213,41 @@ def picard_factor(spec: ProblemSpec) -> float:
     )
 
 
-def _convolve_all(kernel: SolutionKernel, forcing: FloatArray, h: float) -> FloatArray:
-    """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every node m,
-    with kernel.table[l] = D(l h) and forcing[..., j, :] = w(t_j).
+def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
+    """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every forward
+    node m, with D(l h) = grid.kernel_table[l] and forcing[..., j, :] = w(t_j).
 
     One real-FFT product gives h * sum_{j <= m} D(t_m - t_j) w(t_j) for all m
     at once (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
     1985); the two half-weight endpoint terms are then taken off."""
-    n = forcing.shape[-2]
+    h, ker, n = grid.h, grid.kernel_table, grid.n_fwd + 1
     size = next_fast_len(2 * n - 1, real=True)
-    ker = kernel.table[:n]
-    if n not in kernel.spectra:
-        kernel.spectra[n] = rfft(ker, size, axis=0)
-    out = irfft(kernel.spectra[n] * rfft(forcing, size, axis=-2), size, axis=-2)[..., :n, :]
+    out = irfft(grid.kernel_spectrum * rfft(forcing, size, axis=-2), size, axis=-2)[..., :n, :]
     out *= h
     out -= 0.5 * h * (ker * forcing[..., :1, :] + ker[0] * forcing)
     out[..., 0, :] = 0.0
     return out
 
 
-def _nonlocal_samples(spec: ProblemSpec, grid: Grid, values: FloatArray) -> FloatArray:
+def _nonlocal_samples(grid: Grid, values: FloatArray) -> FloatArray:
     """g(x)(s) for every history node s; zero when no nonlocal terms."""
     n_hist = grid.n_hist
-    out = np.zeros(values.shape[:-2] + (n_hist + 1, spec.n_modes))
-    for term in spec.nonlocal_terms:
+    out = np.zeros(values.shape[:-2] + (n_hist + 1, grid.spec.n_modes))
+    for term in grid.spec.nonlocal_terms:
         anchor = grid.row(term.tau)
         out += term.c * values[..., anchor - n_hist : anchor + 1, :]
     return out
 
 
-def mild_map(
-    spec: ProblemSpec, grid: Grid, kernel: SolutionKernel, values: FloatArray, bu: FloatArray
-) -> FloatArray:
-    """The variation-of-parameters formula applied to the sampled path values.
+def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
+    """The variation-of-parameters formula of grid's problem applied to the
+    sampled path values.
 
     Returns phi - g(values) on the history rows and, on the forward rows,
     D(t)(phi(0) - g(values)(0)) + sum_k D(t - t_k) I_k(values(t_k^-))
-    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with kernel the
-    grid's SolutionKernel and bu the input B u on every forward node.  Leading
-    axes of values and bu stack paths, each mapped on its own.
+    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with bu the input
+    B u on every forward node.  Leading axes of values and bu stack paths,
+    each mapped on its own.
 
     f is evaluated once, at the stored left values.  At impulse node m the
     trapezoid segment starting there takes f at the right value instead;
@@ -263,15 +255,15 @@ def mild_map(
     weight h/2 carries only the jump of f's pointwise part, added with
     I_k(values(t_m^-)) in one term per later node.
     """
-    n_hist, table = grid.n_hist, kernel.table
+    spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
     out = np.empty_like(values)
     out[..., : n_hist + 1, :] = spec.phi(grid.times[: n_hist + 1])
-    out[..., : n_hist + 1, :] -= _nonlocal_samples(spec, grid, values)
+    out[..., : n_hist + 1, :] -= _nonlocal_samples(grid, values)
 
     x = values[..., n_hist:, :]
-    f = eval_f(spec, grid.forward_times(), x, Trajectory(grid, values).history())
+    f = eval_f(spec, x, Trajectory(grid, values).history())
     fwd = table * out[..., n_hist, None, :]
-    fwd += _convolve_all(kernel, bu + f, grid.h)
+    fwd += _convolve_all(grid, bu + f)
     pointwise = spec.f_desc.pointwise
     for k, m in enumerate(grid.impulse_nodes):
         left = x[..., m, :]
@@ -307,7 +299,6 @@ def solve_mild(
     grid = u.grid
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")
-    kernel = SolutionKernel(spec, grid)
 
     warnings_list = []
     rho = picard_factor(spec)
@@ -329,7 +320,7 @@ def solve_mild(
     out, ids = np.empty_like(values), np.arange(len(values))
     residuals: list[list[float]] = [[] for _ in ids]
     for it in range(max_iter):
-        new_values = mild_map(spec, grid, kernel, values, bu)
+        new_values = mild_map(grid, values, bu)
         res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
         values = new_values
         for j, (k, r) in enumerate(zip(ids, res.tolist())):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,24 @@ class TestInvalidFlags:
         code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: grid steps must ")
+        assert not (tmp_path / "out").exists()
+
+    # N = 1024 modes on 10,001 rows is past the grid's 10^7 cells: refused
+    # before any array of the grid's size is allocated (one is 82 MB)
+    def test_grid_cell_count_out_of_range(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_config(N=1024)))
+        tracemalloc.start()
+        try:
+            code, err = _run_captured([
+                "solve", f"--config={cfg}", "--dt=1e-4", "--out", str(tmp_path / "out"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err == "error: grid of 10001 rows x N=1024 modes exceeds 10000000 cells\n"
+        assert peak < 40e6
         assert not (tmp_path / "out").exists()
 
     # a z sweep that is not from,to,steps

@@ -27,7 +27,7 @@ from fracsteer.model import (
     PhiDescriptor,
     ProblemSpec,
 )
-from fracsteer.solver import ControlSignal, Grid, SolutionKernel, mild_map, solve_mild
+from fracsteer.solver import ControlSignal, Grid, mild_map, solve_mild
 
 from oracles import refined_grammian_1d
 
@@ -297,10 +297,9 @@ class TestInnerSolveSemantics:
         # picard_tol in the solver's residual norm
         spec, h = flagship_problem()
         grid = Grid(spec, 1.0 / 200.0)
-        kernel = SolutionKernel(spec, grid)
         for eps, tol, picard_tol in ((1e-2, 1e-8, 1e-11), (1e-5, 1e-6, 1e-12)):
             report, traj, u = steer(spec, grid, h, eps, tol=tol, picard_tol=picard_tol)
-            step = mild_map(spec, grid, kernel, traj.values, u.samples @ spec.B.T) - traj.values
+            step = mild_map(grid, traj.values, u.samples @ spec.B.T) - traj.values
             assert np.max(np.linalg.norm(step, axis=-1)) <= picard_tol
             assert len(report.inner_residuals) == report.outer_iters + 1
 

@@ -5,7 +5,6 @@ the array path that builds the solution-operator table."""
 import math
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -272,7 +271,6 @@ class TestTablePath:
 
     def test_cli_exits_3_instead_of_a_nan_table(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mittag, "_cut_nodes", _poisoned_nodes)
-        monkeypatch.setattr(solver, "_KERNEL_CACHE", OrderedDict())
         out = tmp_path / "t.csv"
         code = run([
             "solve", "--config", str(CONFIGS / "flagship.json"), "--dt", "0.05", "--out", str(out),

@@ -114,7 +114,7 @@ class TestEvalF:
         spec = make_spec(n=3)
         grid = Grid(spec, 0.25)
         x = np.array([1.0, 2.0, 3.0])
-        out = eval_f(spec, [0.5], [x], flat_history(spec, grid, x))[0]
+        out = eval_f(spec, [x], flat_history(spec, grid, x))[0]
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_memory_with_kernel_off(self):
@@ -128,7 +128,7 @@ class TestEvalF:
         spec = make_spec(n=2, r=0.5, f=f)
         grid = Grid(spec, 0.25)
         x = np.array([2.0, -1.0])
-        out = eval_f(spec, [0.75], [x], flat_history(spec, grid, x))[0]
+        out = eval_f(spec, [x], flat_history(spec, grid, x))[0]
         np.testing.assert_allclose(out, 0.3 * x)
 
     def test_memory_integral_against_hand_quadrature(self):
@@ -145,7 +145,7 @@ class TestEvalF:
         offs = np.linspace(-r, 0.0, 5)
         hist_vals = np.array([[1.0], [1.0], [-2.0], [-2.0], [0.5]])
         hist = HistorySegment(offs, hist_vals)
-        got = eval_f(spec, [1.0], [[0.0]], hist)[0, 0]
+        got = eval_f(spec, [[0.0]], hist)[0, 0]
         h_step = r / 4
         expected = 0.0
         for j, s in enumerate(offs):
@@ -181,11 +181,11 @@ class TestEvalF:
             h1 = HistorySegment(offs, hv1)
             h2 = HistorySegment(offs, hv2)
             d_state = np.linalg.norm(
-                eval_f(spec, [0.5], [x1], h1) - eval_f(spec, [0.5], [x2], h1)
+                eval_f(spec, [x1], h1) - eval_f(spec, [x2], h1)
             )
             assert d_state <= 1.01 * f.L1 * np.linalg.norm(x1 - x2) + 1e-12
             d_hist = np.linalg.norm(
-                eval_f(spec, [0.5], [x1], h1) - eval_f(spec, [0.5], [x1], h2)
+                eval_f(spec, [x1], h1) - eval_f(spec, [x1], h2)
             )
             sup_dist = np.max(np.linalg.norm(hv1 - hv2, axis=1))
             assert d_hist <= 1.01 * f.L2 * sup_dist + 1e-12
@@ -203,7 +203,7 @@ class TestEvalF:
         rng = np.random.default_rng(11)
         for _ in range(25):
             x = 10.0 * rng.standard_normal(2)
-            out = eval_f(spec, [0.5], [x], flat_history(spec, grid, x))[0]
+            out = eval_f(spec, [x], flat_history(spec, grid, x))[0]
             assert np.linalg.norm(out) <= f.M1 + 1e-12
 
 
@@ -214,14 +214,14 @@ class TestEvalG:
         spec = make_spec(n=2)
         grid = Grid(spec, 0.25)
         traj = solve_mild(spec, ControlSignal.zeros(grid))
-        np.testing.assert_array_equal(_nonlocal_samples(spec, grid, traj.values), np.zeros((1, 2)))
+        np.testing.assert_array_equal(_nonlocal_samples(grid, traj.values), np.zeros((1, 2)))
 
     def test_identity_anchor(self):
         spec = make_spec(n=1, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
         grid = Grid(spec, 0.25)
         traj = Trajectory(grid, np.cos(grid.times)[:, None])
         np.testing.assert_allclose(
-            _nonlocal_samples(spec, grid, traj.values)[-1], traj.values[grid.row(0.0)]
+            _nonlocal_samples(grid, traj.values)[-1], traj.values[grid.row(0.0)]
         )
 
     def test_weighted_sum_on_known_trajectory(self):
@@ -234,7 +234,7 @@ class TestEvalG:
         )
         grid = Grid(spec, 0.1)
         values = (1.0 + grid.times)[:, None]
-        g = _nonlocal_samples(spec, grid, values)
+        g = _nonlocal_samples(grid, values)
         for row, s in enumerate((-0.2, -0.1, 0.0)):
             want = 0.5 * (1.0 + 0.3 + s) + 0.25 * (1.0 + 0.6 + s)
             assert g[row, 0] == pytest.approx(want, abs=1e-12)
@@ -254,7 +254,7 @@ class TestEvalG:
         vb = rng.standard_normal((len(grid), 2))
         sup = np.max(np.linalg.norm(va - vb, axis=1))
         l_g = spec.constants.l_g
-        gap = _nonlocal_samples(spec, grid, va) - _nonlocal_samples(spec, grid, vb)
+        gap = _nonlocal_samples(grid, va) - _nonlocal_samples(grid, vb)
         assert np.all(np.linalg.norm(gap, axis=1) <= l_g * sup + 1e-12)
 
 

@@ -90,11 +90,11 @@ class TestEvalCost:
         offs = np.arange(-grid.n_hist, 1) * grid.h
         samples = [
             cost.evaluate(
-                [t], traj.values[grid.fwd_row(m)][None],
+                traj.values[grid.fwd_row(m)][None],
                 HistorySegment(offs, traj.values[m : m + grid.n_hist + 1]),
                 u.samples[m][None],
             )[0]
-            for m, t in enumerate(grid.forward_times())
+            for m in range(grid.n_fwd + 1)
         ]
         want = float(grid.trapezoid_weights(grid.n_fwd) @ samples)
         assert eval_cost(spec, cost, u) == pytest.approx(want, rel=1e-14)
@@ -109,12 +109,11 @@ class TestEvalCost:
         width = len(windows.offsets)
         for _ in range(50):
             m = int(rng.integers(0, grid.n_fwd + 1))
-            # stacks of one time, state, window and control
-            t = grid.forward_times()[m : m + 1]
+            # stacks of one time: state, window and control
             u = rng.standard_normal((1, 2))
             x = traj.values[grid.fwd_row(m)][None]
             hist = HistorySegment(windows.offsets, windows.values[m : m + width])
-            assert cost.evaluate(t, x, hist, u) >= cost.lower_bound(t, x, hist, u) - 1e-12
+            assert cost.evaluate(x, hist, u) >= cost.lower_bound(x, hist, u) - 1e-12
 
 
 class TestParameterization:

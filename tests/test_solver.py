@@ -2,7 +2,9 @@
 refined-grid and closed-form oracles, free/impulse closed forms, quadrature
 order, superposition, nonlocal consistency, and contraction arithmetic."""
 
+import gc
 import math
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsteer.config import load_problem
-from fracsteer.control import residual_p
+from fracsteer import solver
+from fracsteer.config import load_problem, load_target
+from fracsteer.control import epsilon_sweep, residual_p, steer
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError
-from fracsteer.mittag import mittag_leffler
+from fracsteer.mittag import mittag_leffler, solution_operator_diag
 from fracsteer.model import (
     HistorySegment,
     ImpulseDescriptor,
@@ -84,6 +87,11 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(spec, 1.0 / 3.0)
 
+    def test_cell_count_cap_keeps_one_mode_grids(self):
+        # at N = 1 both spans may take their full step budget
+        grid = Grid(make_spec(T=1.0, r=1.0), 1e-6)
+        assert len(grid) == 2 * 10**6 + 1
+
     def test_off_grid_time_rejected(self):
         spec = make_spec()
         grid = Grid(spec, 0.25)
@@ -95,7 +103,7 @@ class TestConvolve:
     def test_zero_forcing(self):
         spec = make_spec()
         grid = Grid(spec, 0.01)
-        out = _convolve_all(SolutionKernel(spec, grid), np.zeros((101, 1)), grid.h)[-1]
+        out = _convolve_all(grid, np.zeros((101, 1)))[-1]
         np.testing.assert_array_equal(out, np.zeros(1))
 
     def test_unit_kernel_weights_integrate_to_t(self):
@@ -110,7 +118,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 400.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h)[-1, 0]
+        got = _convolve_all(grid, forcing)[-1, 0]
         want = t * mittag_leffler(1.5, 2.0, -(t**1.5))
         assert got == pytest.approx(want, abs=5e-6)
 
@@ -119,7 +127,7 @@ class TestConvolve:
         grid = Grid(spec, 1.0 / 100.0)
         t = 1.0
         forcing = np.ones((grid.n_fwd + 1, 1))
-        got = _convolve_all(SolutionKernel(spec, grid), forcing, grid.h)[-1, 0]
+        got = _convolve_all(grid, forcing)[-1, 0]
         want = refined_convolution(1.5, -1.0, lambda s: 1.0, t, refine=10)
         # agreement at O(dt^2): coarse grid error ~ (10x finer)^2 * 100
         assert got == pytest.approx(want, abs=1e-4)
@@ -386,13 +394,46 @@ class TestContractionCheck:
             contraction_check(make_spec(), eps=0.0)
 
 
-class TestKernelCache:
-    def test_shared_table(self):
-        spec = make_spec(n=2)
-        grid = Grid(spec, 0.125)
-        k1 = SolutionKernel(spec, grid)
-        k2 = SolutionKernel(spec, grid)
-        assert k1.table is k2.table
+class TestKernelOwnership:
+    # The grid builds its kernel table on first use and is the only holder
+    # of it: no module-level cache shares tables between grids.
+    def test_one_build_per_grid(self, monkeypatch):
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return solution_operator_diag(*args)
+
+        monkeypatch.setattr(solver, "solution_operator_diag", counted)
+        spec = load_problem(CONFIGS / "flagship.json")
+        h = load_target(CONFIGS / "target_flagship.json", spec.n_modes)
+        grid = Grid(spec, 1.0 / 100.0)
+        steer(spec, grid, h, 1e-2)
+        sweep = epsilon_sweep(spec, grid, h, [1e-1, 1e-2, 1e-3])
+        assert all(e.report is not None for e in sweep.entries)
+        assert len(builds) == 1
+        assert Grid(spec, grid.h).kernel_table is not grid.kernel_table
+        assert len(builds) == 2
+
+    def test_table_dies_with_its_grid(self):
+        # with the cycle collector off, only reference counts free objects:
+        # a dead weakref shows that no cycle and no global holds the table
+        gc.disable()
+        try:
+            spec = make_spec(n=2)
+            grid = Grid(spec, 0.125)
+            steer(spec, grid, np.array([0.3, -0.2]), 1e-1)
+            table = weakref.ref(grid.kernel_table)
+            spectrum = weakref.ref(grid.kernel_spectrum)
+            del grid
+            assert table() is None and spectrum() is None
+        finally:
+            gc.enable()
+
+    def test_kernel_of_another_problem_raises(self):
+        grid = Grid(make_spec(n=2), 0.125)
+        with pytest.raises(DomainError):
+            SolutionKernel(make_spec(n=2), grid)
 
 
 class TestImpulseNodeForcing:
@@ -523,18 +564,16 @@ class TestWholeGridPrimitives:
         grid = Grid(spec, 1.0 / 40.0)
         rng = np.random.default_rng(5)
         values = rng.standard_normal((len(grid), 3))
-        ts = grid.forward_times()
-        forcing = eval_f(spec, ts, values[grid.n_hist :], Trajectory(grid, values).history())
+        forcing = eval_f(spec, values[grid.n_hist :], Trajectory(grid, values).history())
 
         offs = np.arange(-grid.n_hist, 1) * grid.h
         for m in range(grid.n_fwd + 1):
             window = HistorySegment(offs, values[m : m + grid.n_hist + 1])
-            want = eval_f(spec, ts[m : m + 1], values[grid.fwd_row(m)][None], window)[0]
+            want = eval_f(spec, values[grid.fwd_row(m)][None], window)[0]
             np.testing.assert_allclose(forcing[m], want, rtol=0, atol=1e-15)
 
-        kernel = SolutionKernel(spec, grid)
-        table = kernel.table
-        conv = _convolve_all(kernel, forcing, grid.h)
+        table = grid.kernel_table
+        conv = _convolve_all(grid, forcing)
         np.testing.assert_array_equal(conv[0], 0.0)
         for m in range(1, grid.n_fwd + 1):
             want = np.zeros(3)
@@ -556,16 +595,15 @@ class TestBatchAxis:
         return spec, grid, base
 
     def test_mild_map_stack_equals_single_paths(self, flagship):
-        spec, grid, _ = flagship
-        kernel = SolutionKernel(spec, grid)
+        _, grid, _ = flagship
         rng = np.random.default_rng(2)
         values = rng.standard_normal((3, len(grid), 16))
         bu = rng.standard_normal((3, grid.n_fwd + 1, 16))
-        stacked = mild_map(spec, grid, kernel, values, bu)
+        stacked = mild_map(grid, values, bu)
         assert stacked.shape == values.shape
         for i in range(3):
             np.testing.assert_array_equal(
-                stacked[i], mild_map(spec, grid, kernel, values[i], bu[i])
+                stacked[i], mild_map(grid, values[i], bu[i])
             )
 
     def test_solve_stack_equals_single_solves(self, flagship):
@@ -663,7 +701,7 @@ class TestMildMapOracle:
         # the mild map of a random path, node by node
         values = rng.standard_normal((len(grid), n))
         bu = rng.standard_normal((grid.n_fwd + 1, n))
-        got = mild_map(spec, grid, SolutionKernel(spec, grid), values, bu)
+        got = mild_map(grid, values, bu)
         want = mild_map_by_hand(spec, grid.h, values, bu)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
@@ -685,7 +723,7 @@ class TestMildMapOracle:
         n = spec.n_modes
         values = rng.standard_normal((2, len(grid), n))
         bu = rng.standard_normal((2, grid.n_fwd + 1, n))
-        got = mild_map(spec, grid, SolutionKernel(spec, grid), values, bu)
+        got = mild_map(grid, values, bu)
         for i in range(2):
             want = mild_map_by_hand(spec, grid.h, values[i], bu[i])
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-13)
