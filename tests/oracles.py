@@ -293,3 +293,12 @@ def mild_map_by_hand(spec, h: float, values, bu):
                 x_m = x_m + h * D[m - j] * forcing[j]
         out[n_hist + m] = x_m
     return out
+
+
+def residual_p(spec, h: float, values, target):
+    """Steering residual p(x) = target - (the mild formula at T with u = 0),
+    read off mild_map_by_hand on the grid of step h."""
+    import numpy as np
+
+    bu = np.zeros((round(spec.horizon / h) + 1, spec.n_modes))
+    return np.asarray(target, dtype=float) - mild_map_by_hand(spec, h, values, bu)[-1]

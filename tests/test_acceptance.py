@@ -18,7 +18,7 @@ import time
 import numpy as np
 import pytest
 
-from fracsteer.control import epsilon_sweep, grammian, residual_p, steer
+from fracsteer.control import epsilon_sweep, grammian, steer
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
     ImpulseDescriptor,
@@ -42,7 +42,7 @@ from fracsteer.solver import (
     solve_mild,
 )
 
-from oracles import lq_grid_search, ml_oracle, nonlocal_residual
+from oracles import lq_grid_search, ml_oracle, nonlocal_residual, residual_p
 
 TEST_ALPHAS = [1.1, 1.25, 1.5, 1.75, 1.9]
 
@@ -212,7 +212,7 @@ def test_criterion_6_scalar_steering_oracle():
     h = np.array([2.0])
     G = grammian(spec, grid).matrix[0, 0]
     free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
-    p = abs(residual_p(spec, free, h)[0])
+    p = abs(residual_p(spec, grid.h, free.values, h)[0])
     worst_rel = 0.0
     eps_values = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     errors = []

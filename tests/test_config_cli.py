@@ -291,14 +291,15 @@ class TestCliSteerSweep:
             "--eps-list", "1e-1,1e-2", "--out", str(out),
         ]) == 0
         from fracsteer.config import load_problem
-        from fracsteer.control import grammian, residual_p
+        from fracsteer.control import grammian
         from fracsteer.solver import ControlSignal, Grid, solve_mild
+        from oracles import residual_p
 
         spec = load_problem(CONFIGS / "linear1d.json")
         grid = Grid(spec, 0.01)
         G = grammian(spec, grid).matrix[0, 0]
         free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
-        p = abs(residual_p(spec, free, np.array([2.0]))[0])
+        p = abs(residual_p(spec, grid.h, free.values, np.array([2.0]))[0])
         rows = out.read_text().strip().splitlines()[1:]
         for row, eps in zip(rows, (1e-1, 1e-2)):
             err = float(row.split(",")[1])

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracsteer.config import load_problem
 from fracsteer.control import (
     Grammian,
     epsilon_sweep,
     grammian,
-    residual_p,
     steer,
     synthesize_control,
 )
@@ -27,9 +27,11 @@ from fracsteer.model import (
     PhiDescriptor,
     ProblemSpec,
 )
-from fracsteer.solver import ControlSignal, Grid, mild_map, solve_mild
+from fracsteer.solver import ControlSignal, Grid, _convolve_all, mild_map, solve_mild
 
-from oracles import refined_grammian_1d
+from oracles import refined_grammian_1d, residual_p
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
@@ -77,6 +79,18 @@ class TestGrammian:
         with pytest.raises(EvaluationError):
             Grammian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_convolution_of_the_law_at_T_is_gamma_c(self):
+        # the solver's trapezoid convolution of B u, u(t_m) = B^T D(T - t_m) c,
+        # read at T is Gamma c: the Grammian and the solver share one rule,
+        # here on a grid with an impulse and a nonlocal term
+        spec, _ = flagship_problem()
+        grid = Grid(spec, 1.0 / 200.0)
+        c = np.random.default_rng(5).standard_normal(16)
+        bu = (grid.kernel_table[::-1] * c) @ spec.B @ spec.B.T
+        got = _convolve_all(grid, bu)[-1]
+        want = grammian(spec, grid).matrix @ c
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
     def test_resolvent_identity(self):
         spec = make_spec(n=3, omega=1.0)
         grid = Grid(spec, 0.05)
@@ -92,14 +106,14 @@ class TestResidual:
         grid = Grid(spec, 0.125)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
         h = np.array([1.0])
-        np.testing.assert_allclose(residual_p(spec, traj, h), h, atol=1e-14)
+        np.testing.assert_allclose(residual_p(spec, grid.h, traj.values, h), h, atol=1e-14)
 
     def test_free_endpoint_gives_zero(self):
         spec = make_spec()
         grid = Grid(spec, 0.125)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
         h = traj.terminal()
-        assert np.linalg.norm(residual_p(spec, traj, h)) <= 1e-12
+        assert np.linalg.norm(residual_p(spec, grid.h, traj.values, h)) <= 1e-12
 
     def test_one_impulse_closed_form(self):
         # f = 0, g = 0, one flip impulse, h = 0:
@@ -108,7 +122,7 @@ class TestResidual:
         spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, "linear", -1.0)])
         grid = Grid(spec, 1.0 / 200.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
-        p = residual_p(spec, traj, np.zeros(1))[0]
+        p = residual_p(spec, grid.h, traj.values, np.zeros(1))[0]
         e_T = mittag_leffler(alpha, 1.0, -1.0)
         e_t1 = mittag_leffler(alpha, 1.0, -(t1**alpha))
         e_gap = mittag_leffler(alpha, 1.0, -((1.0 - t1) ** alpha))
@@ -133,7 +147,7 @@ class TestSynthesize:
         eps = 1e-2
         u = synthesize_control(spec, traj, h, eps)
         G = grammian(spec, grid).matrix[0, 0]
-        p = residual_p(spec, traj, h)[0]
+        p = residual_p(spec, grid.h, traj.values, h)[0]
         ts = grid.forward_times()
         want = np.array(
             [mittag_leffler(1.5, 1.0, -((1.0 - t) ** 1.5)) for t in ts]
@@ -156,7 +170,7 @@ class TestSteer:
         h = np.array([2.0])
         G = grammian(spec, grid).matrix[0, 0]
         free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
-        p = abs(residual_p(spec, free, h)[0])
+        p = abs(residual_p(spec, grid.h, free.values, h)[0])
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
             report, traj, u = steer(spec, grid, h, eps, tol=1e-10, picard_tol=1e-13)
             want = eps / (eps + G) * p
@@ -216,7 +230,7 @@ class TestSweep:
         grid = Grid(spec, 1.0 / 50.0)
         h = np.array([0.5])
         free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
-        p_norm = np.linalg.norm(residual_p(spec, free, h))
+        p_norm = np.linalg.norm(residual_p(spec, grid.h, free.values, h))
         result = epsilon_sweep(spec, grid, h, [1e-1, 1e-2, 1e-3])
         for entry in result.entries:
             assert entry.report.terminal_error == pytest.approx(p_norm, rel=1e-10)
@@ -302,6 +316,23 @@ class TestInnerSolveSemantics:
             step = mild_map(grid, traj.values, u.samples @ spec.B.T) - traj.values
             assert np.max(np.linalg.norm(step, axis=-1)) <= picard_tol
             assert len(report.inner_residuals) == report.outer_iters + 1
+
+    @pytest.mark.parametrize("case", ["flagship", "linear1d"])
+    def test_returned_control_is_the_law_at_the_returned_trajectory(self, case):
+        # the outer fixed point: u = B^T D(T - t) (eps I + Gamma)^{-1} p(x)
+        # to tol in sup norm, with p(x) taken by the oracle at the returned
+        # trajectory x, however steer computes p along the way
+        if case == "flagship":
+            spec, h = flagship_problem()
+        else:
+            spec, h = load_problem(CONFIGS / "linear1d.json"), np.array([2.0])
+        grid = Grid(spec, 1.0 / 100.0)
+        eps, tol = 1e-2, 1e-8
+        _, traj, u = steer(spec, grid, h, eps, tol=tol)
+        p = residual_p(spec, grid.h, traj.values, h)
+        c = np.linalg.solve(grammian(spec, grid).matrix + eps * np.eye(spec.n_modes), p)
+        want = ControlSignal(grid, (grid.kernel_table[::-1] * c) @ spec.B)
+        assert u.sup_distance(want) <= tol
 
     @pytest.mark.parametrize("f1_form", ["linear", "saturating"])
     def test_outer_budget_failure_keeps_finite_last_iterate(self, f1_form):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fracsteer import solver
 from fracsteer.config import load_problem, load_target
-from fracsteer.control import epsilon_sweep, residual_p, steer
+from fracsteer.control import epsilon_sweep, steer
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError
 from fracsteer.mittag import mittag_leffler, solution_operator_diag
 from fracsteer.model import (
@@ -39,7 +39,7 @@ from fracsteer.solver import (
     solve_mild,
 )
 
-from oracles import mild_map_by_hand, nonlocal_residual, refined_convolution
+from oracles import mild_map_by_hand, nonlocal_residual, refined_convolution, residual_p
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -525,11 +525,13 @@ class TestImpulseNodeForcing:
                              ids=["local", "nonlocal"])
     @pytest.mark.parametrize("target", [(0.0, 0.0), (0.7, -1.3)], ids=["h0", "h1"])
     def test_residual_p_matches_hand_built_formula(self, nonlocal_terms, target):
-        # p(x) = h - (the mild formula at T with u = 0), term for term
+        # the oracle's p(x) = h - (the mild formula at T with u = 0) against
+        # the formula written out term for term
         c = self.solve_by_hand(nonlocal_terms)
         h = np.array(target)
         want = h - c.mild(c.n, c.f_right)
-        np.testing.assert_allclose(residual_p(c.spec, c.traj, h), want, rtol=0, atol=1e-13)
+        got = residual_p(c.spec, self.h, c.traj.values, h)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_hand_built_trajectory_right_value_applies_jump(self):
         # the right value follows from the jump condition, so a trajectory
