@@ -13,7 +13,6 @@ from .control import (
     SweepResult,
     epsilon_sweep,
     grammian,
-    residual_p,
     steer,
     synthesize_control,
 )

@@ -10,7 +10,12 @@ steering residual p(x) collects everything the control must account for:
              - sum_k D(T - t_k) I_k(x(t_k^-))
              - int_0^T D(T - s) f(s, x(s), x_s) ds.
 
-The Grammian shares the trajectory grid and quadrature, which makes the
+The Grammian shares the trajectory grid and quadrature, so the input term
+of the mild formula at T under u = B^T D(T - .) c is exactly Gamma c.  The
+last Picard sweep of an inner solve returns x(T) = mild(x', 0)(T) + Gamma c
+from the sweep before, x', so steer reads p(x') = h - x(T) + Gamma c off it
+without another pass over the grid: p lags the returned path by one sweep,
+within the inner solve's tolerance.  The same shared quadrature makes the
 one-dimensional linear steering identity terminal_error = eps/(eps+Gamma)*|p|
 hold exactly at the discrete level.
 """
@@ -23,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import ConfigError, ConvergenceError, DomainError, EvaluationError
+from .errors import ConfigError, ConvergenceError, EvaluationError
 from .model import FloatArray, ProblemSpec
-from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, mild_map, solve_mild
+from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, solve_mild
 
 PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve, and of a sweep's u = 0 solve
 PICARD_MAX = 400  # Picard sweep budget of every inner solve
@@ -69,40 +74,9 @@ def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
     return Grammian(G)
 
 
-def residual_p(spec: ProblemSpec, x: Trajectory, h: FloatArray) -> FloatArray:
-    """Steering residual p(x): h minus the mild formula at T with u = 0."""
-    h = spec.check_vector(h)
-    grid = x.grid
-    if grid.spec is not spec:
-        raise DomainError("trajectory grid belongs to a different problem instance")
-    return h - mild_map(grid, x.values, np.zeros_like(grid.kernel_table))[-1]
-
-
-def synthesize_control(
-    spec: ProblemSpec,
-    x: Trajectory,
-    h: FloatArray,
-    eps: float,
-    gram: Grammian | None = None,
-) -> ControlSignal:
-    """Regularized steering law sampled on the trajectory grid."""
-    if not (0.0 < eps < math.inf):
-        raise ConfigError(f"eps must be finite and > 0, got {eps}")
-    grid = x.grid
-    if gram is None:
-        gram = grammian(spec, grid)
-    p = residual_p(spec, x, h)
-    A = gram.matrix + eps * np.eye(spec.n_modes)
-    try:
-        factor = cho_factor(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EvaluationError(
-            f"factorization of (eps I + Gamma) failed for eps={eps}",
-            regime="cholesky",
-        ) from exc
-    c = cho_solve(factor, p)
-    table = SolutionKernel(spec, grid).table
-    return ControlSignal(grid, (table[::-1] * c) @ spec.B)  # row m: B^T D(T - t_m) c
+def synthesize_control(grid: Grid, c: FloatArray) -> ControlSignal:
+    """The steering law's control u(t_m) = B^T D(T - t_m) c on grid."""
+    return ControlSignal(grid, (grid.kernel_table[::-1] * c) @ grid.spec.B)
 
 
 def steer(
@@ -117,6 +91,12 @@ def steer(
 ) -> tuple[SteeringReport, Trajectory, ControlSignal]:
     """Undamped outer fixed point x -> u_eps(x) -> x: each iterate solves
     the mild problem under the control synthesized from the last one.
+
+    (eps I + Gamma) is factored once.  p starts at h - x(T) of the u = 0
+    solution; after each inner solve under u = B^T D(T - .) c it is
+    h - x(T) + Gamma c, which is p at the path of the solve's second-last
+    sweep (module docstring): a lag of one sweep, within the solve's
+    tolerance, in place of one more mild map per outer iteration.
 
     Successive controls must agree to tol in sup-norm.  The loop contracts
     along one dominant direction, so inner solve k+1 starts from the
@@ -133,14 +113,22 @@ def steer(
         raise ConfigError(f"max_outer must be >= 1, got {max_outer}")
     h = spec.check_vector(h)
     gram = grammian(spec, grid)
+    try:
+        factor = cho_factor(gram.matrix + eps * np.eye(spec.n_modes))
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(
+            f"factorization of (eps I + Gamma) failed for eps={eps}", regime="cholesky"
+        ) from exc
 
     u = ControlSignal.zeros(grid)
     traj = free if free is not None else solve_mild(spec, u, tol=picard_tol, max_iter=PICARD_MAX)
+    p = h - traj.terminal()
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
     diffs, du_prev, x_prev = [], None, None
     for outer in range(1, max_outer + 1):
-        u_prev, u = u, synthesize_control(spec, traj, h, eps, gram=gram)
+        c = cho_solve(factor, p)
+        u_prev, u = u, synthesize_control(grid, c)
         diffs.append(u.sup_distance(u_prev))
         inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, 1e-3 * diffs[-1])
         du, start = u.samples - u_prev.samples, traj
@@ -151,6 +139,9 @@ def steer(
             start = Trajectory(grid, traj.values + a * (traj.values - x_prev.values))
         du_prev, x_prev = du, traj
         traj = solve_mild(spec, u, tol=inner_tol, max_iter=PICARD_MAX, start=start)
+        # on the flagship a 16 x 16 mat-vec, which BLAS does not split over
+        # threads, so sweeps stay bit-for-bit reproducible
+        p = h - traj.terminal() + gram.matrix @ c
         inner.append(traj.residuals)
         if diffs[-1] <= tol:
             break

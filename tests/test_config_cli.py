@@ -237,6 +237,17 @@ class TestCliSolve:
             "--out", str(tmp_path / "t.csv"), "--max-iter", "10",
         ]) == 3
 
+    def test_failed_factorization_exit_3(self, tmp_path, monkeypatch):
+        import fracsteer.control as control
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(control, "cho_factor", refuse)
+        code, err = _run_captured(FLAG_RUNS["steer"] + [f"--out={tmp_path / 'r.json'}"])
+        assert code == 3
+        assert err == "error: factorization of (eps I + Gamma) failed for eps=0.1 [regime=cholesky]\n"
+
 
 class TestCliSteerSweep:
     def test_steer_report(self, tmp_path):

@@ -18,7 +18,7 @@ from fracsteer.control import (
     steer,
     synthesize_control,
 )
-from fracsteer.errors import ConfigError, ConvergenceError
+from fracsteer.errors import ConfigError, ConvergenceError, EvaluationError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
     ImpulseDescriptor,
@@ -74,8 +74,6 @@ class TestGrammian:
         assert np.linalg.eigvalsh(grammian(spec, grid).matrix).min() > 0.0
 
     def test_invariant_enforced(self):
-        from fracsteer.errors import EvaluationError
-
         with pytest.raises(EvaluationError):
             Grammian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -131,11 +129,17 @@ class TestResidual:
 
 
 class TestSynthesize:
+    @staticmethod
+    def coefficients(spec, grid, traj, h, eps):
+        """(eps I + Gamma)^{-1} p(x), p by the oracle."""
+        p = residual_p(spec, grid.h, traj.values, h)
+        return np.linalg.solve(grammian(spec, grid).matrix + eps * np.eye(spec.n_modes), p)
+
     def test_zero_residual_gives_zero_control(self):
         spec = make_spec()
         grid = Grid(spec, 0.125)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
-        u = synthesize_control(spec, traj, traj.terminal(), eps=1e-3)
+        u = synthesize_control(grid, self.coefficients(spec, grid, traj, traj.terminal(), 1e-3))
         assert np.max(np.abs(u.samples)) <= 1e-11
 
     def test_scalar_closed_form(self):
@@ -145,7 +149,7 @@ class TestSynthesize:
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
         h = np.array([2.0])
         eps = 1e-2
-        u = synthesize_control(spec, traj, h, eps)
+        u = synthesize_control(grid, self.coefficients(spec, grid, traj, h, eps))
         G = grammian(spec, grid).matrix[0, 0]
         p = residual_p(spec, grid.h, traj.values, h)[0]
         ts = grid.forward_times()
@@ -158,7 +162,7 @@ class TestSynthesize:
         spec = make_spec(n=2, B=np.zeros((2, 2)))
         grid = Grid(spec, 0.125)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
-        u = synthesize_control(spec, traj, np.ones(2), eps=1e-2)
+        u = synthesize_control(grid, self.coefficients(spec, grid, traj, np.ones(2), 1e-2))
         np.testing.assert_array_equal(u.samples, np.zeros_like(u.samples))
 
 
@@ -283,6 +287,56 @@ class TestGoldenFlagship:
         assert report.outer_iters == 11
         assert len(report.inner_residuals) == 12
         assert sum(map(len, report.inner_residuals)) <= 48
+
+    def test_steer_reads_p_off_the_last_sweep(self, monkeypatch):
+        # p is read off each inner solve's last sweep and (eps I + Gamma) is
+        # factored once, so a flagship steer at 1/200 evaluates f once per
+        # Picard sweep: at most 44 eval_f calls (43 measured; 53 with one
+        # more mild map per outer iteration for p) and one cho_factor call
+        import fracsteer.control as control
+        import fracsteer.solver as solver
+
+        calls = {"eval_f": 0, "cho_factor": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(solver, "eval_f", counted("eval_f", solver.eval_f))
+        monkeypatch.setattr(control, "cho_factor", counted("cho_factor", control.cho_factor))
+        spec, h = flagship_problem()
+        report, _, _ = steer(spec, Grid(spec, 1.0 / 200.0), h, eps=1e-2, tol=1e-8)
+        assert report.outer_iters == 11
+        assert calls["eval_f"] <= 44
+        assert calls["cho_factor"] == 1
+
+        # a 3-eps sweep: at most 96 (94 measured; 126 before)
+        calls.update(eval_f=0, cho_factor=0)
+        epsilon_sweep(spec, Grid(spec, 1.0 / 200.0), h, [1e-1, 1e-2, 1e-3], tol=1e-8)
+        assert calls["eval_f"] <= 96
+        assert calls["cho_factor"] == 3
+
+    def test_failed_factorization_raises_once_per_steer(self, monkeypatch):
+        import fracsteer.control as control
+
+        calls = []
+
+        def refuse(a):
+            calls.append(1)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(control, "cho_factor", refuse)
+        spec = make_spec()
+        grid = Grid(spec, 0.125)
+        with pytest.raises(EvaluationError) as info:
+            steer(spec, grid, np.array([0.5]), eps=1e-2)
+        assert info.value.regime == "cholesky"
+        assert len(calls) == 1
+        result = epsilon_sweep(spec, grid, np.array([0.5]), [1e-1, 1e-2])
+        assert all(e.report is None and "regime=cholesky" in e.error for e in result.entries)
+        assert len(calls) == 3
 
     def test_sweep_solves_uncontrolled_problem_once(self, monkeypatch):
         # the u = 0 solve does not depend on eps: a 3-eps sweep makes it
