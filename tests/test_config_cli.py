@@ -237,6 +237,8 @@ class TestCliSolve:
             "--out", str(tmp_path / "t.csv"), "--max-iter", "10",
         ]) == 3
 
+
+class TestCliSteerSweep:
     def test_failed_factorization_exit_3(self, tmp_path, monkeypatch):
         import fracsteer.control as control
 
@@ -248,8 +250,6 @@ class TestCliSolve:
         assert code == 3
         assert err == "error: factorization of (eps I + Gamma) failed for eps=0.1 [regime=cholesky]\n"
 
-
-class TestCliSteerSweep:
     def test_steer_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = run([
