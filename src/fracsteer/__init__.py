@@ -23,7 +23,7 @@ from .errors import (
     EvaluationError,
     FracsteerError,
 )
-from .mittag import mittag_leffler, solution_operator_diag
+from .mittag import mittag_leffler
 from .model import (
     ConstantsLedger,
     HistorySegment,
@@ -42,7 +42,6 @@ from .optimal import (
     MinimizeResult,
     eval_cost,
     minimize,
-    verify_convexity,
 )
 from .solver import (
     ControlSignal,

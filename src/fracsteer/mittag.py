@@ -1,4 +1,4 @@
-"""Two-parameter Mittag-Leffler evaluation and the diagonal solution operator.
+"""Two-parameter Mittag-Leffler evaluation.
 
 E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha*k + beta) is the scalar kernel of
 the fractional solution operator: on an eigenvector with eigenvalue lam <= 0
@@ -6,7 +6,7 @@ the operator acts as E_{alpha,1}(lam * t^alpha).
 
 Real arguments only; the negative real axis is the primary regime.  One array
 evaluator serves a single point (mittag_leffler of a float) and a whole table
-(mittag_leffler of an array, solution_operator_diag):
+(mittag_leffler of an array, as Grid.kernel_table calls it):
 
   * the compensated Taylor series, one array sum per term, at every z >= -50;
     a point counts only if it met the stopping rule and its rounding gate
@@ -77,28 +77,6 @@ def mittag_leffler(alpha: float, beta: float, z):
     _check(alpha, beta, zs)
     out = _evaluate(alpha, beta, zs.ravel()).reshape(zs.shape)
     return float(out) if zs.ndim == 0 else out
-
-
-def solution_operator_diag(t, alpha: float, eigs) -> np.ndarray:
-    """Diagonal of the solution operator at each time t: entry [..., n] is
-    E_{alpha,1}(lam_n * t^alpha), with shape np.shape(t) + (len(eigs),).
-
-    Requires t >= 0, alpha in (1, 2) and all eigenvalues <= 0 (the sectorial
-    regime of the diagonal model); at t = 0 every entry is exactly 1.  Raises
-    EvaluationError instead of returning a value no route certifies.
-    """
-    ts = np.asarray(t, dtype=float)
-    if not np.all(ts >= 0.0):
-        raise ConfigError(f"t must be >= 0, got {ts[~(ts >= 0.0)].flat[0]}")
-    if not (1.0 < alpha < 2.0):
-        raise ConfigError(f"alpha must lie in (1, 2), got {alpha}")
-    lam = np.asarray(eigs, dtype=float)
-    if lam.ndim != 1:
-        raise ConfigError("eigs must be a one-dimensional sequence")
-    if np.any(lam > 0.0):
-        raise ConfigError("positive eigenvalue: outside the sectorial regime")
-    z = np.multiply.outer(ts**alpha, lam)
-    return _evaluate(alpha, 1.0, z.ravel()).reshape(z.shape)
 
 
 def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:

@@ -155,19 +155,6 @@ class NonlinearityDescriptor:
         if min(self.L1, self.L2, self.M1) < 0.0:
             raise ConfigError("Lipschitz/bound constants must be >= 0")
 
-    @property
-    def is_linear(self) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind == "linear":
-            return True
-        if self.kind == "memory":
-            return (
-                self.params.get("f1_form", "linear") == "linear"
-                and self.params.get("f2_form", "linear") == "linear"
-            )
-        return False
-
     def pointwise(self, x: FloatArray) -> FloatArray:
         """The part of f that depends on x(t) alone: gain * x for "linear",
         f1(x) for "memory", 0 for "zero"."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import FloatArray, HistorySegment, ProblemSpec
-from .solver import ControlSignal, Grid, solve_mild
+from .solver import _MAX_CELLS, ControlSignal, Grid, solve_mild
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,11 @@ class ControlParameterization:
     def __post_init__(self):
         if self.intervals < 1:
             raise ConfigError("P must be >= 1")
+        # minimize keeps a dense (P*N)^2 BFGS matrix; refuse one past the
+        # grid's cell cap before even the (P, N) box is allocated
+        size = self.intervals * self.n_modes
+        if size**2 > _MAX_CELLS:
+            raise ConfigError(f"BFGS matrix of P*N={size} parameters squared exceeds {_MAX_CELLS} cells")
         lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.intervals, self.n_modes)).copy()
         hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.intervals, self.n_modes)).copy()
         if np.isnan(lo).any() or np.isnan(hi).any():
@@ -144,7 +149,6 @@ class MinimizeOptions:
 
 @dataclass
 class MinimizeResult:
-    u_opt: ControlSignal
     J_opt: float
     theta_opt: FloatArray
     history: list
@@ -227,44 +231,9 @@ def minimize(
             break
 
     return MinimizeResult(
-        u_opt=param.expand(grid, x.reshape(theta.shape)),
         J_opt=J,
         theta_opt=x.reshape(theta.shape),
         history=history,
         converged=converged,
         n_evals=n_evals,
     )
-
-
-# Absolute margin the midpoint may exceed the chord by and still pass.
-_CONVEXITY_SLACK = 1e-8
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    lhs: float  # J((u1 + u2) / 2)
-    rhs: float  # (J(u1) + J(u2)) / 2
-    satisfied: bool
-
-
-def verify_convexity(
-    spec: ProblemSpec,
-    cost: CostDescriptor,
-    u1: ControlSignal,
-    u2: ControlSignal,
-) -> ConvexityReport:
-    """Midpoint convexity check J((u1+u2)/2) <= (J(u1)+J(u2))/2 + _CONVEXITY_SLACK.
-
-    Only meaningful when the control-to-trajectory map is affine, so specs
-    with a non-affine nonlinearity are refused."""
-    if not spec.f_desc.is_linear:
-        raise DomainError(
-            "convexity verification requires linear dynamics; the spec's "
-            f"nonlinearity kind {spec.f_desc.kind!r} is not affine"
-        )
-    if not u1.grid.compatible_with(u2.grid):
-        raise DomainError("controls must share one grid")
-    mid = ControlSignal(u1.grid, 0.5 * (u1.samples + u2.samples))
-    lhs = eval_cost(spec, cost, mid)
-    rhs = 0.5 * (eval_cost(spec, cost, u1) + eval_cost(spec, cost, u2))
-    return ConvexityReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + _CONVEXITY_SLACK)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .mittag import solution_operator_diag
+from .mittag import mittag_leffler
 from .model import (
     FloatArray, HistorySegment, ProblemSpec, eval_f, eval_impulse, trapezoid_weights,
 )
@@ -110,7 +110,8 @@ class Grid:
         """table[m, n] = E_{alpha,1}(lam_n * (m h)^alpha) on every lag 0..n_fwd,
         built on first use and kept while the grid lives."""
         lags = np.arange(self.n_fwd + 1) * self.h
-        return solution_operator_diag(lags, self.spec.alpha, self.spec.eigenvalues)
+        alpha = self.spec.alpha
+        return mittag_leffler(alpha, 1.0, np.multiply.outer(lags**alpha, self.spec.eigenvalues))
 
     @cached_property
     def kernel_spectrum(self) -> FloatArray:

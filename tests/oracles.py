@@ -173,6 +173,21 @@ def lq_grid_search(spec, grid, param, points_per_axis: int = 21):
     return float(J_all[best]), mesh[best].reshape(P, 1), J_quadratic
 
 
+# Absolute margin the midpoint may exceed the chord by and still pass.
+CONVEXITY_SLACK = 1e-8
+
+
+def midpoint_costs(spec, cost, u1, u2):
+    """(J((u1 + u2) / 2), (J(u1) + J(u2)) / 2) by eval_cost, for a midpoint
+    convexity check: the first may exceed the second by CONVEXITY_SLACK.  Only
+    meaningful when the control-to-trajectory map is affine."""
+    from fracsteer.optimal import eval_cost
+    from fracsteer.solver import ControlSignal
+
+    mid = ControlSignal(u1.grid, 0.5 * (u1.samples + u2.samples))
+    return eval_cost(spec, cost, mid), 0.5 * (eval_cost(spec, cost, u1) + eval_cost(spec, cost, u2))
+
+
 @functools.lru_cache(maxsize=8)
 def _kernel_by_hand(alpha: float, omega: float, n_modes: int, h: float, n: int):
     """D(l h) for l = 0..n: the diagonal E_{alpha,1}(lam_k (l h)^alpha) with

@@ -574,6 +574,27 @@ class TestInvalidFlags:
         assert peak < 40e6
         assert not (tmp_path / "out").exists()
 
+    # P*N = 10^6 parameters would need a 10^12-cell BFGS matrix (7.28 TiB):
+    # refused before anything is allocated, even the (P, N) box (160 MB of
+    # bounds at P = 10^7)
+    @pytest.mark.parametrize("intervals", [10**6, 10**7])
+    def test_bfgs_cell_count_out_of_range(self, tmp_path, intervals):
+        argv = [a for a in FLAG_RUNS["optimize"] if not a.startswith("--intervals=")]
+        tracemalloc.start()
+        try:
+            code, err = _run_captured(
+                argv + [f"--intervals={intervals}", "--out", str(tmp_path / "out")]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err == (
+            f"error: BFGS matrix of P*N={intervals} parameters squared exceeds 10000000 cells\n"
+        )
+        assert peak < 40e6
+        assert not (tmp_path / "out").exists()
+
     # a z sweep that is not from,to,steps
     @pytest.mark.parametrize("grid", ["0,1", "0,1,2,3", "a,1,5", "0,1,2.5"])
     def test_malformed_grid(self, tmp_path, grid):

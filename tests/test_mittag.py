@@ -16,7 +16,8 @@ from fracsteer import mittag, solver
 from fracsteer.cli import run
 from fracsteer.config import load_problem
 from fracsteer.errors import ConfigError, EvaluationError
-from fracsteer.mittag import mittag_leffler, solution_operator_diag
+from fracsteer.mittag import mittag_leffler
+from fracsteer.model import NonlinearityDescriptor, PhiDescriptor, ProblemSpec
 
 from oracles import ml_branch_cut_oracle, ml_oracle
 
@@ -42,16 +43,6 @@ class TestValidation:
             mittag_leffler(1.5, 0.0, 1.0)
         with pytest.raises(ConfigError):
             mittag_leffler(1.5, 1.0, math.nan)
-
-    def test_diag_rejects_positive_eigenvalue(self):
-        with pytest.raises(ConfigError):
-            solution_operator_diag(1.0, 1.5, [-1.0, 0.5])
-
-    def test_diag_rejects_bad_t_and_alpha(self):
-        with pytest.raises(ConfigError):
-            solution_operator_diag(-0.1, 1.5, [-1.0])
-        with pytest.raises(ConfigError):
-            solution_operator_diag(1.0, 2.0, [-1.0])
 
 
 class TestKnownValues:
@@ -189,29 +180,48 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert done.returncode == 0
 
 
+def _table(ts, alpha, eigs):
+    """table[m, n] = E_{alpha,1}(eigs[n] * ts[m]^alpha), the outer product
+    Grid.kernel_table evaluates, for times and eigenvalues no spec has."""
+    return mittag_leffler(alpha, 1.0, np.multiply.outer(np.asarray(ts, float) ** alpha, eigs))
+
+
+def _grid(alpha, omega, n_modes, T, dt):
+    spec = ProblemSpec(
+        alpha=alpha, omega=omega, n_modes=n_modes, horizon=T, delay=0.0,
+        impulses=(), nonlocal_terms=(), phi=PhiDescriptor("constant", np.ones(n_modes)),
+        f_desc=NonlinearityDescriptor("zero", {}, holder_p=(alpha - 1.0) / 2.0),
+        B=np.eye(n_modes),
+    )
+    return solver.Grid(spec, dt)
+
+
 class TestSolutionOperator:
     def test_identity_at_t_zero(self):
-        np.testing.assert_array_equal(
-            solution_operator_diag(0.0, 1.5, [-1.0, -4.0]), [1.0, 1.0]
-        )
+        table = _grid(1.5, 0.0, 2, 1.0, 0.5).kernel_table  # lam = -1, -4
+        np.testing.assert_array_equal(table[0], [1.0, 1.0])
 
     def test_cosine_family_limit(self):
         # alpha -> 2 reproduces the cosine family on an eigenvector, through
         # the series (z = -4) and through the branch-cut quadrature (z = -400)
-        got = solution_operator_diag(1.0, 2.0 - 1e-12, [-4.0, -400.0])
+        table = _grid(2.0 - 1e-12, 0.0, 20, 1.0, 0.5).kernel_table
+        got = table[2, [1, 19]]  # t = 1, lam = -4 and -400
         np.testing.assert_allclose(got, [math.cos(2.0), math.cos(20.0)], rtol=0, atol=1e-9)
 
     def test_matches_scalar_kernel(self):
-        got = solution_operator_diag(1.0, 1.5, [-1.0])[0]
+        got = _grid(1.5, 0.0, 1, 1.0, 0.5).kernel_table[2, 0]
         assert got == pytest.approx(FROZEN[(1.5, 1.0, -1.0)], abs=1e-10)
 
     def test_decay_bound_mode_wise(self):
+        # lam_n = -n^2 - omega for n = 1..4; rows 1, 5, 10, 30 are t = 0.1,
+        # 0.5, 1 and 3
         alpha, omega = 1.5, 1.0
-        eigs = -np.arange(1.0, 5.0) ** 2 - omega
-        for t in [0.1, 0.5, 1.0, 3.0]:
-            diag = solution_operator_diag(t, alpha, eigs)
+        grid = _grid(alpha, omega, 4, 3.0, 0.1)
+        eigs = grid.spec.eigenvalues
+        for m in [1, 5, 10, 30]:
+            t = m * grid.h
             envelope = 10.0 / (1.0 + np.abs(eigs) * t**alpha)
-            assert np.all(np.abs(diag) <= envelope)
+            assert np.all(np.abs(grid.kernel_table[m]) <= envelope)
 
 
 _REAL_CUT_NODES = mittag._cut_nodes
@@ -226,7 +236,7 @@ def _poisoned_nodes(*args):
 
 
 class TestTablePath:
-    # solution_operator_diag over an array of times: the Taylor series where
+    # the kernel table over an array of times: the Taylor series where
     # its rounding gate certifies a point, the fixed-node branch-cut
     # quadrature everywhere else
 
@@ -236,7 +246,7 @@ class TestTablePath:
         # the times cover both routes and stay where the oracle is cheap
         ts = np.geomspace(0.05, 60.0, 12)
         want = np.array([ml_branch_cut_oracle(alpha, -(t**alpha)) for t in ts])
-        got = solution_operator_diag(ts, alpha, [-1.0])[:, 0]
+        got = _table(ts, alpha, [-1.0])[:, 0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # the quadrature alone, also where the series takes the table's points
         cut = ts >= 0.5
@@ -255,19 +265,19 @@ class TestTablePath:
 
     @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
     def test_row_zero_is_exactly_one(self, alpha):
-        table = solution_operator_diag(np.arange(6) * 0.5, alpha, -np.arange(1.0, 300.0, 7.0))
+        table = _grid(alpha, 0.0, 43, 2.5, 0.5).kernel_table
         np.testing.assert_array_equal(table[0], 1.0)
 
     def test_non_finite_value_raises(self, monkeypatch):
         monkeypatch.setattr(mittag, "_cut_nodes", _poisoned_nodes)
         with pytest.raises(EvaluationError, match="non-finite"):
-            solution_operator_diag([0.0, 1.0, 10.0], 1.5, [-1.0, -100.0])
+            _table([0.0, 1.0, 10.0], 1.5, [-1.0, -100.0])
 
     def test_uncertified_point_raises(self, monkeypatch):
         # z = -100 is past the series; the quadrature may not claim it either
         monkeypatch.setattr(mittag, "_CUT_W_MIN", 1e6)
         with pytest.raises(EvaluationError, match="no route certifies"):
-            solution_operator_diag([0.0, 1.0], 1.5, [-1.0, -100.0])
+            _table([0.0, 1.0], 1.5, [-1.0, -100.0])
 
     def test_cli_exits_3_instead_of_a_nan_table(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mittag, "_cut_nodes", _poisoned_nodes)

@@ -93,7 +93,7 @@ class TestValidation:
         assert c.M == pytest.approx(1.0, abs=1e-9)  # attained at t = 0
 
     def test_misspelled_param_rejected(self):
-        # a silently ignored "gian" would leave f = 0 and is_linear True
+        # a silently ignored "gian" would leave f = 0
         with pytest.raises(ConfigError, match=r"unknown key\(s\) \['gian'\] in f.params"):
             NonlinearityDescriptor("linear", {"gian": 0.3})
 

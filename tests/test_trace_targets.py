@@ -13,8 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 
-# gone since the kernel table is built in array code
-KNOWN_MISSING = {"fracsteer.solver.mittag_leffler"}
+KNOWN_MISSING = set()
 
 
 def test_every_span_target_resolves():
