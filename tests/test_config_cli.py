@@ -417,6 +417,7 @@ class TestNonFiniteInputs:
         (("T",), math.nan, "T"),
         (("impulses", 0, "scale"), -math.inf, "impulses[0].scale"),
         (("f", "params", "f1_gain"), math.nan, "f.params.f1_gain"),
+        (("f",), {"kind": "linear", "params": {"gain": math.nan}, "p": 0.4}, "f.params.gain"),
     ])
     def test_solve_exits_2_naming_the_field(self, tmp_path, path, value, field):
         cfg = tmp_path / "cfg.json"
@@ -439,6 +440,39 @@ class TestNonFiniteInputs:
         ])
         assert code == 3
         assert err == "error: Picard iteration produced a non-finite iterate at sweep 1\n"
+
+
+class TestKinds:
+    # every f kind is a special case of "memory": the same numbers solve to
+    # the same bytes
+    @pytest.mark.parametrize("f, memory", [
+        ({"kind": "linear", "params": {"gain": 0.2}}, {"f1_gain": 0.2, "f2_gain": 0.0}),
+        ({"kind": "zero"}, {"f1_gain": 0.0, "f2_gain": 0.0}),
+    ])
+    def test_f_kind_solves_like_memory(self, tmp_path, f, memory):
+        raw = json.loads((CONFIGS / "flagship.json").read_text())
+        csvs = []
+        for name, data in [("kind", f), ("memory", {"kind": "memory", "params": memory})]:
+            cfg, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            cfg.write_text(json.dumps(_mutated(raw, ("f",), dict(data, p=0.4))))
+            assert run(["solve", "--config", str(cfg), "--dt", "0.05", "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    @pytest.mark.parametrize("path, message", [
+        (("phi", "kind"), "unknown phi kind 'bogus'"),
+        (("f", "kind"), "unknown nonlinearity kind 'bogus'"),
+        (("impulses", 0, "kind"), "unknown impulse kind 'bogus'"),
+    ])
+    def test_unknown_kind_exits_2(self, tmp_path, path, message):
+        cfg = tmp_path / "cfg.json"
+        raw = json.loads((CONFIGS / "flagship.json").read_text())
+        cfg.write_text(json.dumps(_mutated(raw, path, "bogus")))
+        code, err = _run_captured([
+            "solve", "--config", str(cfg), "--dt", "0.05", "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 2
+        assert err == f"error: {message}\n"
 
 
 class TestInvalidFields:
