@@ -33,7 +33,6 @@ from .model import (
     PhiDescriptor,
     ProblemSpec,
     eval_f,
-    eval_impulse,
 )
 from .optimal import (
     ControlParameterization,

@@ -29,7 +29,7 @@ from .control import epsilon_sweep, steer
 from .errors import ConfigError, ConvergenceError, EvaluationError, FracsteerError
 from .mittag import mittag_leffler
 from .optimal import ControlParameterization, MinimizeOptions, minimize
-from .solver import _MAX_STEPS, Grid, contraction_check, solve_mild, ControlSignal
+from .solver import _MAX_STEPS, PICARD_MAX, Grid, contraction_check, solve_mild, ControlSignal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the mild formulation for u = 0")
     common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=400)
+    p.add_argument("--max-iter", type=int, default=PICARD_MAX)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("steer", help="synthesize the regularized steering control")

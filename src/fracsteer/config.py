@@ -3,7 +3,9 @@
 Problem file keys: alpha, omega, N, T, r, impulses:[{t,kind,scale}],
 nonlocal:[{c,tau}], phi:{kind,params}, f:{kind,params,L1,L2,M1,p},
 B:{kind,params}.  Unknown keys are rejected at every level, and a value of
-the wrong JSON type is rejected with the name of its field.
+the wrong JSON type is rejected with the name of its field.  No other module
+reads a kind: each maps to parameters of one formula, phi(s) = coeffs +
+s * slope, f = f1 + the f2 memory integral, I(x) = scale * x, or a B matrix.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
-    F_PARAMS,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
     PhiDescriptor,
     ProblemSpec,
+    _check_finite,
 )
 from .optimal import CostDescriptor
 
@@ -84,24 +86,39 @@ def _coeff_vector(raw, n: int, where: str) -> np.ndarray:
     return out
 
 
+# the params each phi kind takes; a kind without a slope has phi(s) = coeffs
+PHI_PARAMS = {"zero": (), "constant": ("coeffs",), "linear": ("coeffs", "slope")}
+
+
 def _build_phi(raw: dict, n: int) -> PhiDescriptor:
     _reject_unknown(raw, {"kind", "params"}, "phi")
     kind = _require(raw, "kind", "phi")
+    if not (isinstance(kind, str) and kind in PHI_PARAMS):
+        raise ConfigError(f"unknown phi kind {kind!r}")
     params = raw.get("params", {})
-    if kind == "zero":
-        _reject_unknown(params, set(), "phi.params")
-        return PhiDescriptor("zero", np.zeros(n))
-    if kind == "constant":
-        _reject_unknown(params, {"coeffs"}, "phi.params")
-        return PhiDescriptor("constant", _coeff_vector(_require(params, "coeffs", "phi.params"), n, "phi.coeffs"))
-    if kind == "linear":
-        _reject_unknown(params, {"coeffs", "slope"}, "phi.params")
-        return PhiDescriptor(
-            "linear",
-            _coeff_vector(_require(params, "coeffs", "phi.params"), n, "phi.coeffs"),
-            _coeff_vector(_require(params, "slope", "phi.params"), n, "phi.slope"),
-        )
-    raise ConfigError(f"unknown phi kind {kind!r}")
+    _reject_unknown(params, set(PHI_PARAMS[kind]), "phi.params")
+    vectors = {key: _coeff_vector(_require(params, key, "phi.params"), n, f"phi.{key}")
+               for key in PHI_PARAMS[kind]}
+    return PhiDescriptor(vectors.get("coeffs", np.zeros(n)), vectors.get("slope"))
+
+
+# the params each nonlinearity kind takes, by the descriptor field each sets
+F_PARAMS = {
+    "zero": {},
+    "linear": {"gain": "f1_gain"},
+    "memory": {key: key for key in ("f1_gain", "f2_gain", "kernel_rate", "f1_form", "f2_form")},
+}
+
+
+def _f_param(key: str, raw):
+    where = f"f.params.{key}"
+    if key.endswith("_form"):
+        if raw not in ("linear", "saturating"):
+            raise ConfigError(f"{where} must be 'linear' or 'saturating', got {raw!r}")
+        return raw
+    value = _number(raw, where)
+    _check_finite(where, value)
+    return value
 
 
 def _build_f(raw: dict) -> NonlinearityDescriptor:
@@ -110,11 +127,9 @@ def _build_f(raw: dict) -> NonlinearityDescriptor:
     if not (isinstance(kind, str) and kind in F_PARAMS):
         raise ConfigError(f"unknown nonlinearity kind {kind!r}")
     params = raw.get("params", {})
-    _reject_unknown(params, F_PARAMS[kind], "f.params")
+    _reject_unknown(params, set(F_PARAMS[kind]), "f.params")
     return NonlinearityDescriptor(
-        kind=kind,
-        params={k: v if k.endswith("_form") else _number(v, f"f.params.{k}")
-                for k, v in params.items()},
+        **{F_PARAMS[kind][key]: _f_param(key, value) for key, value in params.items()},
         L1=_number(raw.get("L1", 0.0), "f.L1"),
         L2=_number(raw.get("L2", 0.0), "f.L2"),
         M1=_number(raw.get("M1", 0.0), "f.M1"),
@@ -157,10 +172,11 @@ def problem_from_dict(raw: dict) -> ProblemSpec:
     impulses = []
     for i, item in enumerate(_list(raw.get("impulses", []), "impulses")):
         _reject_unknown(item, {"t", "kind", "scale"}, f"impulses[{i}]")
+        if item.get("kind", "linear") != "linear":  # I(x) = scale * x
+            raise ConfigError(f"unknown impulse kind {item['kind']!r}")
         impulses.append(
             ImpulseDescriptor(
                 t=_number(_require(item, "t", f"impulses[{i}]"), f"impulses[{i}].t"),
-                kind=item.get("kind", "linear"),
                 scale=_number(_require(item, "scale", f"impulses[{i}]"), f"impulses[{i}].scale"),
             )
         )

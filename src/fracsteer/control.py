@@ -33,7 +33,6 @@ from .model import FloatArray, ProblemSpec
 from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, solve_mild
 
 PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve, and of a sweep's u = 0 solve
-PICARD_MAX = 400  # Picard sweep budget of every inner solve
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ def steer(
         ) from exc
 
     u = ControlSignal.zeros(grid)
-    traj = free if free is not None else solve_mild(spec, u, tol=picard_tol, max_iter=PICARD_MAX)
+    traj = free if free is not None else solve_mild(spec, u, tol=picard_tol)
     p = h - traj.terminal()
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
@@ -138,7 +137,7 @@ def steer(
             a = np.sum(du * du_prev) / np.sum(du_prev * du_prev)
             start = Trajectory(grid, traj.values + a * (traj.values - x_prev.values))
         du_prev, x_prev = du, traj
-        traj = solve_mild(spec, u, tol=inner_tol, max_iter=PICARD_MAX, start=start)
+        traj = solve_mild(spec, u, tol=inner_tol, start=start)
         # on the flagship a 16 x 16 mat-vec, which BLAS does not split over
         # threads, so sweeps stay bit-for-bit reproducible
         p = h - traj.terminal() + gram.matrix @ c
@@ -202,7 +201,7 @@ def epsilon_sweep(
             return SweepEntry(eps=eps, error=str(exc))
 
     try:
-        free = solve_mild(spec, ControlSignal.zeros(grid), tol=PICARD_TOL, max_iter=PICARD_MAX)
+        free = solve_mild(spec, ControlSignal.zeros(grid), tol=PICARD_TOL)
     except (ConvergenceError, EvaluationError) as exc:
         entries = [SweepEntry(eps=e, error=str(exc)) for e in eps_list]
     else:

@@ -46,19 +46,7 @@ class ImpulseDescriptor:
     """State jump at time t: I(x) = scale * x."""
 
     t: float
-    kind: str
     scale: float
-
-    def __post_init__(self):
-        if self.kind != "linear":
-            raise ConfigError(f"unknown impulse kind {self.kind!r}")
-
-    def apply(self, x_left: FloatArray) -> FloatArray:
-        return self.scale * x_left
-
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.scale)
 
 
 @dataclass(frozen=True)
@@ -86,89 +74,54 @@ class HistorySegment:
 
 @dataclass(frozen=True)
 class PhiDescriptor:
-    """Prescribed history data phi(s) on [-r, 0].
+    """Prescribed history data phi(s) = coeffs + s * slope on [-r, 0]; no
+    slope means a zero slope.  An array of offsets s gives one row per offset."""
 
-    kinds: "zero"; "constant" (phi(s) = coeffs); "linear" (phi(s) = coeffs +
-    s * slope).  An array of offsets s gives one row per offset.
-    """
-
-    kind: str
     coeffs: FloatArray
     slope: FloatArray | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("zero", "constant", "linear"):
-            raise ConfigError(f"unknown phi kind {self.kind!r}")
-        if self.kind == "linear" and self.slope is None:
-            raise ConfigError("phi kind 'linear' requires a slope")
-
     def __call__(self, s: float | FloatArray) -> FloatArray:
         s = np.asarray(s, dtype=float)
-        shape = s.shape + self.coeffs.shape
-        if self.kind == "zero":
-            return np.zeros(shape)
-        if self.kind == "constant":
-            return np.full(shape, self.coeffs)
+        if self.slope is None:
+            return np.full(s.shape + self.coeffs.shape, self.coeffs)
         return self.coeffs + s[..., None] * self.slope
 
 
-# the params each nonlinearity kind takes
-F_PARAMS = {
-    "zero": set(),
-    "linear": {"gain"},
-    "memory": {"f1_gain", "f2_gain", "kernel_rate", "f1_form", "f2_form"},
-}
+def _form(form: str, gain: float, x: FloatArray) -> FloatArray:
+    if form == "linear":
+        return gain * x
+    return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))  # "saturating"
 
 
 @dataclass(frozen=True)
 class NonlinearityDescriptor:
-    """Forcing nonlinearity f(t, x, x_t) with its declared Lipschitz/bound data.
-
-    kinds:
-      "zero"    -- f = 0
-      "linear"  -- f = gain * x
-      "memory"  -- f1(t, x) + integral over the delay window of
-                   h(t - s) f2(s, x(s)) ds with h(tau) = exp(-rate * tau);
-                   f1/f2 are gain*x ("linear") or gain*x/(1+|x|) ("saturating").
+    """Forcing nonlinearity f(t, x, x_t) = f1(x) + the integral over the delay
+    window of h(t - s) f2(x(s)) ds, h(tau) = exp(-kernel_rate * tau), with its
+    declared Lipschitz/bound data.  f1 and f2 are gain * x (form "linear") or
+    gain * x / (1 + |x|) (form "saturating"); a zero gain switches its part
+    off, so the defaults give f = 0.
 
     L1, L2 are the declared Lipschitz constants in x and in the history,
     M1 the declared bound, holder_p the exponent p in (0, alpha-1).
     """
 
-    kind: str
-    params: dict
+    f1_gain: float = 0.0
+    f1_form: str = "linear"
+    f2_gain: float = 0.0
+    f2_form: str = "linear"
+    kernel_rate: float = 1.0
     L1: float = 0.0
     L2: float = 0.0
     M1: float = 0.0
     holder_p: float = 0.25
 
     def __post_init__(self):
-        if self.kind not in F_PARAMS:
-            raise ConfigError(f"unknown nonlinearity kind {self.kind!r}")
-        unknown = set(self.params) - F_PARAMS[self.kind]
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in f.params")
-        for key in ("f1_form", "f2_form"):
-            form = self.params.get(key, "linear")
-            if form not in ("linear", "saturating"):
-                raise ConfigError(f"f.params.{key} must be 'linear' or 'saturating', got {form!r}")
         if min(self.L1, self.L2, self.M1) < 0.0:
             raise ConfigError("Lipschitz/bound constants must be >= 0")
 
     def pointwise(self, x: FloatArray) -> FloatArray:
-        """The part of f that depends on x(t) alone: gain * x for "linear",
-        f1(x) for "memory", 0 for "zero"."""
-        p = self.params
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        if self.kind == "linear":
-            return self._form("linear", float(p.get("gain", 0.0)), x)
-        return self._form(p.get("f1_form", "linear"), float(p.get("f1_gain", 0.0)), x)
-
-    def _form(self, form: str, gain: float, x: FloatArray) -> FloatArray:
-        if form == "linear":
-            return gain * x
-        return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))  # "saturating"
+        """f1(x), the part of f that depends on x(t) alone."""
+        return _form(self.f1_form, self.f1_gain, x)
 
 
 @dataclass(frozen=True)
@@ -184,12 +137,6 @@ class ConstantsLedger:
     norm_L1: float  # L_{1/p} norm of L1 over [0, T]
     norm_L2: float
     norm_M1: float
-
-    def __post_init__(self):
-        if min(self.M, self.M_B, self.l_1, self.l_2, self.l_g) < 0 or self.K < 0:
-            raise ConfigError("ledger constants must be non-negative")
-        if min(self.norm_L1, self.norm_L2, self.norm_M1) < 0:
-            raise ConfigError("ledger norms must be non-negative")
 
 
 def _lp_norm_const(value: float, p: float, horizon: float) -> float:
@@ -262,19 +209,17 @@ class ProblemSpec:
         slope = 0.0 if self.phi.slope is None else self.phi.slope
         yield from [("alpha", self.alpha), ("omega", self.omega), ("T", self.horizon),
                     ("r", self.delay), ("phi.coeffs", self.phi.coeffs), ("phi.slope", slope),
-                    ("B", self.B), ("f.L1", f.L1), ("f.L2", f.L2), ("f.M1", f.M1),
-                    ("f.p", f.holder_p)]
+                    ("B", self.B), ("f.f1_gain", f.f1_gain), ("f.f2_gain", f.f2_gain),
+                    ("f.kernel_rate", f.kernel_rate), ("f.L1", f.L1), ("f.L2", f.L2),
+                    ("f.M1", f.M1), ("f.p", f.holder_p)]
         for i, imp in enumerate(self.impulses):
             yield from [(f"impulses[{i}].t", imp.t), (f"impulses[{i}].scale", imp.scale)]
         for i, term in enumerate(self.nonlocal_terms):
             yield from [(f"nonlocal[{i}].c", term.c), (f"nonlocal[{i}].tau", term.tau)]
-        for key, value in f.params.items():
-            if not key.endswith("_form"):
-                yield f"f.params.{key}", value
 
     def _build_ledger(self) -> ConstantsLedger:
         p = self.f_desc.holder_p
-        l_2 = max((imp.lipschitz for imp in self.impulses), default=0.0)
+        l_2 = max((abs(imp.scale) for imp in self.impulses), default=0.0)
         return ConstantsLedger(
             M=self.operator_bound(),
             M_B=float(np.linalg.norm(self.B, 2)),
@@ -307,31 +252,22 @@ class ProblemSpec:
 
 
 def eval_f(spec: ProblemSpec, x: FloatArray, hist: HistorySegment) -> FloatArray:
-    """Nonlinearity value f(t, x, x_t) at a stack of times; no kind reads t.
+    """Nonlinearity value f(t, x, x_t) at a stack of times; f does not read t.
 
     x holds one state row per time and hist the matching stacked windows;
     leading axes of x and hist.values stack paths.  f is its pointwise part
-    plus, for the memory kind, h(t-s) f2(s, x(s)) integrated over each
+    plus, when f2_gain is nonzero, h(t-s) f2(s, x(s)) integrated over each
     trailing delay window by the composite trapezoid rule on the window's own
     sub-grid: f2 is applied once per trajectory row, then every window is
     summed over a sliding view of those rows.
     """
-    desc, p = spec.f_desc, spec.f_desc.params
+    desc = spec.f_desc
     f1 = desc.pointwise(np.asarray(x, dtype=float))
-    f2_gain = float(p.get("f2_gain", 0.0))  # 0 unless the kind is memory
     width = len(hist.offsets)
-    if f2_gain == 0.0 or width < 2:
+    if desc.f2_gain == 0.0 or width < 2:
         return f1
-    rate = float(p.get("kernel_rate", 1.0))
-    rows = desc._form(p.get("f2_form", "linear"), f2_gain, hist.values)
+    rows = _form(desc.f2_form, desc.f2_gain, hist.values)
     w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
-    w *= np.exp(rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
+    w *= np.exp(desc.kernel_rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
     windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
     return f1 + windows @ w
-
-
-def eval_impulse(spec: ProblemSpec, k: int, x_left: FloatArray) -> FloatArray:
-    """Jump vector I_k(x(t_k^-)); k is a zero-based impulse index."""
-    if not (0 <= k < len(spec.impulses)):
-        raise DomainError(f"impulse index {k} out of range")
-    return spec.impulses[k].apply(np.asarray(x_left, dtype=float))

@@ -175,9 +175,14 @@ def minimize(
     skipped.  Steps are accepted only when they decrease J by more than
     1e-15 (backtracking halving), so the best-J history is non-increasing; a
     predicted decrease -g.d within that margin is stationary, and exhausting
-    the evaluation budget returns the best iterate flagged as non-converged."""
+    the evaluation budget returns the best iterate flagged as non-converged.
+    A budget too small for the start, one gradient and one trial point
+    (2 P N + 2 evaluations) is refused."""
     if param.n_modes != spec.n_modes:
         raise ConfigError("parameterization dimension does not match the problem")
+    least = 2 * param.intervals * param.n_modes + 2
+    if opts.max_evals < least:
+        raise ConfigError(f"max_evals must be >= 2*P*N + 2 = {least}, got {opts.max_evals}")
     n_evals = 0
     theta = param.project(
         np.zeros((param.intervals, param.n_modes)) if theta0 is None else np.asarray(theta0, float)

@@ -28,7 +28,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .errors import ConfigError, ConvergenceError, DomainError
 from .mittag import mittag_leffler
 from .model import (
-    FloatArray, HistorySegment, ProblemSpec, eval_f, eval_impulse, trapezoid_weights,
+    FloatArray, HistorySegment, ProblemSpec, eval_f, trapezoid_weights,
 )
 
 _NODE_TOL = 1e-9
@@ -37,6 +37,7 @@ _NODE_TOL = 1e-9
 # arrays that large.
 _MAX_STEPS = 10**6
 _MAX_CELLS = 10**7
+PICARD_MAX = 400  # Picard sweep budget of every solve
 
 
 def _as_steps(value: float, h: float, what: str) -> int:
@@ -175,7 +176,7 @@ class Trajectory:
         left = self.values[..., self.grid.fwd_row(m), :]
         if m in self.grid.impulse_nodes:
             k = self.grid.impulse_nodes.index(m)
-            return left + eval_impulse(self.grid.spec, k, left)
+            return left + self.grid.spec.impulses[k].scale * left
         return left
 
     def terminal(self) -> FloatArray:
@@ -266,9 +267,9 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
     fwd = table * out[..., n_hist, None, :]
     fwd += _convolve_all(grid, bu + f)
     pointwise = spec.f_desc.pointwise
-    for k, m in enumerate(grid.impulse_nodes):
+    for imp, m in zip(spec.impulses, grid.impulse_nodes):
         left = x[..., m, :]
-        jump = eval_impulse(spec, k, left)
+        jump = imp.scale * left
         kick = jump + 0.5 * grid.h * (pointwise(left + jump) - pointwise(left))
         fwd[..., m + 1 :, :] += table[1 : grid.n_fwd + 1 - m] * kick[..., None, :]
     out[..., n_hist:, :] = fwd
@@ -279,7 +280,7 @@ def solve_mild(
     spec: ProblemSpec,
     u: ControlSignal,
     tol: float = 1e-10,
-    max_iter: int = 200,
+    max_iter: int = PICARD_MAX,
     start: Trajectory | None = None,
 ) -> Trajectory:
     """Picard iteration for the mild solution under the control u.

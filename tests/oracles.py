@@ -204,12 +204,11 @@ def _kernel_by_hand(alpha: float, omega: float, n_modes: int, h: float, n: int):
 
 
 def _phi_by_hand(spec, s: float):
-    """phi(s) rebuilt from the descriptor's kind, coefficients and slope."""
+    """phi(s) = coeffs + s * slope rebuilt from the descriptor's fields; no
+    slope gives coeffs."""
     import numpy as np
 
-    if spec.phi.kind == "zero":
-        return np.zeros(spec.n_modes)
-    if spec.phi.kind == "constant":
+    if spec.phi.slope is None:
         return np.array(spec.phi.coeffs, dtype=float)
     return spec.phi.coeffs + s * spec.phi.slope
 
@@ -241,14 +240,13 @@ def mild_map_by_hand(spec, h: float, values, bu):
         + trapezoid sum over j <= m of D(t_m - t_j) F_j,
 
     with F_j = B u(t_j) + f1(x(t_j)) + the trapezoid sum of
-    exp(-rate (t_j - s)) f2(x(s)) over the window [t_j - r, t_j] for the
-    memory kind; the linear kind has f1(x) = gain x and no window sum, the
-    zero kind neither.  At an impulse node t_k < t_m the trapezoid weight h
-    is split in two halves: one takes F_k, the other F_k with f1 at the
-    right value x + I_k(x) (the memory window still ends at x(t_k)).  D comes
-    from _kernel_by_hand.  The nonlinearity, impulses, phi and eigenvalues
-    are rebuilt here from the descriptors' fields; nothing of the package's
-    solver is used.
+    exp(-rate (t_j - s)) f2(x(s)) over the window [t_j - r, t_j], where f1
+    and f2 are gain x or gain x / (1 + |x|) by their forms.  At an impulse
+    node t_k < t_m the trapezoid weight h is split in two halves: one takes
+    F_k, the other F_k with f1 at the right value x + I_k(x) (the memory
+    window still ends at x(t_k)).  D comes from _kernel_by_hand.  The
+    nonlinearity, impulses, phi and eigenvalues are rebuilt here from the
+    descriptors' fields; nothing of the package's solver is used.
     """
     import numpy as np
 
@@ -262,7 +260,7 @@ def mild_map_by_hand(spec, h: float, values, bu):
             total += term.c * values[round(term.tau / h) + i]
         return total
 
-    kind, p = spec.f_desc.kind, spec.f_desc.params
+    fd = spec.f_desc
 
     def form(name, gain, v):
         if name == "linear":
@@ -270,21 +268,16 @@ def mild_map_by_hand(spec, h: float, values, bu):
         return gain * v / (1.0 + math.sqrt(sum(c * c for c in v)))
 
     def f1(v):
-        if kind == "zero":
-            return np.zeros(spec.n_modes)
-        if kind == "linear":
-            return p.get("gain", 0.0) * v
-        return form(p.get("f1_form", "linear"), p.get("f1_gain", 0.0), v)
+        return form(fd.f1_form, fd.f1_gain, v)
 
     def memory(j):  # window of forward node j: rows j .. j + n_hist
         total = np.zeros(spec.n_modes)
-        if n_hist == 0 or kind != "memory":
+        if n_hist == 0:
             return total
         for i in range(n_hist + 1):
             wt = 0.5 * h if i in (0, n_hist) else h
-            kern = math.exp(-p.get("kernel_rate", 1.0) * (n_hist - i) * h)
-            total += wt * kern * form(p.get("f2_form", "linear"), p.get("f2_gain", 0.0),
-                                      values[j + i])
+            kern = math.exp(-fd.kernel_rate * (n_hist - i) * h)
+            total += wt * kern * form(fd.f2_form, fd.f2_gain, values[j + i])
         return total
 
     out = np.empty_like(values)

@@ -58,8 +58,8 @@ def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
     return ProblemSpec(
         alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
         impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor("constant", phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor("zero", {}),
+        phi=PhiDescriptor(phi_coeffs),
+        f_desc=f if f is not None else NonlinearityDescriptor(),
         B=np.eye(n) if B is None else np.asarray(B, float),
     )
 
@@ -67,13 +67,12 @@ def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
 def flagship_spec():
     return make_spec(
         n=16, alpha=1.5, omega=1.0, T=1.0, r=0.25,
-        impulses=[ImpulseDescriptor(0.5, "linear", -1.0)],
+        impulses=[ImpulseDescriptor(0.5, -1.0)],
         nonlocal_terms=[NonlocalTerm(0.25, 0.3)],
         phi_coeffs=[2.0 ** (-k) for k in range(16)],
         f=NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.05, "f2_gain": 0.05, "kernel_rate": 1.0,
-             "f1_form": "saturating", "f2_form": "linear"},
+            f1_gain=0.05, f2_gain=0.05, kernel_rate=1.0,
+            f1_form="saturating", f2_form="linear",
             L1=0.05, L2=0.05, M1=0.1, holder_p=0.4,
         ),
     )
@@ -166,7 +165,7 @@ def test_criterion_3_solver_order():
 
 def test_criterion_4_impulse_composition():
     alpha, t1 = 1.5, 0.5
-    spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, "linear", -1.0)])
+    spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, -1.0)])
     grid = Grid(spec, 1.0 / 400.0)
     traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
     e_t1 = mittag_leffler(alpha, 1.0, -(t1**alpha))
@@ -315,7 +314,7 @@ def test_criterion_9_contraction_arithmetic():
     got1, want1 = contraction_check(spec1, eps=1.0), 0.0
     # set 2: M=1, K=1, l2=0.1, l_g=0.1, norms=0, M_B=1, T=1, eps=1
     spec2 = make_spec(
-        impulses=[ImpulseDescriptor(0.5, "linear", 0.1)],
+        impulses=[ImpulseDescriptor(0.5, 0.1)],
         nonlocal_terms=[NonlocalTerm(0.1, 0.5)],
     )
     got2 = contraction_check(spec2, eps=1.0)
@@ -324,10 +323,10 @@ def test_criterion_9_contraction_arithmetic():
     T, p, L1, L2 = 2.0, 0.4, 0.3, 0.05
     spec3 = make_spec(
         T=T,
-        impulses=[ImpulseDescriptor(0.5, "linear", 0.2),
-                  ImpulseDescriptor(1.0, "linear", 0.1)],
+        impulses=[ImpulseDescriptor(0.5, 0.2),
+                  ImpulseDescriptor(1.0, 0.1)],
         nonlocal_terms=[NonlocalTerm(0.15, 0.5)],
-        f=NonlinearityDescriptor("linear", {"gain": 0.3}, L1=L1, L2=L2, holder_p=p),
+        f=NonlinearityDescriptor(f1_gain=0.3, L1=L1, L2=L2, holder_p=p),
     )
     got3 = contraction_check(spec3, eps=0.5)
     want3 = (2 * 0.2 + 0.15 + T ** (1 - p) * (L1 * T**p + L2 * T**p)) * (1.0 + T / 0.5)

@@ -349,6 +349,20 @@ class TestCliOptimizeCheck:
         assert "J_opt" in payload and len(payload["parameters"]) == 2
         assert payload["history"] == sorted(payload["history"], reverse=True)
 
+    def test_optimize_shares_the_picard_budget(self, tmp_path):
+        # a nonlocal weight of 0.9 makes the u = 0 solve take 219 sweeps at
+        # dt 0.02; every solve of the cost runs under the budget of solve,
+        # steer and sweep
+        cfg, out = tmp_path / "cfg.json", tmp_path / "opt.json"
+        raw = json.loads((CONFIGS / "linear1d.json").read_text())
+        cfg.write_text(json.dumps({**raw, "nonlocal": [{"c": 0.9, "tau": 0.0}]}))
+        code = run([
+            "optimize", "--config", str(cfg), "--dt", "0.02",
+            "--cost", str(CONFIGS / "cost_quadratic.json"), "--intervals", "2", "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["converged"]
+
     def test_check_prints_factor(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -547,9 +561,10 @@ FLAG_RUNS = {
 
 
 class TestInvalidFlags:
-    # refused on entry, before any solve: an iteration budget below 1, a NaN
-    # tolerance, eps or bound, a step that is not finite and > 0, an infinite
-    # beta and an empty eps list
+    # refused on entry, before any solve: an iteration budget below 1, an
+    # evaluation budget below 2 P N + 2 (the start, one gradient and one
+    # trial point; FLAG_RUNS has P N = 2), a NaN tolerance, eps or bound, a
+    # step that is not finite and > 0, an infinite beta and an empty eps list
     @pytest.mark.parametrize("sub, flag, value, name", [
         ("solve", "--max-iter", "0", "max_iter"),
         ("solve", "--max-iter", "-1", "max_iter"),
@@ -570,6 +585,8 @@ class TestInvalidFlags:
         ("optimize", "--fd-step", "-inf", "fd_step"),
         ("optimize", "--max-evals", "0", "max_evals"),
         ("optimize", "--max-evals", "-1", "max_evals"),
+        ("optimize", "--max-evals", "4", "max_evals"),
+        ("optimize", "--max-evals", "5", "max_evals"),
         ("optimize", "--bound", "nan", "box bounds"),
         ("check", "--eps", "nan", "eps"),
         ("ml", "--beta", "inf", "beta"),

@@ -40,8 +40,8 @@ def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
     return ProblemSpec(
         alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
         impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor("constant", phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor("zero", {}),
+        phi=PhiDescriptor(phi_coeffs),
+        f_desc=f if f is not None else NonlinearityDescriptor(),
         B=np.eye(n) if B is None else np.asarray(B, float),
     )
 
@@ -117,7 +117,7 @@ class TestResidual:
         # f = 0, g = 0, one flip impulse, h = 0:
         # p = -E(-T^a) phi0 - E(-(T-t1)^a) I(x(t1^-))
         alpha, t1 = 1.5, 0.5
-        spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, "linear", -1.0)])
+        spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, -1.0)])
         grid = Grid(spec, 1.0 / 200.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
         p = residual_p(spec, grid.h, traj.values, np.zeros(1))[0]
@@ -395,9 +395,8 @@ class TestInnerSolveSemantics:
         # slowly; either way the loop spends max_outer iterations and raises
         # with a finite last trajectory, not a Picard failure on a NaN
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 3.0, "f2_gain": 3.0, "kernel_rate": 1.0,
-             "f1_form": f1_form, "f2_form": "linear"},
+            f1_gain=3.0, f2_gain=3.0, kernel_rate=1.0,
+            f1_form=f1_form, f2_form="linear",
             L1=3.0, L2=3.0, M1=0.1, holder_p=0.4,
         )
         spec = make_spec(n=2, omega=1.0, r=0.25, f=f)
@@ -467,14 +466,13 @@ class TestCrossInstanceMisuse:
 class TestNonlinearSteer:
     def test_small_nonlinearity_steers(self):
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.05, "f2_gain": 0.05, "kernel_rate": 1.0,
-             "f1_form": "saturating", "f2_form": "saturating"},
+            f1_gain=0.05, f2_gain=0.05, kernel_rate=1.0,
+            f1_form="saturating", f2_form="saturating",
             L1=0.05, L2=0.05, M1=0.1, holder_p=0.4,
         )
         spec = make_spec(
             n=2, omega=1.0, r=0.25,
-            impulses=[ImpulseDescriptor(0.5, "linear", -1.0)],
+            impulses=[ImpulseDescriptor(0.5, -1.0)],
             nonlocal_terms=[NonlocalTerm(0.25, 0.3)],
             phi_coeffs=[1.0, 0.5], f=f,
         )

@@ -189,8 +189,8 @@ def _table(ts, alpha, eigs):
 def _grid(alpha, omega, n_modes, T, dt):
     spec = ProblemSpec(
         alpha=alpha, omega=omega, n_modes=n_modes, horizon=T, delay=0.0,
-        impulses=(), nonlocal_terms=(), phi=PhiDescriptor("constant", np.ones(n_modes)),
-        f_desc=NonlinearityDescriptor("zero", {}, holder_p=(alpha - 1.0) / 2.0),
+        impulses=(), nonlocal_terms=(), phi=PhiDescriptor(np.ones(n_modes)),
+        f_desc=NonlinearityDescriptor(holder_p=(alpha - 1.0) / 2.0),
         B=np.eye(n_modes),
     )
     return solver.Grid(spec, dt)

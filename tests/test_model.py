@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsteer.errors import ConfigError, DomainError
+from fracsteer.config import problem_from_dict
+from fracsteer.errors import ConfigError
 from fracsteer.model import (
     HistorySegment,
     ImpulseDescriptor,
@@ -17,9 +18,13 @@ from fracsteer.model import (
     PhiDescriptor,
     ProblemSpec,
     eval_f,
-    eval_impulse,
 )
 from fracsteer.solver import ControlSignal, Grid, Trajectory, _nonlocal_samples, solve_mild
+
+
+def config_with_f(f):
+    """A one-mode problem file whose f is f."""
+    return {"alpha": 1.5, "N": 1, "T": 1.0, "phi": {"kind": "zero"}, "f": f}
 
 
 def make_spec(
@@ -35,9 +40,9 @@ def make_spec(
 ):
     n_modes = n
     if phi is None:
-        phi = PhiDescriptor("constant", np.ones(n_modes))
+        phi = PhiDescriptor(np.ones(n_modes))
     if f is None:
-        f = NonlinearityDescriptor("zero", {})
+        f = NonlinearityDescriptor()
     return ProblemSpec(
         alpha=alpha,
         omega=omega,
@@ -55,14 +60,14 @@ def make_spec(
 class TestValidation:
     def test_impulse_times_inside_horizon(self):
         with pytest.raises(ConfigError):
-            make_spec(impulses=[ImpulseDescriptor(1.5, "linear", -1.0)])
+            make_spec(impulses=[ImpulseDescriptor(1.5, -1.0)])
 
     def test_impulse_times_increasing(self):
         with pytest.raises(ConfigError):
             make_spec(
                 impulses=[
-                    ImpulseDescriptor(0.6, "linear", -1.0),
-                    ImpulseDescriptor(0.4, "linear", -1.0),
+                    ImpulseDescriptor(0.6, -1.0),
+                    ImpulseDescriptor(0.4, -1.0),
                 ]
             )
 
@@ -71,7 +76,7 @@ class TestValidation:
             make_spec(nonlocal_terms=[NonlocalTerm(0.5, 2.0)])
 
     def test_holder_exponent_window(self):
-        f = NonlinearityDescriptor("zero", {}, holder_p=0.7)
+        f = NonlinearityDescriptor(holder_p=0.7)
         with pytest.raises(ConfigError):
             make_spec(alpha=1.5, f=f)  # needs p < alpha - 1 = 0.5
 
@@ -79,10 +84,10 @@ class TestValidation:
         spec = make_spec(
             n=2,
             r=0.25,
-            impulses=[ImpulseDescriptor(0.5, "linear", -1.0)],
+            impulses=[ImpulseDescriptor(0.5, -1.0)],
             nonlocal_terms=[NonlocalTerm(0.5, 0.25), NonlocalTerm(-0.25, 0.5)],
-            phi=PhiDescriptor("constant", np.ones(2)),
-            f=NonlinearityDescriptor("zero", {}, L1=0.2, holder_p=0.4),
+            phi=PhiDescriptor(np.ones(2)),
+            f=NonlinearityDescriptor(L1=0.2, holder_p=0.4),
         )
         c = spec.constants
         assert c.K == 1
@@ -94,14 +99,15 @@ class TestValidation:
 
     def test_misspelled_param_rejected(self):
         # a silently ignored "gian" would leave f = 0
+        f = {"kind": "linear", "params": {"gian": 0.3}}
         with pytest.raises(ConfigError, match=r"unknown key\(s\) \['gian'\] in f.params"):
-            NonlinearityDescriptor("linear", {"gian": 0.3})
+            problem_from_dict(config_with_f(f))
 
     def test_bad_f2_form_rejected_with_f2_off(self):
-        # eval_f never reads f2_form while f2_gain is 0; the descriptor still does
+        # eval_f never reads f2_form while f2_gain is 0; the config still does
         params = {"f1_gain": 0.1, "f2_gain": 0.0, "f1_form": "linear", "f2_form": "satrating"}
         with pytest.raises(ConfigError, match="f.params.f2_form must be 'linear' or 'saturating'"):
-            NonlinearityDescriptor("memory", params)
+            problem_from_dict(config_with_f({"kind": "memory", "params": params}))
 
 
 def flat_history(spec, grid, value):
@@ -120,8 +126,7 @@ class TestEvalF:
     def test_memory_with_kernel_off(self):
         # f2 gain zero leaves only the pointwise part f1
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.3, "f2_gain": 0.0, "f1_form": "linear"},
+            f1_gain=0.3, f2_gain=0.0, f1_form="linear",
             L1=0.3,
             holder_p=0.4,
         )
@@ -136,8 +141,7 @@ class TestEvalF:
         # intervals: compare with an independently coded trapezoid sum
         rate, b_gain, r = 1.0, 0.7, 1.0
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.0, "f2_gain": b_gain, "kernel_rate": rate},
+            f1_gain=0.0, f2_gain=b_gain, kernel_rate=rate,
             L2=b_gain,
             holder_p=0.4,
         )
@@ -156,14 +160,11 @@ class TestEvalF:
     def test_declared_lipschitz_not_exceeded(self):
         # finite-difference Lipschitz estimates stay within declared L1, L2
         f = NonlinearityDescriptor(
-            "memory",
-            {
-                "f1_gain": 0.4,
-                "f2_gain": 0.3,
-                "kernel_rate": 1.0,
-                "f1_form": "saturating",
-                "f2_form": "saturating",
-            },
+            f1_gain=0.4,
+            f2_gain=0.3,
+            kernel_rate=1.0,
+            f1_form="saturating",
+            f2_form="saturating",
             L1=0.4,
             L2=0.3,
             M1=0.7,
@@ -192,8 +193,7 @@ class TestEvalF:
 
     def test_bound_respected_when_declared(self):
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.4, "f2_gain": 0.0, "f1_form": "saturating"},
+            f1_gain=0.4, f2_gain=0.0, f1_form="saturating",
             L1=0.4,
             M1=0.4,
             holder_p=0.4,
@@ -258,28 +258,33 @@ class TestEvalG:
         assert np.all(np.linalg.norm(gap, axis=1) <= l_g * sup + 1e-12)
 
 
+def impulse_jump(spec, x):
+    """I(x) at the one impulse of spec: Trajectory.right_value at its node,
+    less the left value x stored there."""
+    grid = Grid(spec, 0.25)
+    m = grid.impulse_nodes[0]
+    values = np.zeros((len(grid), spec.n_modes))
+    values[grid.fwd_row(m)] = x
+    return Trajectory(grid, values).right_value(m) - x
+
+
 class TestEvalImpulse:
     def test_flip_impulse(self):
         spec = make_spec(
-            n=3, impulses=[ImpulseDescriptor(0.5, "linear", -1.0)]
+            n=3, impulses=[ImpulseDescriptor(0.5, -1.0)]
         )
         x = np.array([1.0, 0.0, 0.0])
         np.testing.assert_array_equal(
-            eval_impulse(spec, 0, x), np.array([-1.0, 0.0, 0.0])
+            impulse_jump(spec, x), np.array([-1.0, 0.0, 0.0])
         )
 
     def test_zero_impulse(self):
-        spec = make_spec(n=2, impulses=[ImpulseDescriptor(0.5, "linear", 0.0)])
+        spec = make_spec(n=2, impulses=[ImpulseDescriptor(0.5, 0.0)])
         x = np.array([3.0, -4.0])
-        np.testing.assert_array_equal(eval_impulse(spec, 0, x), np.zeros(2))
+        np.testing.assert_array_equal(impulse_jump(spec, x), np.zeros(2))
 
     def test_scaled_impulse_linearity(self):
-        spec = make_spec(n=4, impulses=[ImpulseDescriptor(0.5, "linear", 0.1)])
+        spec = make_spec(n=4, impulses=[ImpulseDescriptor(0.5, 0.1)])
         rng = np.random.default_rng(5)
         x = rng.standard_normal(4)
-        np.testing.assert_allclose(eval_impulse(spec, 0, x), 0.1 * x)
-
-    def test_index_out_of_range(self):
-        spec = make_spec(n=1, impulses=[ImpulseDescriptor(0.5, "linear", 0.1)])
-        with pytest.raises(DomainError):
-            eval_impulse(spec, 1, np.array([1.0]))
+        np.testing.assert_allclose(impulse_jump(spec, x), 0.1 * x)

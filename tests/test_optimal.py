@@ -38,8 +38,8 @@ def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
     return ProblemSpec(
         alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
         impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor("constant", phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor("zero", {}),
+        phi=PhiDescriptor(phi_coeffs),
+        f_desc=f if f is not None else NonlinearityDescriptor(),
         B=np.eye(n),
     )
 
@@ -296,9 +296,8 @@ class TestMinimize:
     def test_batched_eval_cost_equals_single_calls(self):
         # delay, memory forcing and the history term of the cost all active
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.5, "f2_gain": 0.5, "kernel_rate": 1.0,
-             "f1_form": "saturating", "f2_form": "saturating"},
+            f1_gain=0.5, f2_gain=0.5, kernel_rate=1.0,
+            f1_form="saturating", f2_form="saturating",
             L1=0.5, L2=0.5, M1=1.0,
         )
         spec = make_spec(n=2, alpha=1.5, r=0.25, phi_coeffs=[1.0, -0.5], f=f)
@@ -344,9 +343,8 @@ class TestMinimize:
     def test_saturating_memory_forcing_converges(self):
         # a non-affine control-to-state map: J is not a quadratic in theta
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.5, "f2_gain": 0.5, "kernel_rate": 1.0,
-             "f1_form": "saturating", "f2_form": "saturating"},
+            f1_gain=0.5, f2_gain=0.5, kernel_rate=1.0,
+            f1_form="saturating", f2_form="saturating",
             L1=0.5, L2=0.5, M1=1.0,
         )
         spec = make_spec(alpha=1.5, r=0.25, phi_coeffs=[1.0], f=f)
@@ -393,10 +391,10 @@ class TestConvexity:
         rng = np.random.default_rng(400 + seed)
         spec = make_spec(
             n=2, omega=1.0, r=0.25,
-            impulses=[ImpulseDescriptor(0.5, "linear", -0.5)],
+            impulses=[ImpulseDescriptor(0.5, -0.5)],
             nonlocal_terms=[NonlocalTerm(0.25, 0.5)],
             phi_coeffs=[1.0, -0.25],
-            f=NonlinearityDescriptor("linear", {"gain": 0.1}, L1=0.1, holder_p=0.4),
+            f=NonlinearityDescriptor(f1_gain=0.1, L1=0.1, holder_p=0.4),
         )
         grid = Grid(spec, 1.0 / 20.0)
         u1 = ControlSignal(grid, rng.standard_normal((grid.n_fwd + 1, 2)))

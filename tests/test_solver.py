@@ -65,15 +65,15 @@ def make_spec(
         delay=r,
         impulses=tuple(impulses),
         nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor("constant", phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor("zero", {}),
+        phi=PhiDescriptor(phi_coeffs),
+        f_desc=f if f is not None else NonlinearityDescriptor(),
         B=np.eye(n) if B is None else B,
     )
 
 
 class TestGrid:
     def test_nodes_and_breakpoints(self):
-        spec = make_spec(r=0.25, impulses=[ImpulseDescriptor(0.5, "linear", -1.0)])
+        spec = make_spec(r=0.25, impulses=[ImpulseDescriptor(0.5, -1.0)])
         grid = Grid(spec, 1.0 / 8.0)
         assert grid.n_hist == 2
         assert grid.n_fwd == 8
@@ -83,7 +83,7 @@ class TestGrid:
         assert grid.row(0.0) == grid.n_hist
 
     def test_incommensurate_step_rejected(self):
-        spec = make_spec(impulses=[ImpulseDescriptor(0.5, "linear", -1.0)])
+        spec = make_spec(impulses=[ImpulseDescriptor(0.5, -1.0)])
         with pytest.raises(ConfigError):
             Grid(spec, 1.0 / 3.0)
 
@@ -162,7 +162,7 @@ class TestImpulse:
         # I(x) = -x at t1: for t > t1,
         # x(t) = E(-t^a) x0 - E(-(t-t1)^a) E(-t1^a) x0
         alpha, t1 = 1.5, 0.5
-        spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, "linear", -1.0)])
+        spec = make_spec(alpha=alpha, impulses=[ImpulseDescriptor(t1, -1.0)])
         grid = Grid(spec, 1.0 / 400.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
         e_t1 = mittag_leffler(alpha, 1.0, -(t1**alpha))
@@ -173,7 +173,7 @@ class TestImpulse:
             assert traj.values[grid.row(t), 0] == pytest.approx(want, abs=1e-6)
 
     def test_left_limit_convention_and_jump_record(self):
-        spec = make_spec(alpha=1.5, impulses=[ImpulseDescriptor(0.5, "linear", -1.0)])
+        spec = make_spec(alpha=1.5, impulses=[ImpulseDescriptor(0.5, -1.0)])
         grid = Grid(spec, 1.0 / 8.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
         m = grid.impulse_nodes[0]
@@ -215,14 +215,13 @@ class TestNonlinearRefinement:
         # coarse-pair difference must stay within 4x the extrapolated error
         # of the finest grid (second-order quadrature: difference ~ 3 e_800)
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.05, "f2_gain": 0.05, "kernel_rate": 1.0,
-             "f1_form": "saturating", "f2_form": "linear"},
+            f1_gain=0.05, f2_gain=0.05, kernel_rate=1.0,
+            f1_form="saturating", f2_form="linear",
             L1=0.05, L2=0.05, M1=0.1, holder_p=0.4,
         )
         spec = make_spec(
             n=16, alpha=1.5, omega=1.0, r=0.25,
-            impulses=[ImpulseDescriptor(0.5, "linear", -1.0)],
+            impulses=[ImpulseDescriptor(0.5, -1.0)],
             nonlocal_terms=[NonlocalTerm(0.25, 0.3)],
             phi_coeffs=[2.0 ** (-k) for k in range(16)],
             f=f,
@@ -297,14 +296,11 @@ class TestPicardBehaviour:
     def test_residual_geometric_decay(self, seed):
         rng = np.random.default_rng(300 + seed)
         f = NonlinearityDescriptor(
-            "memory",
-            {
-                "f1_gain": float(rng.uniform(0.01, 0.05)),
-                "f2_gain": float(rng.uniform(0.01, 0.05)),
-                "kernel_rate": 1.0,
-                "f1_form": "saturating",
-                "f2_form": "saturating",
-            },
+            f1_gain=float(rng.uniform(0.01, 0.05)),
+            f2_gain=float(rng.uniform(0.01, 0.05)),
+            kernel_rate=1.0,
+            f1_form="saturating",
+            f2_form="saturating",
             L1=0.05,
             L2=0.05,
             M1=0.1,
@@ -314,7 +310,7 @@ class TestPicardBehaviour:
             n=2,
             r=0.25,
             nonlocal_terms=[NonlocalTerm(float(rng.uniform(0.05, 0.2)), 0.5)],
-            impulses=[ImpulseDescriptor(0.5, "linear", float(rng.uniform(-0.1, 0.1)))],
+            impulses=[ImpulseDescriptor(0.5, float(rng.uniform(-0.1, 0.1)))],
             f=f,
             phi_coeffs=rng.uniform(-1, 1, size=2),
         )
@@ -335,7 +331,7 @@ class TestPicardBehaviour:
         assert len(err.value.residuals) == 15
 
     def test_warning_attached_when_factor_large(self):
-        spec = make_spec(impulses=[ImpulseDescriptor(0.5, "linear", -1.0)])
+        spec = make_spec(impulses=[ImpulseDescriptor(0.5, -1.0)])
         assert picard_factor(spec) >= 1.0
         grid = Grid(spec, 0.25)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
@@ -350,7 +346,7 @@ class TestContractionCheck:
     def test_hand_arithmetic(self):
         # M=1, K=1, l2=0.1, l_g=0.1, L-norms=0, M_B=1, T=1, eps=1 -> 0.4
         spec = make_spec(
-            impulses=[ImpulseDescriptor(0.5, "linear", 0.1)],
+            impulses=[ImpulseDescriptor(0.5, 0.1)],
             nonlocal_terms=[NonlocalTerm(0.1, 0.5)],
         )
         got = contraction_check(spec, eps=1.0)
@@ -372,10 +368,10 @@ class TestContractionCheck:
 
     def test_hand_arithmetic_with_norms(self):
         T, p, L1, L2 = 2.0, 0.4, 0.3, 0.05
-        f = NonlinearityDescriptor("linear", {"gain": 0.3}, L1=L1, L2=L2, holder_p=p)
+        f = NonlinearityDescriptor(f1_gain=0.3, L1=L1, L2=L2, holder_p=p)
         spec = make_spec(
             T=T,
-            impulses=[ImpulseDescriptor(0.5, "linear", 0.2), ImpulseDescriptor(1.0, "linear", 0.1)],
+            impulses=[ImpulseDescriptor(0.5, 0.2), ImpulseDescriptor(1.0, 0.1)],
             nonlocal_terms=[NonlocalTerm(0.15, 0.5)],
             f=f,
         )
@@ -454,14 +450,13 @@ class TestImpulseNodeForcing:
         alpha, h, r, t_k, T = self.alpha, self.h, self.r, self.t_k, self.T
         g1, g2, rate, scale = self.g1, self.g2, self.rate, self.scale
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": g1, "f2_gain": g2, "kernel_rate": rate,
-             "f1_form": "saturating", "f2_form": "linear"},
+            f1_gain=g1, f2_gain=g2, kernel_rate=rate,
+            f1_form="saturating", f2_form="linear",
             L1=g1, L2=g2, M1=0.5, holder_p=0.4,
         )
         spec = make_spec(
             n=2, alpha=alpha, omega=0.5, r=r, T=T,
-            impulses=[ImpulseDescriptor(t_k, "linear", scale)],
+            impulses=[ImpulseDescriptor(t_k, scale)],
             nonlocal_terms=nonlocal_terms, phi_coeffs=self.phi0, f=f,
         )
         grid = Grid(spec, h)
@@ -539,8 +534,8 @@ class TestImpulseNodeForcing:
         # the right value follows from the jump condition, so a trajectory
         # built from bare values has one too; off the impulse nodes it is x
         spec = make_spec(
-            n=2, r=0.25, impulses=[ImpulseDescriptor(0.25, "linear", -0.5),
-                                   ImpulseDescriptor(0.75, "linear", 0.3)],
+            n=2, r=0.25, impulses=[ImpulseDescriptor(0.25, -0.5),
+                                   ImpulseDescriptor(0.75, 0.3)],
         )
         grid = Grid(spec, 1.0 / 8.0)
         values = np.random.default_rng(3).standard_normal((len(grid), 2))
@@ -559,9 +554,8 @@ class TestWholeGridPrimitives:
         # convolution against the direct trapezoid sum; the sums only change
         # order, so the gaps stay at rounding level
         f = NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": 0.3, "f2_gain": 0.2, "kernel_rate": 2.0,
-             "f1_form": "saturating", "f2_form": "saturating"},
+            f1_gain=0.3, f2_gain=0.2, kernel_rate=2.0,
+            f1_form="saturating", f2_form="saturating",
             L1=0.3, L2=0.2, M1=0.5, holder_p=0.4,
         )
         spec = make_spec(n=3, omega=0.5, r=0.25, f=f)
@@ -645,11 +639,10 @@ class TestMildMapOracle:
         forms = st.sampled_from(["linear", "saturating"])
         f1_gain, f2_gain = data.draw(signed), data.draw(signed)
         return NonlinearityDescriptor(
-            "memory",
-            {"f1_gain": f1_gain, "f2_gain": f2_gain,
-             "kernel_rate": data.draw(st.floats(0.0, 3.0), label="rate"),
-             "f1_form": data.draw(forms, label="f1_form"),
-             "f2_form": data.draw(forms, label="f2_form")},
+            f1_gain=f1_gain, f2_gain=f2_gain,
+            kernel_rate=data.draw(st.floats(0.0, 3.0), label="rate"),
+            f1_form=data.draw(forms, label="f1_form"),
+            f2_form=data.draw(forms, label="f2_form"),
             L1=abs(f1_gain), L2=abs(f2_gain), M1=1.0, holder_p=0.01,
         )
 
@@ -657,9 +650,9 @@ class TestMildMapOracle:
     def draw_pointwise_f(data, signed):
         # the kinds without a memory window: f = 0 and f = gain * x
         if data.draw(st.sampled_from(["zero", "linear"]), label="f_kind") == "zero":
-            return NonlinearityDescriptor("zero", {}, holder_p=0.01)
+            return NonlinearityDescriptor(holder_p=0.01)
         gain = data.draw(signed, label="gain")
-        return NonlinearityDescriptor("linear", {"gain": gain}, L1=abs(gain), holder_p=0.01)
+        return NonlinearityDescriptor(f1_gain=gain, L1=abs(gain), holder_p=0.01)
 
     @classmethod
     def draw_problem(cls, data, draw_f=None):
@@ -675,13 +668,14 @@ class TestMildMapOracle:
             st.lists(st.integers(1, n_fwd - 1), max_size=2, unique=True), label="impulses"
         )
         impulses = [
-            ImpulseDescriptor(m * h, "linear", data.draw(signed)) for m in sorted(imp_nodes)
+            ImpulseDescriptor(m * h, data.draw(signed)) for m in sorted(imp_nodes)
         ]
         anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
         nonlocal_terms = [NonlocalTerm(0.5 * data.draw(signed), m * h) for m in anchors]
         f = (draw_f or cls.draw_memory_f)(data, signed)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         phi = data.draw(st.sampled_from(["constant", "linear"]), label="phi")
+        coeffs, slope = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
         spec = ProblemSpec(
             alpha=data.draw(st.floats(1.05, 1.95), label="alpha"),
             omega=data.draw(st.floats(0.0, 1.0), label="omega"),
@@ -690,7 +684,7 @@ class TestMildMapOracle:
             delay=n_hist * h,
             impulses=tuple(impulses),
             nonlocal_terms=tuple(nonlocal_terms),
-            phi=PhiDescriptor(phi, rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)),
+            phi=PhiDescriptor(coeffs, slope if phi == "linear" else None),
             f_desc=f,
             B=rng.uniform(-1, 1, (n, n)),
         )
