@@ -409,6 +409,27 @@ class TestInnerSolveSemantics:
         traj, u = exc.last_iterate
         assert np.isfinite(traj.values).all() and np.isfinite(u.samples).all()
 
+    @pytest.mark.parametrize("target", ["origin", "free", "free+1e-3", "free+1e-6"])
+    def test_u0_solve_tolerance_does_not_move_the_steer(self, target):
+        # the outer loop contracts from any start, so the u = 0 path only
+        # seeds the first residual: a steer gives the same outer count and,
+        # within 1e-12, the same terminal error as one handed the u = 0
+        # path solved to 1e-13, including at targets on or near the free
+        # endpoint, where that seed is all the control has to correct
+        spec, _ = flagship_problem()
+        grid = Grid(spec, 1.0 / 200.0)
+        free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
+        shift = np.linspace(-1.0, 1.0, spec.n_modes)
+        shift /= np.linalg.norm(shift)
+        h = {"origin": np.zeros(spec.n_modes), "free": free.terminal(),
+             "free+1e-3": free.terminal() + 1e-3 * shift,
+             "free+1e-6": free.terminal() + 1e-6 * shift}[target]
+        for eps in (1e-1, 1e-3, 1e-5):
+            report, _, _ = steer(spec, grid, h, eps, tol=1e-8)
+            exact, _, _ = steer(spec, grid, h, eps, tol=1e-8, free=free)
+            assert report.outer_iters == exact.outer_iters
+            assert report.terminal_error == pytest.approx(exact.terminal_error, rel=0, abs=1e-12)
+
     def test_sweep_entry_equals_solo_steer(self):
         spec, h = flagship_problem()
         grid = Grid(spec, 1.0 / 200.0)
