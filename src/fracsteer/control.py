@@ -32,7 +32,8 @@ from .errors import ConfigError, ConvergenceError, EvaluationError
 from .model import FloatArray, ProblemSpec
 from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, solve_mild
 
-PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve, and of a sweep's u = 0 solve
+PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve
+INEXACT = 1e-3  # an inexact inner solve stops at this fraction of what it feeds the outer loop
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,17 @@ def synthesize_control(grid: Grid, c: FloatArray) -> ControlSignal:
     return ControlSignal(grid, (grid.kernel_table[::-1] * c) @ grid.spec.B)
 
 
+def _free_path(spec: ProblemSpec, grid: Grid, h: FloatArray, picard_tol: float) -> Trajectory:
+    """The u = 0 path, which only seeds p: its Picard sweeps stop at a residual
+    <= max(picard_tol, INEXACT |h - x(T)|), x(T) read off the returned path."""
+    u = ControlSignal.zeros(grid)
+    traj = solve_mild(spec, u, tol=max(picard_tol, INEXACT * np.linalg.norm(h - spec.phi(0.0))))
+    while traj.residuals[-1] > (need := max(picard_tol, INEXACT * np.linalg.norm(h - traj.terminal()))):
+        more = solve_mild(spec, u, tol=need, start=traj)
+        traj = Trajectory(grid, more.values, traj.warnings, traj.residuals + more.residuals)
+    return traj
+
+
 def steer(
     spec: ProblemSpec,
     grid: Grid,
@@ -101,10 +113,10 @@ def steer(
     along one dominant direction, so inner solve k+1 starts from the
     extrapolation x_k + a (x_k - x_{k-1}), a = <du_{k+1}, du_k> / <du_k, du_k>
     with du_k = u_k - u_{k-1} summed over all samples (from x_k when no
-    earlier step exists).  It runs to max(picard_tol, 1e-3 * d), d the
-    control's sup change; the last (d <= tol) runs to picard_tol.
-    free, if given, must be the u = 0 solution on grid to picard_tol.  The
-    report carries the terminal error |x(T) - h| and the control energy.
+    earlier step exists).  It runs to max(picard_tol, INEXACT d), d the
+    control's sup change; the last (d <= tol) runs to picard_tol.  free, if
+    given, is the u = 0 path on grid, solved at least as far as _free_path
+    does: it only seeds p.  The report carries |x(T) - h| and the energy.
     """
     if not (0.0 < eps < math.inf and tol > 0.0):
         raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
@@ -120,7 +132,7 @@ def steer(
         ) from exc
 
     u = ControlSignal.zeros(grid)
-    traj = free if free is not None else solve_mild(spec, u, tol=picard_tol)
+    traj = free if free is not None else _free_path(spec, grid, h, picard_tol)
     p = h - traj.terminal()
     inner = [traj.residuals]
     warnings_list = list(traj.warnings)
@@ -129,7 +141,7 @@ def steer(
         c = cho_solve(factor, p)
         u_prev, u = u, synthesize_control(grid, c)
         diffs.append(u.sup_distance(u_prev))
-        inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, 1e-3 * diffs[-1])
+        inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, INEXACT * diffs[-1])
         du, start = u.samples - u_prev.samples, traj
         if x_prev is not None:
             # np.sum, not np.vdot: BLAS splits a long dot product over its
@@ -184,8 +196,9 @@ def epsilon_sweep(
     max_outer: int = 120,
 ) -> SweepResult:
     """One steering run per eps (strictly decreasing list), all from one
-    shared u = 0 solve, which does not depend on eps and is solved as steer
-    would; failures are recorded per entry and the sweep continues."""
+    shared u = 0 path (steer's free=), which does not depend on eps and is
+    solved as a solo steer would, to max(PICARD_TOL, INEXACT |h - x(T)|);
+    failures are recorded per entry and the sweep continues."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ConfigError("eps list must not be empty")
@@ -201,7 +214,7 @@ def epsilon_sweep(
             return SweepEntry(eps=eps, error=str(exc))
 
     try:
-        free = solve_mild(spec, ControlSignal.zeros(grid), tol=PICARD_TOL)
+        free = _free_path(spec, grid, h, PICARD_TOL)
     except (ConvergenceError, EvaluationError) as exc:
         entries = [SweepEntry(eps=e, error=str(exc)) for e in eps_list]
     else:

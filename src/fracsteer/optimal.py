@@ -98,18 +98,17 @@ class ControlParameterization:
     def project(self, theta: FloatArray) -> FloatArray:
         return np.clip(theta, self.lower, self.upper)
 
+    def interval_of(self, grid: Grid) -> np.ndarray:
+        """Each forward node's interval (right-open; the final node in the last)."""
+        ts = grid.forward_times()
+        return np.minimum((ts / grid.spec.horizon * self.intervals).astype(int), self.intervals - 1)
+
     def expand(self, grid: Grid, theta: FloatArray) -> ControlSignal:
-        """Piecewise-constant expansion onto the forward grid (right-open
-        intervals; the final node belongs to the last interval); leading axes
-        stack parameter sets."""
+        """Piecewise-constant expansion onto the forward grid; leading axes stack parameter sets."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape[-2:] != (self.intervals, self.n_modes):
             raise DomainError(f"theta must have shape ({self.intervals}, {self.n_modes})")
-        ts = grid.forward_times()
-        idx = np.minimum(
-            (ts / grid.spec.horizon * self.intervals).astype(int), self.intervals - 1
-        )
-        return ControlSignal(grid, theta[..., idx, :])
+        return ControlSignal(grid, theta[..., self.interval_of(grid), :])
 
 
 def eval_cost(
@@ -177,12 +176,15 @@ def minimize(
     predicted decrease -g.d within that margin is stationary, and exhausting
     the evaluation budget returns the best iterate flagged as non-converged.
     A budget too small for the start, one gradient and one trial point
-    (2 P N + 2 evaluations) is refused."""
+    (2 P N + 2 evaluations) is refused, as is an interval with no grid node."""
     if param.n_modes != spec.n_modes:
         raise ConfigError("parameterization dimension does not match the problem")
     least = 2 * param.intervals * param.n_modes + 2
     if opts.max_evals < least:
         raise ConfigError(f"max_evals must be >= 2*P*N + 2 = {least}, got {opts.max_evals}")
+    empty = int(np.sum(np.bincount(param.interval_of(grid), minlength=param.intervals) == 0))
+    if empty:
+        raise ConfigError(f"{empty} of P={param.intervals} control intervals hold no grid node")
     n_evals = 0
     theta = param.project(
         np.zeros((param.intervals, param.n_modes)) if theta0 is None else np.asarray(theta0, float)

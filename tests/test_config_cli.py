@@ -646,6 +646,21 @@ class TestInvalidFlags:
         assert peak < 40e6
         assert not (tmp_path / "out").exists()
 
+    # at dt 0.1 on T = 1, 16 intervals leave 5 of them without a forward
+    # node, whose parameters could never move (such a run used to exit 0
+    # after 429 evaluations); at 11 intervals every one holds a node
+    @pytest.mark.parametrize("intervals, want", [(16, 2), (11, 0)])
+    def test_interval_without_grid_node(self, tmp_path, intervals, want):
+        argv = [
+            "optimize", f"--config={CONFIGS / 'linear1d.json'}", "--dt=0.1",
+            f"--cost={CONFIGS / 'cost_quadratic.json'}", f"--intervals={intervals}",
+        ]
+        code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
+        assert code == want
+        if want == 2:
+            assert err == "error: 5 of P=16 control intervals hold no grid node\n"
+        assert (tmp_path / "out").exists() == (want == 0)
+
     # a z sweep that is not from,to,steps
     @pytest.mark.parametrize("grid", ["0,1", "0,1,2,3", "a,1,5", "0,1,2.5"])
     def test_malformed_grid(self, tmp_path, grid):

@@ -12,7 +12,9 @@ import pytest
 
 from fracsteer.config import load_problem
 from fracsteer.control import (
+    PICARD_TOL,
     Grammian,
+    _free_path,
     epsilon_sweep,
     grammian,
     steer,
@@ -277,22 +279,24 @@ class TestGoldenFlagship:
     def test_inner_solves_start_from_last_iterate(self):
         # each inner solve after the second starts from the last outer
         # iterate extrapolated along the last outer step and, but for the
-        # last, stops at 1e-3 times the control change it solves for, so
-        # the 12 solves take at most 48 Picard sweeps (42 measured; 72 when
-        # each started from the last iterate itself, 129 when every solve
-        # also ran to picard_tol, 204 when each started from phi), in the
-        # same 11 outer iterations
+        # last, stops at 1e-3 times the control change it solves for; the
+        # u = 0 solve stops at 1e-3 times the residual it seeds.  The 12
+        # solves take at most 33 Picard sweeps (32 measured; 43 with the
+        # u = 0 solve run to picard_tol, 72 when each solve started from the
+        # last iterate itself, 129 when every solve also ran to picard_tol,
+        # 204 when each started from phi), in the same 11 outer iterations
         spec, h = flagship_problem()
         report, _, _ = steer(spec, Grid(spec, 1.0 / 200.0), h, eps=1e-2, tol=1e-8)
         assert report.outer_iters == 11
         assert len(report.inner_residuals) == 12
-        assert sum(map(len, report.inner_residuals)) <= 48
+        assert sum(map(len, report.inner_residuals)) <= 33
 
     def test_steer_reads_p_off_the_last_sweep(self, monkeypatch):
         # p is read off each inner solve's last sweep and (eps I + Gamma) is
         # factored once, so a flagship steer at 1/200 evaluates f once per
-        # Picard sweep: at most 44 eval_f calls (43 measured; 53 with one
-        # more mild map per outer iteration for p) and one cho_factor call
+        # Picard sweep: at most 33 eval_f calls (32 measured; 43 with the
+        # u = 0 solve run to picard_tol, 53 with one more mild map per outer
+        # iteration for p) and one cho_factor call
         import fracsteer.control as control
         import fracsteer.solver as solver
 
@@ -309,13 +313,14 @@ class TestGoldenFlagship:
         spec, h = flagship_problem()
         report, _, _ = steer(spec, Grid(spec, 1.0 / 200.0), h, eps=1e-2, tol=1e-8)
         assert report.outer_iters == 11
-        assert calls["eval_f"] <= 44
+        assert calls["eval_f"] <= 33
         assert calls["cho_factor"] == 1
 
-        # a 3-eps sweep: at most 96 (94 measured; 126 before)
+        # a 3-eps sweep: at most 85 (83 measured; 94 with the u = 0 solve
+        # run to picard_tol, 126 before p came off the last sweep)
         calls.update(eval_f=0, cho_factor=0)
         epsilon_sweep(spec, Grid(spec, 1.0 / 200.0), h, [1e-1, 1e-2, 1e-3], tol=1e-8)
-        assert calls["eval_f"] <= 96
+        assert calls["eval_f"] <= 85
         assert calls["cho_factor"] == 3
 
     def test_failed_factorization_raises_once_per_steer(self, monkeypatch):
@@ -342,8 +347,9 @@ class TestGoldenFlagship:
         # the u = 0 solve does not depend on eps: a 3-eps sweep makes it
         # once, then one solve per outer iteration of each entry.  Every
         # entry's first residual list is that shared solve; counted once,
-        # the sweep takes at most 100 Picard sweeps (93 measured; 180 when
-        # each inner solve started from the last iterate itself)
+        # the sweep takes at most 85 Picard sweeps (83 measured; 94 with the
+        # u = 0 solve run to picard_tol, 180 when each inner solve started
+        # from the last iterate itself)
         import fracsteer.control as control
 
         calls = []
@@ -355,7 +361,25 @@ class TestGoldenFlagship:
         assert outer == [10, 11, 12]
         assert len(calls) == 1 + sum(outer) == 34
         lists = [r for e in result.entries for r in e.report.inner_residuals[1:]]
-        assert len(result.entries[0].report.inner_residuals[0]) + sum(map(len, lists)) <= 100
+        assert len(result.entries[0].report.inner_residuals[0]) + sum(map(len, lists)) <= 85
+
+    def test_u0_solve_stops_at_a_thousandth_of_the_residual_it_seeds(self):
+        # the u = 0 path only seeds p = h - x(T), so its Picard sweeps stop
+        # at the first residual <= max(picard_tol, 1e-3 |h - x(T)|): 6 on
+        # the flagship (17 to picard_tol).  With the free endpoint as
+        # target that bound is picard_tol
+        spec, h = flagship_problem()
+        grid = Grid(spec, 1.0 / 200.0)
+        report, _, _ = steer(spec, grid, h, eps=1e-2, tol=1e-8)
+        free = _free_path(spec, grid, h, PICARD_TOL)
+        first = report.inner_residuals[0]
+        assert first == free.residuals and len(first) == 6
+        bound = 1e-3 * np.linalg.norm(h - free.terminal())
+        assert first[-1] <= bound < first[-2]
+
+        exact = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13).terminal()
+        report, _, _ = steer(spec, grid, exact, eps=1e-2, tol=1e-8)
+        assert report.inner_residuals[0][-1] <= PICARD_TOL
 
 
 class TestInnerSolveSemantics:
