@@ -363,6 +363,25 @@ class TestCliOptimizeCheck:
         assert code == 0
         assert json.loads(out.read_text())["converged"]
 
+    def test_optimize_box_is_the_bound_magnitude(self, tmp_path):
+        # the box is [-|b|, |b|], and the optimum of this run lies inside
+        # |theta| < 3: a bound of -3, 1e300 or inf gives the bytes of 3
+        def optimize(bound):
+            out = tmp_path / f"{bound}.json"
+            assert run(FLAG_RUNS["optimize"] + [f"--bound={bound}", f"--out={out}"]) == 0
+            return out.read_bytes()
+
+        three = optimize("3")
+        for bound in ("-3", "1e300", "inf"):
+            assert optimize(bound) == three
+
+    def test_optimize_zero_bound_pins_the_control_at_zero(self, tmp_path):
+        out = tmp_path / "opt.json"
+        assert run(FLAG_RUNS["optimize"] + ["--bound=0", f"--out={out}"]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["converged"]
+        assert payload["parameters"] == [[0.0], [0.0]]
+
     def test_check_prints_factor(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 steering residual in closed form, the regularized law, the 1-D discrete
 steering identity, sweeps, scaling, and degenerate input maps."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -31,7 +32,7 @@ from fracsteer.model import (
 )
 from fracsteer.solver import ControlSignal, Grid, _convolve_all, mild_map, solve_mild
 
-from oracles import refined_grammian_1d, residual_p
+from oracles import _kernel_by_hand, refined_grammian_1d, residual_p
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -74,6 +75,26 @@ class TestGrammian:
         spec = make_spec(n=4, omega=1.0)
         grid = Grid(spec, 0.05)
         assert np.linalg.eigvalsh(grammian(spec, grid).matrix).min() > 0.0
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["flagship_B", "dense_B"])
+    def test_flagship_entries_match_a_sum_by_hand(self, dense):
+        # Gamma_ij = sum_m w_m D_i(T - t_m) (B B^T)_ij D_j(T - t_m), one entry
+        # at a time, with the flagship's B and with a fixed dense B
+        spec, _ = flagship_problem()
+        if dense:
+            spec = dataclasses.replace(spec, B=np.random.default_rng(11).standard_normal((16, 16)))
+        h = 1.0 / 40.0
+        grid = Grid(spec, h)
+        n = grid.n_fwd
+        D = _kernel_by_hand(spec.alpha, spec.omega, 16, h, n)
+        w = [0.5 * h if m in (0, n) else h for m in range(n + 1)]
+        B = spec.B.tolist()
+        want = np.empty((16, 16))
+        for i in range(16):
+            for j in range(16):
+                bb = sum(B[i][k] * B[j][k] for k in range(16))
+                want[i, j] = sum(w[m] * D[n - m][i] * bb * D[n - m][j] for m in range(n + 1))
+        np.testing.assert_allclose(grammian(spec, grid).matrix, want, rtol=1e-13, atol=0)
 
     def test_invariant_enforced(self):
         with pytest.raises(EvaluationError):
