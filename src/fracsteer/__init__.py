@@ -8,7 +8,6 @@ Grammian-regularized steering -> epsilon sweeps and direct cost minimization.
 __version__ = "0.1.0"
 
 from .control import (
-    Grammian,
     SteeringReport,
     SweepResult,
     epsilon_sweep,

@@ -140,8 +140,7 @@ def _cmd_optimize(args) -> tuple[str, dict, int]:
     spec, grid = _load(args)
     cost = load_cost(args.cost)
     param = ControlParameterization.boxed(args.intervals, spec.n_modes, args.bound)
-    opts = MinimizeOptions(step=args.step, max_evals=args.max_evals, fd_step=args.fd_step)
-    result = minimize(spec, grid, cost, param, opts=opts)
+    result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=args.max_evals))
     payload = {
         "J_opt": result.J_opt,
         "parameters": [[float(v) for v in row] for row in result.theta_opt],
@@ -247,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost", required=True, help="cost JSON file")
     p.add_argument("--intervals", type=int, required=True, help="control intervals P")
     p.add_argument("--bound", type=float, default=10.0, help="admissible box half-width")
-    p.add_argument("--step", type=float, default=0.5)
     p.add_argument("--max-evals", type=int, default=4000)
-    p.add_argument("--fd-step", type=float, default=1e-5)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("check", help="print the contraction factor and constants")

@@ -36,20 +36,6 @@ PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve
 INEXACT = 1e-3  # an inexact inner solve stops at this fraction of what it feeds the outer loop
 
 
-@dataclass(frozen=True)
-class Grammian:
-    """Symmetric PSD matrix int_0^T D(T-s) B B^T D(T-s) ds."""
-
-    matrix: FloatArray
-
-    def __post_init__(self):
-        m = self.matrix
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise EvaluationError("Grammian is not symmetric", regime="grammian")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise EvaluationError("Grammian is not PSD", regime="grammian")
-
-
 @dataclass
 class SteeringReport:
     eps: float
@@ -61,17 +47,20 @@ class SteeringReport:
     warnings: list = field(default_factory=list)
 
 
-def grammian(spec: ProblemSpec, grid: Grid) -> Grammian:
-    """Trapezoid-rule Grammian on the trajectory grid.
+def grammian(spec: ProblemSpec, grid: Grid) -> FloatArray:
+    """Trapezoid-rule Grammian int_0^T D(T-s) B B^T D(T-s) ds on the
+    trajectory grid, symmetric bit for bit.
 
     D is diagonal, so sum_m w_m D(T - t_m) B B^T D(T - t_m) is the entrywise
     product (B B^T) o (T^T diag(w) T) of the kernel table T; the trapezoid
-    weights are symmetric, so the lag order does not matter."""
+    weights are symmetric, so the lag order does not matter.  With w > 0 it
+    is a Schur product of Gram matrices, positive semidefinite up to
+    rounding; it may be singular, and steer needs only eps I + Gamma to
+    factor."""
     table = SolutionKernel(spec, grid).table
     w = grid.trapezoid_weights(grid.n_fwd)
     G = (spec.B @ spec.B.T) * (table.T @ (w[:, None] * table))
-    G = 0.5 * (G + G.T)
-    return Grammian(G)
+    return 0.5 * (G + G.T)
 
 
 def synthesize_control(grid: Grid, c: FloatArray) -> ControlSignal:
@@ -125,7 +114,7 @@ def steer(
     h = spec.check_vector(h)
     gram = grammian(spec, grid)
     try:
-        factor = cho_factor(gram.matrix + eps * np.eye(spec.n_modes))
+        factor = cho_factor(gram + eps * np.eye(spec.n_modes))
     except np.linalg.LinAlgError as exc:
         raise EvaluationError(
             f"factorization of (eps I + Gamma) failed for eps={eps}", regime="cholesky"
@@ -152,7 +141,7 @@ def steer(
         traj = solve_mild(spec, u, tol=inner_tol, start=start)
         # on the flagship a 16 x 16 mat-vec, which BLAS does not split over
         # threads, so sweeps stay bit-for-bit reproducible
-        p = h - traj.terminal() + gram.matrix @ c
+        p = h - traj.terminal() + gram @ c
         inner.append(traj.residuals)
         if diffs[-1] <= tol:
             break

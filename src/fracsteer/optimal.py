@@ -56,47 +56,36 @@ class CostDescriptor:
             + self.w_control * np.einsum("...i,...i->...", u, u)
         )
 
-    def lower_bound(self, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
-        return (
-            self.d * np.linalg.norm(x, axis=-1)
-            + self.e * hist.sup_norm()
-            + self.f_u * np.einsum("...i,...i->...", u, u)
-        )
-
 
 @dataclass(frozen=True)
 class ControlParameterization:
     """Piecewise-constant controls: P intervals of equal length, one state
-    vector per interval, admissible set a closed box [lower, upper]."""
+    vector per interval, admissible set the closed box [-bound, bound] in
+    every entry."""
 
     intervals: int
     n_modes: int
-    lower: FloatArray
-    upper: FloatArray
+    bound: float
 
     def __post_init__(self):
         if self.intervals < 1:
             raise ConfigError("P must be >= 1")
         # minimize keeps a dense (P*N)^2 BFGS matrix; refuse one past the
-        # grid's cell cap before even the (P, N) box is allocated
+        # grid's cell cap before anything of that size is allocated
         size = self.intervals * self.n_modes
         if size**2 > _MAX_CELLS:
             raise ConfigError(f"BFGS matrix of P*N={size} parameters squared exceeds {_MAX_CELLS} cells")
-        lo = np.broadcast_to(np.asarray(self.lower, dtype=float), (self.intervals, self.n_modes)).copy()
-        hi = np.broadcast_to(np.asarray(self.upper, dtype=float), (self.intervals, self.n_modes)).copy()
-        if np.isnan(lo).any() or np.isnan(hi).any():
+        if math.isnan(self.bound):
             raise ConfigError("box bounds must not be NaN")
-        if np.any(lo > hi):
+        if self.bound < 0.0:
             raise ConfigError("admissible box is empty")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @classmethod
     def boxed(cls, intervals: int, n_modes: int, bound: float) -> "ControlParameterization":
-        return cls(intervals, n_modes, -abs(bound), abs(bound))
+        return cls(intervals, n_modes, abs(bound))
 
     def project(self, theta: FloatArray) -> FloatArray:
-        return np.clip(theta, self.lower, self.upper)
+        return np.clip(theta, -self.bound, self.bound)
 
     def interval_of(self, grid: Grid) -> np.ndarray:
         """Each forward node's interval (right-open; the final node in the last)."""
@@ -130,18 +119,17 @@ def eval_cost(
 _STAT_TOL = 1e-9
 # Step halvings tried before the descent is declared stationary (or boxed).
 _MAX_BACKTRACKS = 30
+# The BFGS inverse Hessian starts as this multiple of I.
+_FIRST_STEP = 0.5
+# Central differences step parameter i by _FD_STEP * max(1, |theta_i|).
+_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    step: float = 0.5
     max_evals: int = 4000
-    fd_step: float = 1e-5
 
     def __post_init__(self):
-        for name in ("step", "fd_step"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.max_evals < 1:
             raise ConfigError(f"max_evals must be >= 1, got {self.max_evals}")
 
@@ -168,8 +156,8 @@ def minimize(
     Each step holds fixed every parameter that sits at a bound with its
     gradient g pointing out of the box, moves the free ones along -H g with
     the BFGS inverse Hessian H restricted to them, and clips the trial point
-    to the box.  H starts as opts.step * I, so the first trial point is
-    theta - opts.step * g; after the first accepted step H is rescaled to
+    to the box.  H starts as _FIRST_STEP * I, so the first trial point is
+    theta - _FIRST_STEP * g; after the first accepted step H is rescaled to
     (s.y / y.y) I before its first update, and an update with s.y <= 0 is
     skipped.  Steps are accepted only when they decrease J by more than
     1e-15 (backtracking halving), so the best-J history is non-increasing; a
@@ -196,16 +184,16 @@ def minimize(
         thetas = x.reshape(x.shape[:-1] + theta.shape)
         return eval_cost(spec, cost, param.expand(grid, thetas))
 
-    x, lo, hi = theta.ravel(), param.lower.ravel(), param.upper.ravel()
+    x, b = theta.ravel(), param.bound
     J = J_of(x)
     history = [J]
     converged = False
     eye = np.eye(x.size)
-    H = opts.step * eye
+    H = _FIRST_STEP * eye
     s = g_old = None
 
     while n_evals + 2 * x.size <= opts.max_evals:
-        hstep = opts.fd_step * np.maximum(1.0, np.abs(x))
+        hstep = _FD_STEP * np.maximum(1.0, np.abs(x))
         J_pm = J_of(np.concatenate([x + np.diag(hstep), x - np.diag(hstep)]))
         g = (J_pm[: x.size] - J_pm[x.size :]) / (2.0 * hstep)
         if s is not None:
@@ -216,14 +204,14 @@ def minimize(
                     H = (sy / (y @ y)) * eye
                 V = eye - np.outer(s, y) / sy
                 H = V @ H @ V.T + np.outer(s, s) / sy
-        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        free = ~(((x <= -b) & (g > 0.0)) | ((x >= b) & (g < 0.0)))
         d = free * -(H @ (free * g))
         if not -(g @ d) > 1e-15:  # predicted decrease within the acceptance margin
             converged = True
             break
 
         for k in range(min(_MAX_BACKTRACKS, opts.max_evals - n_evals)):
-            cand = np.clip(x + 0.5**k * d, lo, hi)
+            cand = param.project(x + 0.5**k * d)
             J_cand = J_of(cand)
             if J_cand < J - 1e-15:
                 break

@@ -84,12 +84,6 @@ class Grid:
     def __len__(self) -> int:
         return self.n_hist + self.n_fwd + 1
 
-    def compatible_with(self, other: "Grid") -> bool:
-        return (
-            self is other
-            or (self.h == other.h and self.n_hist == other.n_hist and self.n_fwd == other.n_fwd)
-        )
-
     def row(self, t: float) -> int:
         """Array row of grid time t (history rows included)."""
         i = round(t / self.h) + self.n_hist
@@ -285,9 +279,10 @@ def solve_mild(
 ) -> Trajectory:
     """Picard iteration for the mild solution under the control u.
 
-    Iterates start from start.values (a trajectory on u's grid: one path
-    for every control, or one per control) when it is given, else from phi
-    on [-r, 0] extended constantly by phi(0).
+    Iterates start from start.values when it is given, else from phi on
+    [-r, 0] extended constantly by phi(0).  start must be a trajectory of
+    spec with the rows of u's grid (for one spec, equal row counts mean
+    equal steps), one path for every control or one per control.
     Stops when the sup-norm distance between successive iterates drops to
     tol; raises ConvergenceError (with the residual history) on budget
     exhaustion.  A contraction factor >= 1 attaches a warning, not an error.
@@ -311,7 +306,7 @@ def solve_mild(
 
     bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
     shape = (len(bu), len(grid), spec.n_modes)
-    if start is not None and (start.grid.spec is not spec or not grid.compatible_with(start.grid)
+    if start is not None and (start.grid.spec is not spec
                               or start.values.shape not in (shape, shape[1:])):
         raise DomainError("start must be a trajectory on u's grid, one path or one per control")
 

@@ -166,7 +166,7 @@ def lq_grid_search(spec, grid, param, points_per_axis: int = 21):
 
     P = param.intervals
     _, _, J_quadratic = lq_quadratic(spec, grid, param)
-    axis = np.linspace(param.lower[0, 0], param.upper[0, 0], points_per_axis)
+    axis = np.linspace(-param.bound, param.bound, points_per_axis)
     mesh = np.stack(np.meshgrid(*([axis] * P), indexing="ij"), axis=-1).reshape(-1, P)
     J_all = J_quadratic(mesh)
     best = int(J_all.argmin())  # argmin returns the lowest tied index

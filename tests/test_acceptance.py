@@ -24,8 +24,6 @@ from fracsteer.model import (
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
-    PhiDescriptor,
-    ProblemSpec,
 )
 from fracsteer.optimal import (
     ControlParameterization,
@@ -44,38 +42,13 @@ from fracsteer.solver import (
 from oracles import (
     CONVEXITY_SLACK, lq_grid_search, midpoint_costs, ml_oracle, nonlocal_residual, residual_p,
 )
+from specs import flagship_spec, make_spec
 
 TEST_ALPHAS = [1.1, 1.25, 1.5, 1.75, 1.9]
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
-              nonlocal_terms=(), phi_coeffs=None, f=None, B=None):
-    phi_coeffs = np.ones(n) if phi_coeffs is None else np.asarray(phi_coeffs, float)
-    return ProblemSpec(
-        alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
-        impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor(phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor(),
-        B=np.eye(n) if B is None else np.asarray(B, float),
-    )
-
-
-def flagship_spec():
-    return make_spec(
-        n=16, alpha=1.5, omega=1.0, T=1.0, r=0.25,
-        impulses=[ImpulseDescriptor(0.5, -1.0)],
-        nonlocal_terms=[NonlocalTerm(0.25, 0.3)],
-        phi_coeffs=[2.0 ** (-k) for k in range(16)],
-        f=NonlinearityDescriptor(
-            f1_gain=0.05, f2_gain=0.05, kernel_rate=1.0,
-            f1_form="saturating", f2_form="linear",
-            L1=0.05, L2=0.05, M1=0.1, holder_p=0.4,
-        ),
-    )
 
 
 def test_criterion_1_mittag_leffler_accuracy():
@@ -210,7 +183,7 @@ def test_criterion_6_scalar_steering_oracle():
     spec = make_spec(alpha=1.5)
     grid = Grid(spec, 1.0 / 100.0)
     h = np.array([2.0])
-    G = grammian(spec, grid).matrix[0, 0]
+    G = grammian(spec, grid)[0, 0]
     free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
     p = abs(residual_p(spec, grid.h, free.values, h)[0])
     worst_rel = 0.0
@@ -284,7 +257,7 @@ def test_criterion_8_optimal_control_oracle():
         assert fast == pytest.approx(direct, rel=1e-10)
 
     result = minimize(spec, grid, cost, param,
-                      opts=MinimizeOptions(step=0.5, max_evals=1500))
+                      opts=MinimizeOptions(max_evals=1500))
     gap = abs(result.J_opt - j_grid) / j_grid
     non_increasing = all(b <= a for a, b in zip(result.history, result.history[1:]))
 

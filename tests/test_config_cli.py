@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fracsteer import __version__
 from fracsteer.cli import run
 from fracsteer.config import load_cost, load_problem, load_target, problem_from_dict
+from fracsteer.control import grammian
 from fracsteer.errors import ConfigError
 from fracsteer.solver import ControlSignal, Grid, solve_mild
 
@@ -250,6 +251,30 @@ class TestCliSteerSweep:
         assert code == 3
         assert err == "error: factorization of (eps I + Gamma) failed for eps=0.1 [regime=cholesky]\n"
 
+    def test_singular_grammian_steers(self, tmp_path):
+        # 64 modes on 11 forward nodes with every B entry 100: Gamma has rank
+        # 11 and rounding leaves its least eigenvalue near -4e-10, but
+        # eps I + Gamma factors.  With phi = 0 and f = 0 the free path is 0,
+        # so x(T) = Gamma c for c = (eps I + Gamma)^{-1} h and the terminal
+        # error is eps |c|
+        n, eps = 64, 1e-2
+        cfg, target, out = tmp_path / "cfg.json", tmp_path / "h.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps(minimal_config(
+            N=n, phi={"kind": "zero"}, B={"kind": "matrix", "params": {"rows": [[100.0] * n] * n}},
+        )))
+        target.write_text(json.dumps({"coeffs": [0.3, -0.2]}))
+        code, err = _run_captured([
+            "steer", f"--config={cfg}", "--dt=0.1", f"--target={target}", f"--eps={eps}",
+            f"--out={out}",
+        ])
+        assert (code, err) == (0, "")
+        report = json.loads(out.read_text())
+        spec = load_problem(cfg)
+        h = load_target(target, n)
+        c = np.linalg.solve(grammian(spec, Grid(spec, 0.1)) + eps * np.eye(n), h)
+        assert report["terminal_error"] == pytest.approx(eps * np.linalg.norm(c), rel=1e-8)
+        assert report["outer_iters"] == 2
+
     def test_steer_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = run([
@@ -301,14 +326,11 @@ class TestCliSteerSweep:
             "--target", str(CONFIGS / "target_1d.json"),
             "--eps-list", "1e-1,1e-2", "--out", str(out),
         ]) == 0
-        from fracsteer.config import load_problem
-        from fracsteer.control import grammian
-        from fracsteer.solver import ControlSignal, Grid, solve_mild
         from oracles import residual_p
 
         spec = load_problem(CONFIGS / "linear1d.json")
         grid = Grid(spec, 0.01)
-        G = grammian(spec, grid).matrix[0, 0]
+        G = grammian(spec, grid)[0, 0]
         free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
         p = abs(residual_p(spec, grid.h, free.values, np.array([2.0]))[0])
         rows = out.read_text().strip().splitlines()[1:]
@@ -582,8 +604,8 @@ FLAG_RUNS = {
 class TestInvalidFlags:
     # refused on entry, before any solve: an iteration budget below 1, an
     # evaluation budget below 2 P N + 2 (the start, one gradient and one
-    # trial point; FLAG_RUNS has P N = 2), a NaN tolerance, eps or bound, a
-    # step that is not finite and > 0, an infinite beta and an empty eps list
+    # trial point; FLAG_RUNS has P N = 2), a NaN tolerance, eps or bound, an
+    # infinite beta and an empty eps list
     @pytest.mark.parametrize("sub, flag, value, name", [
         ("solve", "--max-iter", "0", "max_iter"),
         ("solve", "--max-iter", "-1", "max_iter"),
@@ -593,15 +615,6 @@ class TestInvalidFlags:
         ("sweep", "--max-outer", "0", "max_outer"),
         ("sweep", "--max-outer", "-1", "max_outer"),
         ("sweep", "--eps-list", ",", "eps list"),
-        ("optimize", "--step", "0", "step"),
-        ("optimize", "--step", "-1", "step"),
-        ("optimize", "--step", "nan", "step"),
-        ("optimize", "--step", "inf", "step"),
-        ("optimize", "--step", "-inf", "step"),
-        ("optimize", "--fd-step", "0", "fd_step"),
-        ("optimize", "--fd-step", "nan", "fd_step"),
-        ("optimize", "--fd-step", "inf", "fd_step"),
-        ("optimize", "--fd-step", "-inf", "fd_step"),
         ("optimize", "--max-evals", "0", "max_evals"),
         ("optimize", "--max-evals", "-1", "max_evals"),
         ("optimize", "--max-evals", "4", "max_evals"),
@@ -645,8 +658,7 @@ class TestInvalidFlags:
         assert not (tmp_path / "out").exists()
 
     # P*N = 10^6 parameters would need a 10^12-cell BFGS matrix (7.28 TiB):
-    # refused before anything is allocated, even the (P, N) box (160 MB of
-    # bounds at P = 10^7)
+    # refused before anything is allocated
     @pytest.mark.parametrize("intervals", [10**6, 10**7])
     def test_bfgs_cell_count_out_of_range(self, tmp_path, intervals):
         argv = [a for a in FLAG_RUNS["optimize"] if not a.startswith("--intervals=")]
@@ -698,6 +710,8 @@ class TestInvalidFlags:
          "the following arguments are required: --eps"),
         ([], "the following arguments are required: subcommand"),
         (FLAG_RUNS["steer"] + ["--theta=1"], "unrecognized arguments: --theta=1"),
+        (FLAG_RUNS["optimize"] + ["--step=0.5"], "unrecognized arguments: --step=0.5"),
+        (FLAG_RUNS["optimize"] + ["--fd-step=1e-5"], "unrecognized arguments: --fd-step=1e-5"),
     ])
     def test_usage_error_is_one_line(self, argv, message):
         code, err = _run_captured(argv)

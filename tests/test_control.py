@@ -14,7 +14,6 @@ import pytest
 from fracsteer.config import load_problem
 from fracsteer.control import (
     PICARD_TOL,
-    Grammian,
     _free_path,
     epsilon_sweep,
     grammian,
@@ -27,54 +26,41 @@ from fracsteer.model import (
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
-    PhiDescriptor,
-    ProblemSpec,
 )
 from fracsteer.solver import ControlSignal, Grid, _convolve_all, mild_map, solve_mild
 
 from oracles import _kernel_by_hand, refined_grammian_1d, residual_p
+from specs import flagship_spec, make_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
-              nonlocal_terms=(), phi_coeffs=None, f=None, B=None):
-    phi_coeffs = np.ones(n) if phi_coeffs is None else np.asarray(phi_coeffs, float)
-    return ProblemSpec(
-        alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
-        impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor(phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor(),
-        B=np.eye(n) if B is None else np.asarray(B, float),
-    )
 
 
 class TestGrammian:
     def test_scalar_refined_oracle(self):
         spec = make_spec(alpha=1.5)  # lambda = -1, B = 1, T = 1
         grid = Grid(spec, 1.0 / 100.0)
-        got = grammian(spec, grid).matrix[0, 0]
+        got = grammian(spec, grid)[0, 0]
         want = refined_grammian_1d(1.5, -1.0, 1.0, n=4000)
         assert got == pytest.approx(want, abs=2e-5)
 
     def test_zero_input_map(self):
         spec = make_spec(n=2, B=np.zeros((2, 2)))
         grid = Grid(spec, 0.125)
-        np.testing.assert_array_equal(grammian(spec, grid).matrix, np.zeros((2, 2)))
+        np.testing.assert_array_equal(grammian(spec, grid), np.zeros((2, 2)))
 
     def test_symmetry_and_psd(self):
         rng = np.random.default_rng(2)
         B = rng.standard_normal((3, 3))
         spec = make_spec(n=3, omega=1.0, B=B)
         grid = Grid(spec, 0.05)
-        G = grammian(spec, grid).matrix
-        assert np.allclose(G, G.T, atol=1e-14)
+        G = grammian(spec, grid)
+        np.testing.assert_array_equal(G, G.T)
         assert np.linalg.eigvalsh(G).min() >= -1e-10
 
     def test_positive_definite_for_identity_input(self):
         spec = make_spec(n=4, omega=1.0)
         grid = Grid(spec, 0.05)
-        assert np.linalg.eigvalsh(grammian(spec, grid).matrix).min() > 0.0
+        assert np.linalg.eigvalsh(grammian(spec, grid)).min() > 0.0
 
     @pytest.mark.parametrize("dense", [False, True], ids=["flagship_B", "dense_B"])
     def test_flagship_entries_match_a_sum_by_hand(self, dense):
@@ -94,11 +80,7 @@ class TestGrammian:
             for j in range(16):
                 bb = sum(B[i][k] * B[j][k] for k in range(16))
                 want[i, j] = sum(w[m] * D[n - m][i] * bb * D[n - m][j] for m in range(n + 1))
-        np.testing.assert_allclose(grammian(spec, grid).matrix, want, rtol=1e-13, atol=0)
-
-    def test_invariant_enforced(self):
-        with pytest.raises(EvaluationError):
-            Grammian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(grammian(spec, grid), want, rtol=1e-13, atol=0)
 
     def test_convolution_of_the_law_at_T_is_gamma_c(self):
         # the solver's trapezoid convolution of B u, u(t_m) = B^T D(T - t_m) c,
@@ -109,13 +91,13 @@ class TestGrammian:
         c = np.random.default_rng(5).standard_normal(16)
         bu = (grid.kernel_table[::-1] * c) @ spec.B @ spec.B.T
         got = _convolve_all(grid, bu)[-1]
-        want = grammian(spec, grid).matrix @ c
+        want = grammian(spec, grid) @ c
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_resolvent_identity(self):
         spec = make_spec(n=3, omega=1.0)
         grid = Grid(spec, 0.05)
-        G = grammian(spec, grid).matrix
+        G = grammian(spec, grid)
         for eps in (1e-1, 1e-3, 1e-5):
             A = G + eps * np.eye(3)
             np.testing.assert_allclose(np.linalg.solve(A, A), np.eye(3), atol=1e-10)
@@ -156,7 +138,7 @@ class TestSynthesize:
     def coefficients(spec, grid, traj, h, eps):
         """(eps I + Gamma)^{-1} p(x), p by the oracle."""
         p = residual_p(spec, grid.h, traj.values, h)
-        return np.linalg.solve(grammian(spec, grid).matrix + eps * np.eye(spec.n_modes), p)
+        return np.linalg.solve(grammian(spec, grid) + eps * np.eye(spec.n_modes), p)
 
     def test_zero_residual_gives_zero_control(self):
         spec = make_spec()
@@ -173,7 +155,7 @@ class TestSynthesize:
         h = np.array([2.0])
         eps = 1e-2
         u = synthesize_control(grid, self.coefficients(spec, grid, traj, h, eps))
-        G = grammian(spec, grid).matrix[0, 0]
+        G = grammian(spec, grid)[0, 0]
         p = residual_p(spec, grid.h, traj.values, h)[0]
         ts = grid.forward_times()
         want = np.array(
@@ -195,7 +177,7 @@ class TestSteer:
         spec = make_spec(alpha=1.5)
         grid = Grid(spec, 1.0 / 100.0)
         h = np.array([2.0])
-        G = grammian(spec, grid).matrix[0, 0]
+        G = grammian(spec, grid)[0, 0]
         free = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-13)
         p = abs(residual_p(spec, grid.h, free.values, h)[0])
         for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
@@ -285,8 +267,6 @@ class TestGoldenFlagship:
         golden = json.loads(
             (Path(__file__).parent / "golden" / "flagship.json").read_text()
         )
-        from test_acceptance import flagship_spec
-
         spec = flagship_spec()
         h = np.zeros(16)
         h[:4] = [0.3, -0.2, 0.1, 0.05]
@@ -429,7 +409,7 @@ class TestInnerSolveSemantics:
         eps, tol = 1e-2, 1e-8
         _, traj, u = steer(spec, grid, h, eps, tol=tol)
         p = residual_p(spec, grid.h, traj.values, h)
-        c = np.linalg.solve(grammian(spec, grid).matrix + eps * np.eye(spec.n_modes), p)
+        c = np.linalg.solve(grammian(spec, grid) + eps * np.eye(spec.n_modes), p)
         want = ControlSignal(grid, (grid.kernel_table[::-1] * c) @ spec.B)
         assert u.sup_distance(want) <= tol
 
@@ -489,8 +469,6 @@ class TestInnerSolveSemantics:
 
 def flagship_problem():
     """The flagship problem of the acceptance tests and its target."""
-    from test_acceptance import flagship_spec
-
     h = np.zeros(16)
     h[:4] = [0.3, -0.2, 0.1, 0.05]
     return flagship_spec(), h

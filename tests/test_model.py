@@ -15,46 +15,16 @@ from fracsteer.model import (
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
-    PhiDescriptor,
-    ProblemSpec,
     eval_f,
 )
 from fracsteer.solver import ControlSignal, Grid, Trajectory, _nonlocal_samples, solve_mild
+
+from specs import make_spec
 
 
 def config_with_f(f):
     """A one-mode problem file whose f is f."""
     return {"alpha": 1.5, "N": 1, "T": 1.0, "phi": {"kind": "zero"}, "f": f}
-
-
-def make_spec(
-    n=1,
-    alpha=1.5,
-    omega=0.0,
-    T=1.0,
-    r=0.0,
-    impulses=(),
-    nonlocal_terms=(),
-    phi=None,
-    f=None,
-):
-    n_modes = n
-    if phi is None:
-        phi = PhiDescriptor(np.ones(n_modes))
-    if f is None:
-        f = NonlinearityDescriptor()
-    return ProblemSpec(
-        alpha=alpha,
-        omega=omega,
-        n_modes=n_modes,
-        horizon=T,
-        delay=r,
-        impulses=tuple(impulses),
-        nonlocal_terms=tuple(nonlocal_terms),
-        phi=phi,
-        f_desc=f,
-        B=np.eye(n_modes),
-    )
 
 
 class TestValidation:
@@ -86,7 +56,6 @@ class TestValidation:
             r=0.25,
             impulses=[ImpulseDescriptor(0.5, -1.0)],
             nonlocal_terms=[NonlocalTerm(0.5, 0.25), NonlocalTerm(-0.25, 0.5)],
-            phi=PhiDescriptor(np.ones(2)),
             f=NonlinearityDescriptor(L1=0.2, holder_p=0.4),
         )
         c = spec.constants

@@ -16,8 +16,6 @@ from fracsteer.model import (
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
-    PhiDescriptor,
-    ProblemSpec,
 )
 from fracsteer.optimal import (
     ControlParameterization,
@@ -28,20 +26,9 @@ from fracsteer.optimal import (
 )
 from fracsteer.solver import ControlSignal, Grid, solve_mild
 from oracles import CONVEXITY_SLACK, lq_quadratic, midpoint_costs
+from specs import make_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
-              nonlocal_terms=(), phi_coeffs=None, f=None):
-    phi_coeffs = np.ones(n) if phi_coeffs is None else np.asarray(phi_coeffs, float)
-    return ProblemSpec(
-        alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
-        impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor(phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor(),
-        B=np.eye(n),
-    )
 
 
 QUAD = CostDescriptor()  # |x|^2 + |x_t|_r^2 + |u|^2
@@ -97,22 +84,6 @@ class TestEvalCost:
         want = float(grid.trapezoid_weights(grid.n_fwd) @ samples)
         assert eval_cost(spec, cost, u) == pytest.approx(want, rel=1e-14)
 
-    def test_lower_bound_holds_on_random_samples(self):
-        spec = make_spec(n=2, r=0.25, phi_coeffs=[1.0, -0.5])
-        grid = Grid(spec, 1.0 / 20.0)
-        rng = np.random.default_rng(9)
-        cost = CostDescriptor(d=0.0, e=0.0, f_u=1.0)
-        traj = solve_mild(spec, ControlSignal.zeros(grid))
-        windows = traj.history()
-        width = len(windows.offsets)
-        for _ in range(50):
-            m = int(rng.integers(0, grid.n_fwd + 1))
-            # stacks of one time: state, window and control
-            u = rng.standard_normal((1, 2))
-            x = traj.values[grid.fwd_row(m)][None]
-            hist = HistorySegment(windows.offsets, windows.values[m : m + width])
-            assert cost.evaluate(x, hist, u) >= cost.lower_bound(x, hist, u) - 1e-12
-
 
 class TestParameterization:
     def test_expansion_is_piecewise_constant(self):
@@ -129,7 +100,7 @@ class TestParameterization:
         from fracsteer.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            ControlParameterization(2, 1, lower=1.0, upper=-1.0)
+            ControlParameterization(2, 1, -1.0)
 
 
 class TestMinimize:
@@ -141,7 +112,7 @@ class TestMinimize:
         param = ControlParameterization.boxed(3, 1, 5.0)
         result = minimize(
             spec, grid, cost, param,
-            opts=MinimizeOptions(step=0.25, max_evals=600),
+            opts=MinimizeOptions(max_evals=600),
             theta0=np.full((3, 1), 0.8),
         )
         free_cost = eval_cost(spec, cost, ControlSignal.zeros(grid))
@@ -202,7 +173,7 @@ class TestMinimize:
         j_grid = float(J_all.min())
 
         result = minimize(
-            spec, grid, QUAD, param, opts=MinimizeOptions(step=0.5, max_evals=1500)
+            spec, grid, QUAD, param, opts=MinimizeOptions(max_evals=1500)
         )
         assert abs(result.J_opt - j_grid) / j_grid <= 0.02
         # lowest index wins the tie-break; the argmin must reproduce J_grid
@@ -214,10 +185,8 @@ class TestMinimize:
         grid = Grid(spec, 1.0 / 50.0)
         cost = CostDescriptor(w_state=50.0, w_hist=0.0, w_control=1.0)
         cap = 0.05
-        param = ControlParameterization(1, 1, lower=-cap, upper=cap)
-        result = minimize(
-            spec, grid, cost, param, opts=MinimizeOptions(step=0.5, max_evals=400)
-        )
+        param = ControlParameterization.boxed(1, 1, cap)
+        result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=400))
         theta_star = result.theta_opt[0, 0]
         assert theta_star == pytest.approx(-cap, abs=1e-12)  # pinned to the wall
         # finite-difference gradient points outward (negative at lower bound)
@@ -267,7 +236,6 @@ class TestMinimize:
         # must equal 2P one-at-a-time evaluations bit for bit
         spec, cost, grid, param, _ = self.lq_problem()
         theta0 = np.random.default_rng(4).uniform(-0.5, 0.5, (8, 1))
-        opts = MinimizeOptions()
         calls = []
 
         def recording(spec_, cost_, u, tol=1e-10):
@@ -281,7 +249,7 @@ class TestMinimize:
         assert [np.ndim(J) for _, J in calls] == [0, 1, 0]
 
         x = theta0.ravel()
-        hstep = opts.fd_step * np.maximum(1.0, np.abs(x))
+        hstep = optimal._FD_STEP * np.maximum(1.0, np.abs(x))
         g = np.empty(x.size)
         for i in range(x.size):
             e = np.zeros(x.size)
@@ -290,7 +258,7 @@ class TestMinimize:
             dn = eval_cost(spec, cost, param.expand(grid, (x - e).reshape(8, 1)))
             assert calls[1][1][i] == up and calls[1][1][x.size + i] == dn
             g[i] = (up - dn) / (2.0 * hstep[i])
-        trial = param.expand(grid, np.clip(x - opts.step * g, -10.0, 10.0).reshape(8, 1))
+        trial = param.expand(grid, np.clip(x - optimal._FIRST_STEP * g, -10.0, 10.0).reshape(8, 1))
         np.testing.assert_array_equal(calls[2][0], trial.samples)
 
     def test_batched_eval_cost_equals_single_calls(self):
@@ -320,9 +288,9 @@ class TestMinimize:
             up = eval_cost(spec, cost, param.expand(grid, theta + e), tol=1e-13)
             dn = eval_cost(spec, cost, param.expand(grid, theta - e), tol=1e-13)
             g = (up - dn) / (2 * h)
-            if theta[idx] == param.lower[idx]:
+            if theta[idx] == -param.bound:
                 assert g > 0.0, (idx, g)
-            elif theta[idx] == param.upper[idx]:
+            elif theta[idx] == param.bound:
                 assert g < 0.0, (idx, g)
             else:
                 assert abs(g) <= 1e-4, (idx, g)

@@ -40,35 +40,9 @@ from fracsteer.solver import (
 )
 
 from oracles import mild_map_by_hand, nonlocal_residual, refined_convolution, residual_p
+from specs import flagship_spec, make_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
-def make_spec(
-    n=1,
-    alpha=1.5,
-    omega=0.0,
-    T=1.0,
-    r=0.0,
-    impulses=(),
-    nonlocal_terms=(),
-    phi_coeffs=None,
-    f=None,
-    B=None,
-):
-    phi_coeffs = np.ones(n) if phi_coeffs is None else np.asarray(phi_coeffs, float)
-    return ProblemSpec(
-        alpha=alpha,
-        omega=omega,
-        n_modes=n,
-        horizon=T,
-        delay=r,
-        impulses=tuple(impulses),
-        nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor(phi_coeffs),
-        f_desc=f if f is not None else NonlinearityDescriptor(),
-        B=np.eye(n) if B is None else B,
-    )
 
 
 class TestGrid:
@@ -355,8 +329,6 @@ class TestContractionCheck:
     def test_flagship_factor_matches_golden(self):
         import json
         from pathlib import Path
-
-        from test_acceptance import flagship_spec
 
         golden = json.loads(
             (Path(__file__).parent / "golden" / "flagship.json").read_text()
