@@ -627,7 +627,9 @@ class TestMildMapOracle:
         return NonlinearityDescriptor(f1_gain=gain, L1=abs(gain), holder_p=0.01)
 
     @classmethod
-    def draw_problem(cls, data, draw_f=None):
+    def draw_problem(cls, data, draw_f=None, anchored=False):
+        """A random problem; anchored forces an impulse, an anchor at tau = 0
+        and an anchor after the first impulse."""
         n_fwd = data.draw(st.integers(6, 40), label="n_fwd")
         T = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="T")
         h = T / n_fwd
@@ -637,12 +639,17 @@ class TestMildMapOracle:
             lambda t: t[0] * t[1]
         )
         imp_nodes = data.draw(
-            st.lists(st.integers(1, n_fwd - 1), max_size=2, unique=True), label="impulses"
+            st.lists(st.integers(1, n_fwd - 1), min_size=int(anchored), max_size=2, unique=True),
+            label="impulses",
         )
         impulses = [
             ImpulseDescriptor(m * h, data.draw(signed)) for m in sorted(imp_nodes)
         ]
-        anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
+        if anchored:
+            after = data.draw(st.integers(min(imp_nodes) + 1, n_fwd), label="anchor after")
+            anchors = [0, after]
+        else:
+            anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
         nonlocal_terms = [NonlocalTerm(0.5 * data.draw(signed), m * h) for m in anchors]
         f = (draw_f or cls.draw_memory_f)(data, signed)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -680,6 +687,24 @@ class TestMildMapOracle:
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=self.TOL)
         for i, u in enumerate(samples):
             single = solve_mild(spec, ControlSignal(grid, u), tol=self.TOL)
+            np.testing.assert_array_equal(batch.values[i], single.values)
+            step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
+            assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_anchors_at_zero_and_after_an_impulse_give_fixed_points(self, data):
+        # x(0) reads the path through an anchor at tau = 0 and through one
+        # that lies after an impulse, so it sees the jump: a path solved to
+        # 1e-12 is a fixed point of the oracle, alone and in a batch
+        spec, grid, rng = self.draw_problem(data, anchored=True)
+        assert spec.nonlocal_terms[0].tau == 0.0
+        assert spec.nonlocal_terms[1].tau > spec.impulses[0].t
+        n = spec.n_modes
+        samples = np.stack([c * rng.standard_normal((grid.n_fwd + 1, n)) for c in (1.0, 3.0)])
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-12)
+        for i, u in enumerate(samples):
+            single = solve_mild(spec, ControlSignal(grid, u), tol=1e-12)
             np.testing.assert_array_equal(batch.values[i], single.values)
             step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
             assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
