@@ -12,10 +12,11 @@ steering residual p(x) collects everything the control must account for:
 
 The Grammian shares the trajectory grid and quadrature, so the input term
 of the mild formula at T under u = B^T D(T - .) c is exactly Gamma c.  The
-last Picard sweep of an inner solve returns x(T) = mild(x', 0)(T) + Gamma c
-from the sweep before, x', so steer reads p(x') = h - x(T) + Gamma c off it
-without another pass over the grid: p lags the returned path by one sweep,
-within the inner solve's tolerance.  The same shared quadrature makes the
+last Picard sweep of an inner solve solves x(0) and the impulse jumps for
+the path x it returns and takes f at the path of the sweep before, x'.  So
+steer reads h - x(T) + Gamma c off it without another pass over the grid:
+p at the returned path with f one sweep behind, within the inner solve's
+tolerance.  The same shared quadrature makes the
 one-dimensional linear steering identity terminal_error = eps/(eps+Gamma)*|p|
 hold exactly at the discrete level.
 """
@@ -94,9 +95,9 @@ def steer(
 
     (eps I + Gamma) is factored once.  p starts at h - x(T) of the u = 0
     solution; after each inner solve under u = B^T D(T - .) c it is
-    h - x(T) + Gamma c, which is p at the path of the solve's second-last
-    sweep (module docstring): a lag of one sweep, within the solve's
-    tolerance, in place of one more mild map per outer iteration.
+    h - x(T) + Gamma c, which is p at the returned path with f taken one
+    sweep earlier (module docstring): a lag within the solve's tolerance,
+    in place of one more mild map per outer iteration.
 
     Successive controls must agree to tol in sup-norm.  The loop contracts
     along one dominant direction, so inner solve k+1 starts from the

@@ -13,7 +13,9 @@ with D the diagonal solution operator, while x(s) = phi(s) - g(x)(s) holds on
 once per Grid (Grid.kernel_table).  Values stored at impulse nodes are left
 limits.  The integral segment that starts at t_k takes f at the right value
 x(t_k^+) = x(t_k^-) + I_k(x(t_k^-)), while the delay window x_{t_k} still
-ends at x(t_k^-), so only the pointwise part of f jumps there.
+ends at x(t_k^-), so only the pointwise part of f jumps there.  x(0) and the
+linear part of each jump are linear and mode-diagonal, so each Picard sweep
+solves them for the path it returns, and the loop iterates f alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from .mittag import mittag_leffler
 from .model import (
     FloatArray, HistorySegment, ProblemSpec, eval_f, trapezoid_weights,
@@ -107,6 +109,26 @@ class Grid:
         lags = np.arange(self.n_fwd + 1) * self.h
         alpha = self.spec.alpha
         return mittag_leffler(alpha, 1.0, np.multiply.outer(lags**alpha, self.spec.eigenvalues))
+
+    @cached_property
+    def start_response(self) -> FloatArray:
+        """Phi / (1 + sum_i c_i Phi(tau_i)), Phi the kernel table kicked by
+        the linear impulses in time order: the response to x(0) that closes
+        the nonlocal condition (mild_map).  A denominator that is 0 or not
+        finite leaves x(0) undetermined and raises."""
+        table, spec = self.kernel_table, self.spec
+        phi = table.copy()
+        for imp, m in zip(spec.impulses, self.impulse_nodes):
+            phi[m + 1 :] += table[1 : self.n_fwd + 1 - m] * (imp.scale * phi[m])
+        denom = np.ones(spec.n_modes)
+        for term in spec.nonlocal_terms:
+            denom += term.c * phi[self.row(term.tau) - self.n_hist]
+        for k in np.flatnonzero(~np.isfinite(denom) | (denom == 0.0)):
+            raise EvaluationError(
+                f"nonlocal condition leaves x(0) undetermined in mode {k + 1}: "
+                f"1 + sum_i c_i Phi(tau_i) = {denom[k]:g}", regime="nonlocal"
+            )
+        return phi / denom
 
     @cached_property
     def kernel_spectrum(self) -> FloatArray:
@@ -236,36 +258,40 @@ def _nonlocal_samples(grid: Grid, values: FloatArray) -> FloatArray:
 
 
 def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
-    """The variation-of-parameters formula of grid's problem applied to the
-    sampled path values.
+    """One Picard sweep: the variation-of-parameters formula of grid's
+    problem with f taken at the sampled path values.
 
-    Returns phi - g(values) on the history rows and, on the forward rows,
-    D(t)(phi(0) - g(values)(0)) + sum_k D(t - t_k) I_k(values(t_k^-))
+    Returns phi - g(values) on the history rows s < 0 and, on the forward
+    rows, x = D(t)(phi(0) - g(x)(0)) + sum_k D(t - t_k) I_k(x(t_k^-))
     + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with bu the input
-    B u on every forward node.  Leading axes of values and bu stack paths,
-    each mapped on its own.
+    B u on every forward node: x is A + start_response * (phi(0) - g(A)(0))
+    for the path A from x(0) = 0, whose impulse kicks read its own left
+    values in time order.  Leading axes of values and bu stack paths.
 
     f is evaluated once, at the stored left values.  At impulse node m the
     trapezoid segment starting there takes f at the right value instead;
     the delay window ends at the left value on both sides, so the half
-    weight h/2 carries only the jump of f's pointwise part, added with
-    I_k(values(t_m^-)) in one term per later node.
+    weight h/2 carries only the jump of f's pointwise part, at values.
     """
     spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
-    out = np.empty_like(values)
-    out[..., : n_hist + 1, :] = spec.phi(grid.times[: n_hist + 1])
-    out[..., : n_hist + 1, :] -= _nonlocal_samples(grid, values)
-
+    response = grid.start_response
     x = values[..., n_hist:, :]
     f = eval_f(spec, x, Trajectory(grid, values).history())
-    fwd = table * out[..., n_hist, None, :]
-    fwd += _convolve_all(grid, bu + f)
+    fwd = _convolve_all(grid, bu + f)
     pointwise = spec.f_desc.pointwise
     for imp, m in zip(spec.impulses, grid.impulse_nodes):
         left = x[..., m, :]
-        jump = imp.scale * left
-        kick = jump + 0.5 * grid.h * (pointwise(left + jump) - pointwise(left))
+        kick = imp.scale * fwd[..., m, :]
+        kick += 0.5 * grid.h * (pointwise(left + imp.scale * left) - pointwise(left))
         fwd[..., m + 1 :, :] += table[1 : grid.n_fwd + 1 - m] * kick[..., None, :]
+
+    out = np.empty_like(values)
+    out[..., : n_hist + 1, :] = spec.phi(grid.times[: n_hist + 1])
+    start = out[..., n_hist, :]
+    for term in spec.nonlocal_terms:
+        start = start - term.c * fwd[..., grid.row(term.tau) - n_hist, :]
+    fwd += response * start[..., None, :]
+    out[..., : n_hist + 1, :] -= _nonlocal_samples(grid, values)
     out[..., n_hist:, :] = fwd
     return out
 

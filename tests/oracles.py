@@ -228,7 +228,7 @@ def nonlocal_residual(spec, traj) -> float:
     return worst
 
 
-def mild_map_by_hand(spec, h: float, values, bu):
+def mild_map_by_hand(spec, h: float, values, bu, linear_from=None):
     """The variation-of-parameters formula applied to one sampled path, one
     grid node at a time, on the grid of step h from -r to T.
 
@@ -247,17 +247,25 @@ def mild_map_by_hand(spec, h: float, values, bu):
     window still ends at x(t_k)).  D comes from _kernel_by_hand.  The
     nonlinearity, impulses, phi and eigenvalues are rebuilt here from the
     descriptors' fields; nothing of the package's solver is used.
+
+    linear_from, when given, is the path that g(x)(0) and the linear part
+    I_k(x(t_k)) of each jump read; the history rows s < 0, f and the half
+    weight with f1 at the right value still read values.  A sweep that
+    solves x(0) and the jumps for the path x it returns gives
+    x = mild_map_by_hand(spec, h, values, bu, linear_from=x).
     """
     import numpy as np
 
     values = np.asarray(values, dtype=float)
+    lin = values if linear_from is None else np.asarray(linear_from, dtype=float)
     n_hist, n = round(spec.delay / h), round(spec.horizon / h)
     D = _kernel_by_hand(spec.alpha, spec.omega, spec.n_modes, h, n)
 
-    def g(i):  # g(x) at history row i
+    def g(i):  # g(x) at history row i; at s = 0 it reads lin
+        path = lin if i == n_hist else values
         total = np.zeros(spec.n_modes)
         for term in spec.nonlocal_terms:
-            total += term.c * values[round(term.tau / h) + i]
+            total += term.c * path[round(term.tau / h) + i]
         return total
 
     fd = spec.f_desc
@@ -289,7 +297,7 @@ def mild_map_by_hand(spec, h: float, values, bu):
         x_m = D[m] * (_phi_by_hand(spec, 0.0) - g(n_hist))
         for k, scale in impulses.items():
             if k < m:
-                x_m = x_m + D[m - k] * (scale * values[n_hist + k])
+                x_m = x_m + D[m - k] * (scale * lin[n_hist + k])
         for j in range(m + 1 if m > 0 else 0):  # the integral over [0, 0] is 0
             if j in (0, m):
                 x_m = x_m + 0.5 * h * D[m - j] * forcing[j]

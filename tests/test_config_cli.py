@@ -229,14 +229,30 @@ class TestCliSolve:
         ]) == 2
 
     def test_nonconvergent_exit_3(self, tmp_path):
+        # f = 12 x on dt = 0.25: the trapezoid's half weight at each node
+        # gives the sweep a gain of 12 * 0.125 = 1.5 there, so Picard diverges
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(minimal_config(
-            **{"nonlocal": [{"c": 1.0, "tau": 0.0}]}
+            f={"kind": "linear", "params": {"gain": 12.0}, "L1": 12.0, "p": 0.25}
         )))
         assert run([
             "solve", "--config", str(cfg), "--dt", "0.25",
             "--out", str(tmp_path / "t.csv"), "--max-iter", "10",
         ]) == 3
+
+    def test_undetermined_start_exit_3(self, tmp_path):
+        # x(0) = phi(0) - x(0) has the unique answer phi(0) / 2, but
+        # x(0) = phi(0) + x(0) has none: refused before the first sweep
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_config(**{"nonlocal": [{"c": -1.0, "tau": 0.0}]})))
+        out = tmp_path / "t.csv"
+        code, err = _run_captured(["solve", f"--config={cfg}", "--dt=0.25", f"--out={out}"])
+        assert code == 3
+        assert err == (
+            "error: nonlocal condition leaves x(0) undetermined in mode 1: "
+            "1 + sum_i c_i Phi(tau_i) = 0 [regime=nonlocal]\n"
+        )
+        assert not out.exists()
 
 
 class TestCliSteerSweep:
@@ -677,6 +693,29 @@ class TestInvalidFlags:
         assert peak < 40e6
         assert not (tmp_path / "out").exists()
 
+    # the extremes of optimize's --intervals and --max-evals on FLAG_RUNS
+    # (P N = 2, so 2 P N + 2 = 6 evaluations is the least budget, and
+    # P N = 3,163 is one past the BFGS matrix's cap): each run exits 0 or 2
+    # with at most one line on stderr and no traceback
+    @pytest.mark.parametrize("flag, value, want", [
+        ("--intervals", "0", 2),
+        ("--intervals", "-1", 2),
+        ("--intervals", "3163", 2),
+        ("--intervals", str(10**6), 2),
+        ("--max-evals", "5", 2),
+        ("--max-evals", "6", 0),
+        ("--max-evals", str(10**18), 0),
+    ])
+    def test_optimize_flag_extremes_end_cleanly(self, tmp_path, flag, value, want):
+        argv = [a for a in FLAG_RUNS["optimize"] if not a.startswith(f"{flag}=")]
+        out = tmp_path / "out"
+        code, err = _run_captured(argv + [f"{flag}={value}", f"--out={out}"])
+        assert code == want
+        assert "Traceback" not in err
+        assert err.count("\n") == (code != 0)
+        assert code == 0 or err.startswith("error: ")
+        assert out.exists() == (code == 0)
+
     # at dt 0.1 on T = 1, 16 intervals leave 5 of them without a forward
     # node, whose parameters could never move (such a run used to exit 0
     # after 429 evaluations); at 11 intervals every one holds a node
@@ -724,7 +763,7 @@ MANIFEST_KEYS = ["subcommand", "tool_version", "config", "parameters", "outputs"
 # the manifest parameters of each FLAG_RUNS run, in the order they are written
 MANIFEST_PARAMETERS = {
     "ml": {"alpha": 1.5, "beta": 1.0, "z": [-1.0]},
-    "solve": {"dt": 0.05, "tol": 1e-10, "picard_iters": 15,
+    "solve": {"dt": 0.05, "tol": 1e-10, "picard_iters": 7,
               "warnings": ["contraction factor 1.35 >= 1: convergence not guaranteed"]},
     "steer": {"dt": 0.05, "eps": 0.1, "tol": 1e-8},
     "sweep": {"dt": 0.05, "eps_list": [0.1, 0.01], "tol": 1e-8, "errors_non_increasing": True},

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fracsteer import solver
 from fracsteer.config import load_problem, load_target
 from fracsteer.control import epsilon_sweep, steer
-from fracsteer.errors import ConfigError, ConvergenceError, DomainError
+from fracsteer.errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
     HistorySegment,
@@ -298,11 +298,32 @@ class TestPicardBehaviour:
                 assert b <= factor * a * (1.0 + 1e-9)
 
     def test_nonconvergence_carries_residuals(self):
-        spec = make_spec(n=1, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
+        # f = 12 x on dt = 0.25: the half trapezoid weight at each node gives
+        # a sweep the gain 12 * 0.125 = 1.5 there
+        spec = make_spec(n=1, f=NonlinearityDescriptor(f1_gain=12.0, L1=12.0))
         grid = Grid(spec, 0.25)
         with pytest.raises(ConvergenceError) as err:
             solve_mild(spec, ControlSignal.zeros(grid), tol=1e-10, max_iter=15)
         assert len(err.value.residuals) == 15
+
+    def test_anchor_weight_one_at_zero_converges(self):
+        # x(0) = phi(0) - x(0): a sweep solves x(0) = phi(0) / 2 outright
+        spec = make_spec(n=1, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
+        grid = Grid(spec, 0.25)
+        u = ControlSignal(grid, np.linspace(-1.0, 1.0, grid.n_fwd + 1)[:, None])
+        traj = solve_mild(spec, u, tol=1e-12)
+        np.testing.assert_allclose(traj.values[grid.row(0.0)], 0.5, rtol=0, atol=1e-15)
+        step = mild_map_by_hand(spec, grid.h, traj.values, u.samples @ spec.B.T) - traj.values
+        assert np.max(np.abs(step)) <= 1e-12
+
+    def test_anchor_weight_minus_one_at_zero_raises_before_a_sweep(self, monkeypatch):
+        # x(0) = phi(0) + x(0) has no answer; no sweep runs on it
+        spec = make_spec(n=2, nonlocal_terms=[NonlocalTerm(-1.0, 0.0)])
+        grid = Grid(spec, 0.25)
+        monkeypatch.setattr(solver, "eval_f", lambda *a: pytest.fail("a sweep ran"))
+        with pytest.raises(EvaluationError, match="undetermined in mode 1: ") as info:
+            solve_mild(spec, ControlSignal.zeros(grid))
+        assert info.value.regime == "nonlocal"
 
     def test_warning_attached_when_factor_large(self):
         spec = make_spec(impulses=[ImpulseDescriptor(0.5, -1.0)])
@@ -577,10 +598,10 @@ class TestBatchAxis:
             )
 
     def test_solve_stack_equals_single_solves(self, flagship):
-        # the three controls stop at different sweeps; each leaves the loop
-        # at its own sweep with its own residual list
+        # the three controls stop at different sweeps (8, 9 and 11); each
+        # leaves the loop at its own sweep with its own residual list
         spec, grid, base = flagship
-        samples = np.stack([c * base for c in (0.0, 100.0, 1000.0)])
+        samples = np.stack([c * base for c in (0.0, 1e3, 1e6)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11)
         singles = [solve_mild(spec, ControlSignal(grid, u), tol=1e-11) for u in samples]
         assert len({len(t.residuals) for t in singles}) == 3
@@ -675,11 +696,12 @@ class TestMildMapOracle:
         spec, grid, rng = self.draw_problem(data)
         n = spec.n_modes
 
-        # the mild map of a random path, node by node
+        # the mild map of a random path, node by node: x(0) and the linear
+        # part of each jump read the path the sweep returns
         values = rng.standard_normal((len(grid), n))
         bu = rng.standard_normal((grid.n_fwd + 1, n))
         got = mild_map(grid, values, bu)
-        want = mild_map_by_hand(spec, grid.h, values, bu)
+        want = mild_map_by_hand(spec, grid.h, values, bu, linear_from=got)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
         # converged paths are fixed points of the oracle, alone and in a batch
@@ -720,7 +742,7 @@ class TestMildMapOracle:
         bu = rng.standard_normal((2, grid.n_fwd + 1, n))
         got = mild_map(grid, values, bu)
         for i in range(2):
-            want = mild_map_by_hand(spec, grid.h, values[i], bu[i])
+            want = mild_map_by_hand(spec, grid.h, values[i], bu[i], linear_from=got[i])
             np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-13)
 
         u = rng.standard_normal((grid.n_fwd + 1, n))
@@ -736,7 +758,9 @@ class TestWarmStart:
     def flagship(self):
         spec = load_problem(CONFIGS / "flagship.json")
         grid = Grid(spec, 1.0 / 200.0)
-        base = 100.0 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
+        # a sweep solves x(0) and the jumps, so only a control this large
+        # takes a cold solve past 10 sweeps (11; 8 at scale 100)
+        base = 1e6 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
         return spec, grid, base
 
     @pytest.mark.parametrize("rebuilt", [False, True], ids=["same-grid", "equal-grid"])
@@ -754,7 +778,7 @@ class TestWarmStart:
     def test_stack_equals_solo_warm_solves(self, flagship):
         spec, grid, base = flagship
         start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11)
-        samples = np.stack([c * base for c in (1.0, 0.0, 3.0)])
+        samples = np.stack([c * base for c in (1.0, 0.3, 10.0)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=start)
         singles = [
             solve_mild(spec, ControlSignal(grid, u), tol=1e-11, start=start) for u in samples
