@@ -274,7 +274,7 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
     weight h/2 carries only the jump of f's pointwise part, at values.
     """
     spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
-    response = grid.start_response
+    response = grid.start_response  # first: an undetermined x(0) raises before any work
     x = values[..., n_hist:, :]
     f = eval_f(spec, x, Trajectory(grid, values).history())
     fwd = _convolve_all(grid, bu + f)
