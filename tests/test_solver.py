@@ -759,7 +759,9 @@ class TestWarmStart:
         spec = load_problem(CONFIGS / "flagship.json")
         grid = Grid(spec, 1.0 / 200.0)
         # a sweep solves x(0) and the jumps, so only a control this large
-        # takes a cold solve past 10 sweeps (11; 8 at scale 100)
+        # takes a cold solve past 10 sweeps (11; 8 at scale 100).  Its paths
+        # reach 7e4, where tol 1e-11 is about one ulp, yet the sweeps still
+        # settle: rng seeds 0-11 all converge, 11 of them in more than 10
         base = 1e6 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
         return spec, grid, base
 
@@ -776,9 +778,11 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-11)
 
     def test_stack_equals_solo_warm_solves(self, flagship):
+        # at scale 100 the three solves take 1, 8 and 9 sweeps
         spec, grid, base = flagship
+        base = 1e-4 * base
         start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11)
-        samples = np.stack([c * base for c in (1.0, 0.3, 10.0)])
+        samples = np.stack([c * base for c in (1.0, 0.0, 3.0)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=start)
         singles = [
             solve_mild(spec, ControlSignal(grid, u), tol=1e-11, start=start) for u in samples
