@@ -15,7 +15,9 @@ limits.  The integral segment that starts at t_k takes f at the right value
 x(t_k^+) = x(t_k^-) + I_k(x(t_k^-)), while the delay window x_{t_k} still
 ends at x(t_k^-), so only the pointwise part of f jumps there.  x(0) and the
 linear part of each jump are linear and mode-diagonal, so each Picard sweep
-solves them for the path it returns, and the loop iterates f alone.
+solves them for the path it returns, and the loop iterates f alone.  Where
+that loop fails, solve_mild starts over with lagged sweeps, which read both
+off the previous iterate.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ class Grid:
                 f"nonlocal condition leaves x(0) undetermined in mode {k + 1}: "
                 f"1 + sum_i c_i Phi(tau_i) = {denom[k]:g}", regime="nonlocal"
             )
-        return phi / denom
+        phi /= denom
+        return phi
 
     @cached_property
     def kernel_spectrum(self) -> FloatArray:
@@ -248,16 +251,16 @@ def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
 
 
 def _nonlocal_samples(grid: Grid, values: FloatArray) -> FloatArray:
-    """g(x)(s) for every history node s; zero when no nonlocal terms."""
+    """g(x)(s) for every history node s < 0; zero when no nonlocal terms."""
     n_hist = grid.n_hist
-    out = np.zeros(values.shape[:-2] + (n_hist + 1, grid.spec.n_modes))
+    out = np.zeros(values.shape[:-2] + (n_hist, grid.spec.n_modes))
     for term in grid.spec.nonlocal_terms:
         anchor = grid.row(term.tau)
-        out += term.c * values[..., anchor - n_hist : anchor + 1, :]
+        out += term.c * values[..., anchor - n_hist : anchor, :]
     return out
 
 
-def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
+def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = False) -> FloatArray:
     """One Picard sweep: the variation-of-parameters formula of grid's
     problem with f taken at the sampled path values.
 
@@ -266,7 +269,8 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
     + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with bu the input
     B u on every forward node: x is A + start_response * (phi(0) - g(A)(0))
     for the path A from x(0) = 0, whose impulse kicks read its own left
-    values in time order.  Leading axes of values and bu stack paths.
+    values in time order.  lagged reads g(x)(0) and I_k(x(t_k^-)) off values
+    instead.  Leading axes of values and bu stack paths.
 
     f is evaluated once, at the stored left values.  At impulse node m the
     trapezoid segment starting there takes f at the right value instead;
@@ -274,26 +278,56 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray) -> FloatArray:
     weight h/2 carries only the jump of f's pointwise part, at values.
     """
     spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
-    response = grid.start_response  # first: an undetermined x(0) raises before any work
+    # first: an undetermined x(0) raises before any work
+    response = table if lagged else grid.start_response
     x = values[..., n_hist:, :]
     f = eval_f(spec, x, Trajectory(grid, values).history())
     fwd = _convolve_all(grid, bu + f)
+    linear = x if lagged else fwd  # the path the linear couplings read
     pointwise = spec.f_desc.pointwise
     for imp, m in zip(spec.impulses, grid.impulse_nodes):
         left = x[..., m, :]
-        kick = imp.scale * fwd[..., m, :]
+        kick = imp.scale * linear[..., m, :]
         kick += 0.5 * grid.h * (pointwise(left + imp.scale * left) - pointwise(left))
         fwd[..., m + 1 :, :] += table[1 : grid.n_fwd + 1 - m] * kick[..., None, :]
 
-    out = np.empty_like(values)
-    out[..., : n_hist + 1, :] = spec.phi(grid.times[: n_hist + 1])
-    start = out[..., n_hist, :]
+    phi = spec.phi(grid.times[: n_hist + 1])
+    start = phi[-1]
     for term in spec.nonlocal_terms:
-        start = start - term.c * fwd[..., grid.row(term.tau) - n_hist, :]
+        start = start - term.c * linear[..., grid.row(term.tau) - n_hist, :]
     fwd += response * start[..., None, :]
-    out[..., : n_hist + 1, :] -= _nonlocal_samples(grid, values)
+    out = np.empty_like(values)
+    out[..., :n_hist, :] = phi[:-1] - _nonlocal_samples(grid, values)
     out[..., n_hist:, :] = fwd
     return out
+
+
+def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_iter: int,
+             lagged: bool) -> tuple[FloatArray, list[list[float]], list[int]]:
+    """Picard sweeps on a stack of paths, each until its residual is <= tol
+    or not finite, for at most max_iter sweeps: the last iterates, the
+    residual list of every path and the indices of those that failed."""
+    # values and bu hold the paths still iterating, ids their rows in out
+    out, ids = np.empty_like(values), np.arange(len(values))
+    residuals: list[list[float]] = [[] for _ in ids]
+    failed: list[int] = []
+    for _ in range(max_iter):
+        new_values = mild_map(grid, values, bu, lagged)
+        res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
+        values = new_values
+        for k, r in zip(ids, res.tolist()):
+            residuals[k].append(r)
+        bad = ~np.isfinite(res)
+        stop = (res <= tol) | bad
+        if stop.any():
+            if bad.any():
+                failed += ids[bad].tolist()
+            out[ids[stop]] = values[stop]
+            ids, values, bu = ids[~stop], values[~stop], bu[~stop]
+            if not ids.size:
+                break
+    out[ids] = values
+    return out, residuals, sorted(failed + ids.tolist())
 
 
 def solve_mild(
@@ -310,10 +344,16 @@ def solve_mild(
     spec with the rows of u's grid (for one spec, equal row counts mean
     equal steps), one path for every control or one per control.
     Stops when the sup-norm distance between successive iterates drops to
-    tol; raises ConvergenceError (with the residual history) on budget
-    exhaustion.  A contraction factor >= 1 attaches a warning, not an error.
-    A stack of controls runs through the same loop (one control is a stack
-    of one); each path stops, or raises, at the sweep where it would alone.
+    tol.  A path that does not get there in max_iter sweeps, or whose
+    iterate stops being finite, starts over from its start with lagged
+    sweeps (mild_map), which read x(0) and the jumps off the previous
+    iterate: where f's feedback offsets the nonlocal loop, only those
+    converge.  Its residual list then holds both runs.  If the lagged run
+    fails too, ConvergenceError carries that run's residuals and last
+    iterate.  A contraction factor >= 1 attaches a warning, not an error.
+    A stack of controls runs through the same loops (one control is a stack
+    of one); each path stops at the sweep where it would alone, and the
+    first path that fails both runs raises.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be > 0, got {tol}")
@@ -338,35 +378,24 @@ def solve_mild(
 
     values = np.empty(shape)
     values[:] = spec.phi(np.minimum(grid.times, 0.0)) if start is None else start.values
-
-    # values and bu hold the paths still iterating, ids their rows in out
-    out, ids = np.empty_like(values), np.arange(len(values))
-    residuals: list[list[float]] = [[] for _ in ids]
-    for it in range(max_iter):
-        new_values = mild_map(grid, values, bu)
-        res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
-        values = new_values
-        for j, (k, r) in enumerate(zip(ids, res.tolist())):
-            residuals[k].append(r)
-            if not math.isfinite(r):
-                raise ConvergenceError(
-                    f"Picard iteration produced a non-finite iterate at sweep {it + 1}",
-                    residuals=residuals[k],
-                    last_iterate=Trajectory(grid, values[j]),
-                )
-        done = res <= tol
-        if done.any():
-            out[ids[done]] = values[done]
-            ids, values, bu = ids[~done], values[~done], bu[~done]
-            if not ids.size:
-                break
-    else:
-        raise ConvergenceError(
-            f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
-            f"(last residual {residuals[ids[0]][-1]:.3e})",
-            residuals=residuals[ids[0]],
-            last_iterate=Trajectory(grid, values[0]),
-        )
+    # a run that overflows is retried below, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, residuals, retry = _iterate(grid, values, bu, tol, max_iter, lagged=False)
+    if retry:
+        again, more, failed = _iterate(grid, values[retry], bu[retry], tol, max_iter, lagged=True)
+        if failed:
+            r = more[failed[0]]
+            raise ConvergenceError(
+                f"Picard iteration produced a non-finite iterate at sweep {len(r)}"
+                if not math.isfinite(r[-1]) else
+                f"Picard iteration did not reach tol={tol} in {max_iter} iterations "
+                f"(last residual {r[-1]:.3e})",
+                residuals=r,
+                last_iterate=Trajectory(grid, again[failed[0]]),
+            )
+        out[retry] = again
+        for k, r in zip(retry, more):
+            residuals[k] += r
     if u.samples.ndim == 2:
         out, residuals = out[0], residuals[0]
     return Trajectory(grid, out, warnings=warnings_list, residuals=residuals)

@@ -17,7 +17,9 @@ from fracsteer.model import (
     NonlocalTerm,
     eval_f,
 )
-from fracsteer.solver import ControlSignal, Grid, Trajectory, _nonlocal_samples, solve_mild
+from fracsteer.solver import (
+    ControlSignal, Grid, Trajectory, _nonlocal_samples, mild_map, solve_mild,
+)
 
 from specs import make_spec
 
@@ -178,24 +180,26 @@ class TestEvalF:
 
 class TestEvalG:
     # the nonlocal map g(x)(s) = sum_i c_i x(tau_i + s) on every history row
-    # s in [-r, 0], as solver._nonlocal_samples evaluates it
+    # s in [-r, 0), as solver._nonlocal_samples evaluates it; g(x)(0) enters
+    # through the start of mild_map
     def test_empty_nonlocal_list(self):
-        spec = make_spec(n=2)
+        spec = make_spec(n=2, r=0.5)
         grid = Grid(spec, 0.25)
         traj = solve_mild(spec, ControlSignal.zeros(grid))
-        np.testing.assert_array_equal(_nonlocal_samples(grid, traj.values), np.zeros((1, 2)))
+        np.testing.assert_array_equal(_nonlocal_samples(grid, traj.values), np.zeros((2, 2)))
 
     def test_identity_anchor(self):
-        spec = make_spec(n=1, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
+        spec = make_spec(n=1, r=0.5, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
         grid = Grid(spec, 0.25)
         traj = Trajectory(grid, np.cos(grid.times)[:, None])
         np.testing.assert_allclose(
-            _nonlocal_samples(grid, traj.values)[-1], traj.values[grid.row(0.0)]
+            _nonlocal_samples(grid, traj.values), traj.values[: grid.row(0.0)]
         )
 
     def test_weighted_sum_on_known_trajectory(self):
         # linear-in-t synthetic trajectory: x(t) = 1 + t, by hand:
-        # g(x)(s) = 0.5 x(0.3+s) + 0.25 x(0.6+s)
+        # g(x)(s) = 0.5 x(0.3+s) + 0.25 x(0.6+s); a lagged sweep starts from
+        # x(0) = phi(0) - g(x)(0) = 1 - g(x)(0)
         spec = make_spec(
             n=1,
             r=0.2,
@@ -203,10 +207,11 @@ class TestEvalG:
         )
         grid = Grid(spec, 0.1)
         values = (1.0 + grid.times)[:, None]
-        g = _nonlocal_samples(grid, values)
+        g = np.append(_nonlocal_samples(grid, values)[:, 0],
+                      1.0 - mild_map(grid, values, np.zeros((grid.n_fwd + 1, 1)), lagged=True)[grid.row(0.0), 0])
         for row, s in enumerate((-0.2, -0.1, 0.0)):
             want = 0.5 * (1.0 + 0.3 + s) + 0.25 * (1.0 + 0.6 + s)
-            assert g[row, 0] == pytest.approx(want, abs=1e-12)
+            assert g[row] == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)

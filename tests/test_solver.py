@@ -2,6 +2,7 @@
 refined-grid and closed-form oracles, free/impulse closed forms, quadrature
 order, superposition, nonlocal consistency, and contraction arithmetic."""
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -43,6 +44,14 @@ from oracles import mild_map_by_hand, nonlocal_residual, refined_convolution, re
 from specs import flagship_spec, make_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def with_linear_memory(spec, gain):
+    """spec with f1 and f2 both linear of the given gain, so that f, the only
+    part a Picard sweep iterates, takes a solve through many sweeps."""
+    f = dataclasses.replace(spec.f_desc, f1_form="linear", f1_gain=gain, f2_gain=gain,
+                            L1=gain, L2=gain)
+    return dataclasses.replace(spec, f_desc=f)
 
 
 class TestGrid:
@@ -305,6 +314,31 @@ class TestPicardBehaviour:
         with pytest.raises(ConvergenceError) as err:
             solve_mild(spec, ControlSignal.zeros(grid), tol=1e-10, max_iter=15)
         assert len(err.value.residuals) == 15
+
+    def test_lagged_sweeps_solve_where_the_exact_sweep_diverges(self):
+        # 1 + c Phi(T) = -0.017 here: a sweep that solves x(0) amplifies f's
+        # feedback about 60-fold and overflows, while sweeps that read x(0)
+        # and the jumps off the previous iterate converge, the negative f
+        # gain offsetting the nonlocal loop.  Alone and in a batch, the solve
+        # ends at an oracle fixed point.
+        spec = make_spec(
+            n=1, alpha=1.39, omega=0.42, T=0.5, phi_coeffs=[-0.69], B=[[0.59]],
+            impulses=[ImpulseDescriptor(0.05, -0.42), ImpulseDescriptor(0.075, 1.4)],
+            nonlocal_terms=[NonlocalTerm(-1.15, 0.5)],
+            f=NonlinearityDescriptor(
+                f1_gain=-0.85, f2_gain=-1.75, f2_form="saturating", kernel_rate=0.8,
+                L1=0.85, L2=1.75, holder_p=0.01,
+            ),
+        )
+        grid = Grid(spec, 0.0125)
+        ramp = np.linspace(-1.0, 1.0, grid.n_fwd + 1)
+        samples = np.stack([0.0 * ramp, ramp])[..., None]
+        batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-12)
+        for i, u in enumerate(samples):
+            single = solve_mild(spec, ControlSignal(grid, u), tol=1e-12)
+            np.testing.assert_array_equal(batch.values[i], single.values)
+            step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
+            assert np.max(np.abs(step)) <= 1e-11
 
     def test_anchor_weight_one_at_zero_converges(self):
         # x(0) = phi(0) - x(0): a sweep solves x(0) = phi(0) / 2 outright
@@ -598,10 +632,13 @@ class TestBatchAxis:
             )
 
     def test_solve_stack_equals_single_solves(self, flagship):
-        # the three controls stop at different sweeps (8, 9 and 11); each
-        # leaves the loop at its own sweep with its own residual list
+        # with f linear of gain 2 the three controls stop at different sweeps
+        # (18, 19 and 21); each leaves the loop at its own sweep with its own
+        # residual list
         spec, grid, base = flagship
-        samples = np.stack([c * base for c in (0.0, 1e3, 1e6)])
+        spec = with_linear_memory(spec, 2.0)
+        grid = Grid(spec, grid.h)
+        samples = np.stack([c * base for c in (0.0, 100.0, 1000.0)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11)
         singles = [solve_mild(spec, ControlSignal(grid, u), tol=1e-11) for u in samples]
         assert len({len(t.residuals) for t in singles}) == 3
@@ -758,11 +795,11 @@ class TestWarmStart:
     def flagship(self):
         spec = load_problem(CONFIGS / "flagship.json")
         grid = Grid(spec, 1.0 / 200.0)
-        # a sweep solves x(0) and the jumps, so only a control this large
-        # takes a cold solve past 10 sweeps (11; 8 at scale 100).  Its paths
-        # reach 7e4, where tol 1e-11 is about one ulp, yet the sweeps still
-        # settle: rng seeds 0-11 all converge, 11 of them in more than 10
-        base = 1e6 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
+        # a sweep solves x(0) and the jumps, so only f is iterated; f linear
+        # of gain 2 makes a cold solve take 19 sweeps (8 with the flagship f)
+        spec = with_linear_memory(spec, 2.0)
+        grid = Grid(spec, 1.0 / 200.0)
+        base = 100.0 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
         return spec, grid, base
 
     @pytest.mark.parametrize("rebuilt", [False, True], ids=["same-grid", "equal-grid"])
@@ -778,9 +815,8 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-11)
 
     def test_stack_equals_solo_warm_solves(self, flagship):
-        # at scale 100 the three solves take 1, 8 and 9 sweeps
+        # the three solves take 1, 19 and 20 sweeps
         spec, grid, base = flagship
-        base = 1e-4 * base
         start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11)
         samples = np.stack([c * base for c in (1.0, 0.0, 3.0)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=start)
