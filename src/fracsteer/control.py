@@ -13,10 +13,11 @@ steering residual p(x) collects everything the control must account for:
 The Grammian shares the trajectory grid and quadrature, so the input term
 of the mild formula at T under u = B^T D(T - .) c is exactly Gamma c.  The
 last Picard sweep of an inner solve solves x(0) and the impulse jumps for
-the path x it returns and takes f at the path of the sweep before, x'.  So
-steer reads h - x(T) + Gamma c off it without another pass over the grid:
-p at the returned path with f one sweep behind, within the inner solve's
-tolerance.  The same shared quadrature makes the
+the path x it returns and takes f at the path of the sweep before, x'
+(a solve restarted with lagged sweeps takes x(0) and the jumps at x' too).
+So steer reads h - x(T) + Gamma c off it without another pass over the
+grid: p at the returned path with f one sweep behind, within the inner
+solve's tolerance.  The same shared quadrature makes the
 one-dimensional linear steering identity terminal_error = eps/(eps+Gamma)*|p|
 hold exactly at the discrete level.
 """
