@@ -207,8 +207,8 @@ class TestEvalG:
         )
         grid = Grid(spec, 0.1)
         values = (1.0 + grid.times)[:, None]
-        g = np.append(_nonlocal_samples(grid, values)[:, 0],
-                      1.0 - mild_map(grid, values, np.zeros((grid.n_fwd + 1, 1)), lagged=True)[grid.row(0.0), 0])
+        swept = mild_map(grid, values, np.zeros((grid.n_fwd + 1, 1)), lagged=True)
+        g = np.append(_nonlocal_samples(grid, values)[:, 0], 1.0 - swept[grid.row(0.0), 0])
         for row, s in enumerate((-0.2, -0.1, 0.0)):
             want = 0.5 * (1.0 + 0.3 + s) + 0.25 * (1.0 + 0.6 + s)
             assert g[row] == pytest.approx(want, abs=1e-12)
