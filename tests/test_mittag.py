@@ -77,6 +77,29 @@ class TestKnownValues:
         assert isinstance(mittag_leffler(1.5, 1.0, -1.0), float)
 
 
+class TestAlphaTwo:
+    # alpha = 2 lies outside the paper's (1, 2) but inside the evaluator's
+    # range: its closed forms far out on the negative axis, and the Taylor
+    # oracle at the beta they do not cover
+
+    def test_cosine_and_sinc_closed_forms(self):
+        xs = np.concatenate([[0.0], np.logspace(-3, 8, 39)])
+        cos_got = mittag_leffler(2.0, 1.0, -xs)
+        sinc_got = mittag_leffler(2.0, 2.0, -xs)
+        for x, c, s in zip(xs.tolist(), cos_got, sinc_got):
+            w = math.sqrt(x)
+            # the rounding of sqrt(x) alone moves cos(w) by up to w * eps
+            tol = 1e-12 + 1e-15 * w
+            assert abs(c - math.cos(w)) <= tol, x
+            assert abs(s - (math.sin(w) / w if x else 1.0)) <= tol, x
+
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5, 3.2])
+    def test_other_beta_match_oracle(self, beta):
+        zs = np.concatenate([-np.geomspace(1e3, 1e-2, 21), [0.0, 1.0, 2.5, 5.0]])
+        want = [ml_oracle(2.0, beta, z) for z in zs.tolist()]
+        np.testing.assert_allclose(mittag_leffler(2.0, beta, zs), want, rtol=0, atol=1e-12)
+
+
 class TestOracleSweep:
     @pytest.mark.parametrize("alpha", [1.1, 1.25, 1.5, 1.75, 1.9])
     def test_negative_axis_band(self, alpha):
