@@ -15,10 +15,7 @@ evaluator serves a single point (mittag_leffler of a float) and a whole table
     branch-cut integral (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl.
     Anal. 5(4), 2002) with the same nodes for every point, plus for alpha > 1
     the residue pair of the Laplace-domain poles;
-  * closed forms at alpha = 1 (exponential, confluent hypergeometric) and at
-    alpha = 2, beta in {1, 2} (trigonometric / hyperbolic), and an
-    extended-precision series for the other alpha = 2 points the float series
-    does not certify (alpha = 2 puts the poles on the cut).
+  * closed forms at alpha = 1 (exponential, confluent hypergeometric).
 
 A point no route certifies raises EvaluationError; no route returns a NaN.
 A point's value does not depend on the other points of the array.
@@ -83,22 +80,20 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E_{alpha,beta} at every point of a 1-D array z of validated arguments."""
     if alpha == 1.0:
         return np.array([_alpha_one(beta, v) for v in z.tolist()], dtype=float)
-    if alpha == 2.0 and beta in (1.0, 2.0):
-        return np.array([_alpha_two(beta, v) for v in z.tolist()], dtype=float)
     out = np.empty_like(z)
-    rest = (z < _SERIES_Z_MIN) & (alpha < 2.0)
+    rest = z < _SERIES_Z_MIN
     out[~rest], certified = _series(alpha, beta, z[~rest])
     rest[~rest] = ~certified
-    if alpha == 2.0:
-        out[rest] = [_mp_series(2.0, beta, v) for v in z[rest].tolist()]
-    else:
-        out[rest] = _branch_cut(alpha, beta, -z[rest])
+    out[rest] = _branch_cut(alpha, beta, -z[rest])
     return out
 
 
 def _alpha_one(beta: float, z: float) -> float:
     if beta == 1.0:
-        return math.exp(z) if z <= 709.0 else math.inf
+        try:
+            return math.exp(z)
+        except OverflowError:
+            return math.inf
     from scipy.special import hyp1f1
 
     val = float(hyp1f1(1.0, beta, z)) / math.gamma(beta)
@@ -108,52 +103,6 @@ def _alpha_one(beta: float, z: float) -> float:
             regime="hyp1f1",
         )
     return val
-
-
-def _alpha_two(beta: float, z: float) -> float:
-    """alpha = 2 closed forms, beta in {1, 2}."""
-    if beta == 1.0:
-        if z >= 0.0:
-            s = math.sqrt(z)
-            return math.cosh(s) if s <= 709.0 else math.inf
-        return math.cos(math.sqrt(-z))
-    if z == 0.0:
-        return 1.0
-    if z > 0.0:
-        s = math.sqrt(z)
-        return math.sinh(s) / s if s <= 709.0 else math.inf
-    s = math.sqrt(-z)
-    return math.sin(s) / s
-
-
-def _mp_series(alpha: float, beta: float, z: float) -> float:
-    # precision scaled to the predicted peak term; rare edge regime only
-    from mpmath import mp
-
-    x = abs(z)
-    w = x ** (1.0 / alpha)
-    k_peak = max(3, int(w / alpha) + 2)
-    ln_peak = k_peak * math.log(x) - math.lgamma(alpha * k_peak + beta)
-    dps = max(40, int(ln_peak / 2.302585) + 40)
-    with mp.workdps(dps):
-        s = mp.mpf(0)
-        zz = mp.mpf(z)
-        aa = mp.mpf(alpha)
-        bb = mp.mpf(beta)
-        k = 0
-        while True:
-            t = zz**k / mp.gamma(aa * k + bb)
-            s += t
-            if k > k_peak and abs(t) < mp.mpf(10) ** (-dps) * max(abs(s), mp.mpf(1)):
-                break
-            k += 1
-            if k > 200000:
-                raise EvaluationError(
-                    f"extended-precision series failed for alpha={alpha}, "
-                    f"beta={beta}, z={z}",
-                    regime="extended-series",
-                )
-        return float(s)
 
 
 def _series(alpha: float, beta: float, z: np.ndarray):
@@ -230,7 +179,7 @@ def _cut_nodes(alpha: float, b: float, n0: int):
 
 
 def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(-x) for a 1-D array of x, alpha in (0, 2) but not 1.
+    """E_{alpha,beta}(-x) for a 1-D array of x, alpha in (0, 2] but not 1.
 
     beta is first reduced to b in (0, alpha] by
     E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, which keeps v^{alpha-b}

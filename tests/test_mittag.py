@@ -5,6 +5,7 @@ the array path that builds the solution-operator table."""
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,10 @@ class TestKnownValues:
     def test_cosine_identity(self):
         assert mittag_leffler(2.0, 1.0, -4.0) == pytest.approx(math.cos(2.0), abs=1e-12)
 
+    def test_exponential_up_to_overflow(self):
+        assert mittag_leffler(1.0, 1.0, 709.5) == math.exp(709.5)
+        assert mittag_leffler(1.0, 1.0, 710.0) == math.inf
+
     def test_zero_argument(self):
         assert mittag_leffler(1.5, 1.0, 0.0) == 1.0
 
@@ -67,7 +72,7 @@ class TestKnownValues:
 
     def test_array_matches_points_bit_for_bit(self):
         # one array call gives every point the value it gets alone, on each
-        # route: series, quadrature, closed form, extended-precision series
+        # route: series, quadrature, alpha = 1 closed forms
         zs = np.array([[-1e4, -60.0, -50.0, -3.0], [-0.5, 0.0, 0.7, 2.0]])
         for alpha, beta in [(1.5, 1.0), (0.6, 2.0), (1.9, 0.5), (2.0, 3.0), (1.0, 2.5)]:
             got = mittag_leffler(alpha, beta, zs)
@@ -98,6 +103,19 @@ class TestAlphaTwo:
         zs = np.concatenate([-np.geomspace(1e3, 1e-2, 21), [0.0, 1.0, 2.5, 5.0]])
         want = [ml_oracle(2.0, beta, z) for z in zs.tolist()]
         np.testing.assert_allclose(mittag_leffler(2.0, beta, zs), want, rtol=0, atol=1e-12)
+
+    def test_grid_is_one_array_evaluation(self):
+        # 2,001 points, most of them on the quadrature: about 10 ms
+        zs = np.linspace(-1000.0, 5.0, 2001)
+        t0 = time.perf_counter()
+        mittag_leffler(2.0, 1.5, zs)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_large_positive_argument_is_not_certified(self):
+        # the series needs over 600 terms there, as it does at alpha = 1.99
+        for alpha in [2.0, 1.99]:
+            with pytest.raises(EvaluationError, match="no route certifies"):
+                mittag_leffler(alpha, 1.0, 2e5)
 
 
 class TestOracleSweep:
