@@ -684,32 +684,42 @@ class TestMildMapOracle:
         gain = data.draw(signed, label="gain")
         return NonlinearityDescriptor(f1_gain=gain, L1=abs(gain), holder_p=0.01)
 
+    @staticmethod
+    def signed(top):
+        """A float of size in [0.05, top] and either sign."""
+        return st.tuples(st.floats(0.05, top), st.sampled_from([-1.0, 1.0])).map(
+            lambda t: t[0] * t[1]
+        )
+
     @classmethod
-    def draw_problem(cls, data, draw_f=None, anchored=False):
+    def draw_problem(cls, data, draw_f=None, anchored=False, wide=False):
         """A random problem; anchored forces an impulse, an anchor at tau = 0
-        and an anchor after the first impulse."""
+        and an anchor after the first impulse.  Weights, impulse scales and
+        f gains are at most 0.3, 0.6 and 0.6 in size, or with wide 1.2, 1.5
+        and 2, where some problems have no fixed point Picard reaches."""
         n_fwd = data.draw(st.integers(6, 40), label="n_fwd")
         T = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="T")
         h = T / n_fwd
         n_hist = data.draw(st.integers(1, min(n_fwd, 8)), label="n_hist")
         n = data.draw(st.integers(1, 3), label="N")
-        signed = st.tuples(st.floats(0.05, 0.6), st.sampled_from([-1.0, 1.0])).map(
-            lambda t: t[0] * t[1]
+        signed = cls.signed(0.6)
+        scales, weights, gains = (
+            (cls.signed(1.5), cls.signed(2.4), cls.signed(2.0)) if wide else (signed,) * 3
         )
         imp_nodes = data.draw(
             st.lists(st.integers(1, n_fwd - 1), min_size=int(anchored), max_size=2, unique=True),
             label="impulses",
         )
         impulses = [
-            ImpulseDescriptor(m * h, data.draw(signed)) for m in sorted(imp_nodes)
+            ImpulseDescriptor(m * h, data.draw(scales)) for m in sorted(imp_nodes)
         ]
         if anchored:
             after = data.draw(st.integers(min(imp_nodes) + 1, n_fwd), label="anchor after")
             anchors = [0, after]
         else:
             anchors = data.draw(st.lists(st.integers(0, n_fwd), max_size=2), label="anchors")
-        nonlocal_terms = [NonlocalTerm(0.5 * data.draw(signed), m * h) for m in anchors]
-        f = (draw_f or cls.draw_memory_f)(data, signed)
+        nonlocal_terms = [NonlocalTerm(0.5 * data.draw(weights), m * h) for m in anchors]
+        f = (draw_f or cls.draw_memory_f)(data, gains)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         phi = data.draw(st.sampled_from(["constant", "linear"]), label="phi")
         coeffs, slope = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)
@@ -786,6 +796,33 @@ class TestMildMapOracle:
         x = solve_mild(spec, ControlSignal(grid, u), tol=self.TOL).values
         step = mild_map_by_hand(spec, grid.h, x, u @ spec.B.T) - x
         assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_census_of_wide_problems(self, data):
+        # wherever lagged sweeps alone converge, solve_mild converges; every
+        # converged path is a fixed point of the oracle; every other problem
+        # raises one of the two errors a failed solve may raise
+        spec, grid, rng = self.draw_problem(data, wide=True)
+        u = rng.standard_normal((grid.n_fwd + 1, spec.n_modes))
+        bu = u @ spec.B.T
+        values = spec.phi(np.minimum(grid.times, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(solver.PICARD_MAX):
+                new_values = mild_map(grid, values, bu, lagged=True)
+                res = np.max(np.linalg.norm(new_values - values, axis=-1))
+                values = new_values
+                if res <= self.TOL or not math.isfinite(res):
+                    break
+        paths = [values] if res <= self.TOL else []
+        try:
+            paths.append(solve_mild(spec, ControlSignal(grid, u), tol=self.TOL).values)
+        except (ConvergenceError, EvaluationError):
+            assert not paths, "lagged sweeps alone converge"
+        for x in paths:
+            step = mild_map_by_hand(spec, grid.h, x, bu) - x
+            size = np.max(np.linalg.norm(x, axis=-1))
+            assert np.max(np.linalg.norm(step, axis=-1)) <= 1e-10 * max(1.0, size)
 
 
 class TestWarmStart:
