@@ -15,7 +15,8 @@ evaluator serves a single point (mittag_leffler of a float) and a whole table
     branch-cut integral (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl.
     Anal. 5(4), 2002) with the same nodes for every point, plus for alpha > 1
     the residue pair of the Laplace-domain poles;
-  * closed forms at alpha = 1 (exponential, confluent hypergeometric).
+  * closed forms at alpha = 1 (exponential, confluent hypergeometric), which
+    takes neither route above.
 
 A point no route certifies raises EvaluationError; no route returns a NaN.
 A point's value does not depend on the other points of the array.
@@ -23,7 +24,8 @@ Measured against extended-precision references: within 1.2e-14 absolute on
 the quadrature for alpha in [1.001, 1.999] and (-z)^{1/alpha} in [0.5, 60],
 and within 3.7e-13 on the series points there; over alpha in [0.3, 1.99],
 beta in [0.5, 3.2] and z in [-1e4, 5], within 5.9e-13 (the smaller of the
-absolute and the relative error).
+absolute and the relative error); at alpha = 2, over beta in
+{0.5, 1, 1.5, 2, 2.5, 3.2} and z in [-1e3, 5], within 6.6e-13 absolute.
 """
 
 from __future__ import annotations
