@@ -165,6 +165,21 @@ class TestCliMl:
         monkeypatch.chdir(tmp_path)
         assert run(["ml", "--alpha", "3.0", "--beta", "1", "--z", "1"]) == 2
 
+    # points that no route evaluates: hyp1f1(1, 2.5, 800) overflows, and
+    # beta = 7 is 700 reductions of alpha = 0.01 from (0, alpha]
+    @pytest.mark.parametrize("alpha, beta, z, message", [
+        ("1", "2.5", "800", "confluent-hypergeometric route failed for beta=2.5, z=800.0 "
+                            "[regime=hyp1f1]"),
+        ("0.01", "7", "-100", "beta=7.0 needs over 600 reductions for alpha=0.01 [regime=table]"),
+    ])
+    def test_unevaluable_point_exits_3(self, tmp_path, alpha, beta, z, message):
+        out = tmp_path / "ml.csv"
+        code, err = _run_captured(
+            ["ml", f"--alpha={alpha}", f"--beta={beta}", f"--z={z}", f"--out={out}"]
+        )
+        assert (code, err) == (3, f"error: {message}\n")
+        assert not out.exists()
+
     def test_missing_points_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["ml", "--alpha", "1.5", "--beta", "1"]) == 2
@@ -579,6 +594,35 @@ class TestInvalidFields:
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"error: {field} must be ")
 
+    # a value of the right type outside its range, or a vector or matrix of
+    # the wrong size: one error line naming the rule
+    @pytest.mark.parametrize("name, path, value, message", [
+        ("flagship.json", ("alpha",), 2.5, "alpha must lie in (1, 2), got 2.5"),
+        ("flagship.json", ("omega",), -1.0, "omega must be >= 0"),
+        ("flagship.json", ("T",), 0.0, "T must be > 0"),
+        ("flagship.json", ("r",), -0.1, "r must be >= 0"),
+        ("flagship.json", ("f", "L1"), -1.0, "Lipschitz/bound constants must be >= 0"),
+        ("flagship.json", ("phi", "params", "coeffs"), [1.0] * 17,
+         "phi.coeffs: expected a scalar or a vector of length <= N=16"),
+        ("flagship.json", ("B",), {"kind": "diag", "params": {"entries": [1.0] * 3}},
+         "B.diag entries must have length N=16"),
+        ("flagship.json", ("B",), {"kind": "matrix", "params": {"rows": [[1.0] * 16] * 15}},
+         "B.matrix rows must be 16x16"),
+        ("flagship.json", ("B",), {"kind": "matrix", "params": {"rows": [[1.0] * 15] * 16}},
+         "B.matrix rows must be 16x16"),
+        ("cost_quadratic.json", ("weights", "state"), -1.0, "cost weights must be >= 0"),
+        ("cost_quadratic.json", ("weights", "history"), -1.0, "cost weights must be >= 0"),
+        ("cost_quadratic.json", ("weights", "control"), -1.0, "cost weights must be >= 0"),
+    ])
+    def test_out_of_range_exits_2(self, tmp_path, name, path, value, message):
+        raw = json.loads((CONFIGS / name).read_text())
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps(_mutated(raw, path, value)))
+        argv = [a.replace("{cfg}", str(cfg)) for a in FUZZ_RUNS[name]]
+        code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     # a problem, target or cost file that is not UTF-8, or that nests past
     # the decoder's recursion limit, reads as invalid JSON
     @pytest.mark.parametrize("name, data", [
@@ -620,9 +664,14 @@ FLAG_RUNS = {
 class TestInvalidFlags:
     # refused on entry, before any solve: an iteration budget below 1, an
     # evaluation budget below 2 P N + 2 (the start, one gradient and one
-    # trial point; FLAG_RUNS has P N = 2), a NaN tolerance, eps or bound, an
-    # infinite beta and an empty eps list
+    # trial point; FLAG_RUNS has P N = 2), a NaN tolerance, eps or bound, a
+    # zero step, eps or tolerance, an infinite beta and an empty or
+    # non-numeric eps list
     @pytest.mark.parametrize("sub, flag, value, name", [
+        ("solve", "--dt", "0", "dt"),
+        ("steer", "--eps", "0", "eps"),
+        ("steer", "--tol", "0", "eps"),
+        ("sweep", "--eps-list", "0.1,x", "--eps-list"),
         ("solve", "--max-iter", "0", "max_iter"),
         ("solve", "--max-iter", "-1", "max_iter"),
         ("solve", "--tol", "nan", "tol"),
@@ -653,6 +702,15 @@ class TestInvalidFlags:
         code, err = _run_captured(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: grid steps must ")
+        assert not (tmp_path / "out").exists()
+
+    # dt = 1e-9 would give the flagship's delay r = 0.25 a quarter of a
+    # billion steps
+    def test_grid_span_step_count_out_of_range(self, tmp_path):
+        argv = [a for a in FLAG_RUNS["solve"] if not a.startswith("--dt=")]
+        code, err = _run_captured(argv + ["--dt=1e-9", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert err == "error: delay r=0.25 spans more than 1000000 steps of dt=1e-09\n"
         assert not (tmp_path / "out").exists()
 
     # N = 1024 modes on 10,001 rows is past the grid's 10^7 cells: refused

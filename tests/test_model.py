@@ -52,6 +52,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             make_spec(alpha=1.5, f=f)  # needs p < alpha - 1 = 0.5
 
+    # checks that the config loader makes first, reached by direct calls
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=0), "N must be >= 1"),
+        (dict(n=2, phi_coeffs=[1.0]), "phi coefficient length must equal N"),
+        (dict(n=2, phi_coeffs=[1.0, 0.0, 0.0]), "phi coefficient length must equal N"),
+        (dict(n=2, B=np.eye(3)), "B must be 2x2"),
+        (dict(n=2, B=np.ones((2, 3))), "B must be 2x2"),
+    ])
+    def test_sizes_must_match_n(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            make_spec(**kwargs)
+
     def test_ledger_contents(self):
         spec = make_spec(
             n=2,

@@ -10,6 +10,7 @@ import pytest
 
 from fracsteer import optimal
 from fracsteer.config import load_cost, load_problem
+from fracsteer.errors import ConfigError, DomainError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
     HistorySegment,
@@ -96,14 +97,24 @@ class TestParameterization:
             u.samples[:, 0], [1, 1, 2, 2, 3, 3, 4, 4, 4]
         )
 
-    def test_empty_box_rejected(self):
-        from fracsteer.errors import ConfigError
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 2), (4,), (2, 1, 4)])
+    def test_expand_rejects_theta_of_the_wrong_shape(self, shape):
+        grid = Grid(make_spec(), 1.0 / 8.0)
+        param = ControlParameterization.boxed(4, 1, 5.0)
+        with pytest.raises(DomainError, match=r"^theta must have shape \(4, 1\)$"):
+            param.expand(grid, np.zeros(shape))
 
+    def test_empty_box_rejected(self):
         with pytest.raises(ConfigError):
             ControlParameterization(2, 1, -1.0)
 
 
 class TestMinimize:
+    def test_parameterization_of_another_dimension_rejected(self):
+        spec = make_spec(n=2)
+        with pytest.raises(ConfigError, match="^parameterization dimension does not match"):
+            minimize(spec, Grid(spec, 0.25), QUAD, ControlParameterization.boxed(2, 1, 5.0))
+
     def test_control_penalty_dominates(self):
         # heavy control weight, no target pull: optimum is u = 0
         spec = make_spec(phi_coeffs=[0.5])

@@ -647,6 +647,12 @@ class TestBatchAxis:
             np.testing.assert_array_equal(batch.values[i], single.values)
             assert batch.residuals[i] == single.residuals
 
+    @pytest.mark.parametrize("shape", [(200, 16), (201, 15), (201,), (2, 2, 201, 16)])
+    def test_control_of_the_wrong_shape_rejected(self, flagship, shape):
+        _, grid, _ = flagship
+        with pytest.raises(DomainError, match=r"^control samples must have shape \(201, 16\)$"):
+            ControlSignal(grid, np.zeros(shape))
+
     def test_non_finite_entry_raises_at_first_sweep(self, flagship):
         spec, grid, base = flagship
         samples = np.stack([base, base.copy(), base])
