@@ -29,7 +29,8 @@ from .control import epsilon_sweep, steer
 from .errors import ConfigError, ConvergenceError, EvaluationError, FracsteerError
 from .mittag import mittag_leffler
 from .optimal import ControlParameterization, MinimizeOptions, minimize
-from .solver import _MAX_STEPS, PICARD_MAX, Grid, contraction_check, solve_mild, ControlSignal
+from .solver import (_MAX_STEPS, PICARD_MAX, ControlSignal, Grid, contraction_check,
+                     contraction_warnings, solve_mild)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -98,7 +99,8 @@ def _cmd_solve(args) -> tuple[str, dict, int]:
     spec, grid = _load(args)
     traj = solve_mild(spec, ControlSignal.zeros(grid), tol=args.tol, max_iter=args.max_iter)
     return _trajectory_csv(traj), dict(
-        dt=args.dt, tol=args.tol, picard_iters=len(traj.residuals), warnings=traj.warnings,
+        dt=args.dt, tol=args.tol, picard_iters=len(traj.residuals),
+        warnings=contraction_warnings(spec),
     ), EXIT_OK
 
 

@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, ConvergenceError, EvaluationError
 from .model import FloatArray, ProblemSpec
-from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, solve_mild
+from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, contraction_warnings, solve_mild
 
 PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve
 INEXACT = 1e-3  # an inexact inner solve stops at this fraction of what it feeds the outer loop
@@ -77,7 +77,7 @@ def _free_path(spec: ProblemSpec, grid: Grid, h: FloatArray, picard_tol: float) 
     traj = solve_mild(spec, u, tol=max(picard_tol, INEXACT * np.linalg.norm(h - spec.phi(0.0))))
     while traj.residuals[-1] > (need := max(picard_tol, INEXACT * np.linalg.norm(h - traj.terminal()))):
         more = solve_mild(spec, u, tol=need, start=traj)
-        traj = Trajectory(grid, more.values, traj.warnings, traj.residuals + more.residuals)
+        traj = Trajectory(grid, more.values, traj.residuals + more.residuals)
     return traj
 
 
@@ -126,7 +126,6 @@ def steer(
     traj = free if free is not None else _free_path(spec, grid, h, picard_tol)
     p = h - traj.terminal()
     inner = [traj.residuals]
-    warnings_list = list(traj.warnings)
     diffs, du_prev, x_prev = [], None, None
     for outer in range(1, max_outer + 1):
         c = cho_solve(factor, p)
@@ -160,7 +159,7 @@ def steer(
         control_energy=u.energy(),
         outer_iters=outer,
         inner_residuals=inner,
-        warnings=warnings_list,
+        warnings=contraction_warnings(spec),
     )
     return report, traj, u
 

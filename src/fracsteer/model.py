@@ -1,6 +1,6 @@
 """Problem description in the truncated sine-basis: state vectors, the
 nonlinearity / nonlocal / impulse maps, and the constants ledger feeding the
-contraction diagnostics.
+contraction diagnostics, built on first read: no solve reads it.
 
 State vectors are plain float arrays holding coefficients of the orthonormal
 basis sqrt(2/pi)*sin(n*y) on [0, pi]; the Euclidean norm of the coefficients
@@ -10,7 +10,8 @@ is the L2 norm of the represented function (Parseval).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -139,13 +140,6 @@ class ConstantsLedger:
     norm_M1: float
 
 
-def _lp_norm_const(value: float, p: float, horizon: float) -> float:
-    # L_{1/p} norm of a constant curve: (int_0^T c^{1/p} dt)^p = c * T^p
-    if value == 0.0:
-        return 0.0
-    return value * horizon**p
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Immutable description of one truncated problem instance.
@@ -163,7 +157,6 @@ class ProblemSpec:
     phi: PhiDescriptor
     f_desc: NonlinearityDescriptor
     B: FloatArray
-    constants: ConstantsLedger = field(init=False)
 
     def __post_init__(self):
         for name, value in self._numeric_fields():
@@ -201,7 +194,6 @@ class ProblemSpec:
                 f"holder exponent p={p} must lie in (0, alpha-1)=(0, {self.alpha - 1})"
             )
         object.__setattr__(self, "B", B)
-        object.__setattr__(self, "constants", self._build_ledger())
 
     def _numeric_fields(self):
         """(config name, value) of every number the problem is built from."""
@@ -217,9 +209,13 @@ class ProblemSpec:
         for i, term in enumerate(self.nonlocal_terms):
             yield from [(f"nonlocal[{i}].c", term.c), (f"nonlocal[{i}].tau", term.tau)]
 
-    def _build_ledger(self) -> ConstantsLedger:
+    @cached_property
+    def constants(self) -> ConstantsLedger:
+        """The contraction ledger, built on first read and kept while the spec lives."""
         p = self.f_desc.holder_p
         l_2 = max((abs(imp.scale) for imp in self.impulses), default=0.0)
+        # L_{1/p} norm of a constant curve c: (int_0^T c^{1/p} dt)^p = c T^p
+        t_p = self.horizon**p
         return ConstantsLedger(
             M=self.operator_bound(),
             M_B=float(np.linalg.norm(self.B, 2)),
@@ -227,9 +223,9 @@ class ProblemSpec:
             l_2=l_2,
             l_g=float(sum(abs(t.c) for t in self.nonlocal_terms)),
             K=len(self.impulses),
-            norm_L1=_lp_norm_const(self.f_desc.L1, p, self.horizon),
-            norm_L2=_lp_norm_const(self.f_desc.L2, p, self.horizon),
-            norm_M1=_lp_norm_const(self.f_desc.M1, p, self.horizon),
+            norm_L1=self.f_desc.L1 * t_p,
+            norm_L2=self.f_desc.L2 * t_p,
+            norm_M1=self.f_desc.M1 * t_p,
         )
 
     @property

@@ -187,7 +187,6 @@ class Trajectory:
 
     grid: Grid
     values: FloatArray  # shape (len(grid), N) or (batch, len(grid), N)
-    warnings: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
 
     def right_value(self, m: int) -> FloatArray:
@@ -232,6 +231,12 @@ def picard_factor(spec: ProblemSpec) -> float:
     return c.M * (
         c.K * c.l_2 + c.l_g + spec.horizon ** (1.0 - p) * (c.norm_L1 + c.norm_L2)
     )
+
+
+def contraction_warnings(spec: ProblemSpec) -> list[str]:
+    """The warning that steer and fracsteer solve report when picard_factor is >= 1."""
+    rho = picard_factor(spec)
+    return [f"contraction factor {rho:.3g} >= 1: convergence not guaranteed"] if rho >= 1.0 else []
 
 
 def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
@@ -350,10 +355,9 @@ def solve_mild(
     iterate: where f's feedback offsets the nonlocal loop, only those
     converge.  Its residual list then holds both runs.  If the lagged run
     fails too, ConvergenceError carries that run's residuals and last
-    iterate.  A contraction factor >= 1 attaches a warning, not an error.
-    A stack of controls runs through the same loops (one control is a stack
-    of one); each path stops at the sweep where it would alone, and the
-    first path that fails both runs raises.
+    iterate.  A stack of controls runs through the same loops (one control
+    is a stack of one); each path stops at the sweep where it would alone,
+    and the first path that fails both runs raises.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be > 0, got {tol}")
@@ -362,13 +366,6 @@ def solve_mild(
     grid = u.grid
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")
-
-    warnings_list = []
-    rho = picard_factor(spec)
-    if rho >= 1.0:
-        warnings_list.append(
-            f"contraction factor {rho:.3g} >= 1: convergence not guaranteed"
-        )
 
     bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
     shape = (len(bu), len(grid), spec.n_modes)
@@ -398,4 +395,4 @@ def solve_mild(
             residuals[k] += r
     if u.samples.ndim == 2:
         out, residuals = out[0], residuals[0]
-    return Trajectory(grid, out, warnings=warnings_list, residuals=residuals)
+    return Trajectory(grid, out, residuals=residuals)

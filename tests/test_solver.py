@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracsteer import solver
+from fracsteer import model, optimal, solver
 from fracsteer.config import load_problem, load_target
 from fracsteer.control import epsilon_sweep, steer
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError, EvaluationError
@@ -34,6 +34,7 @@ from fracsteer.solver import (
     Trajectory,
     _convolve_all,
     contraction_check,
+    contraction_warnings,
     eval_f,
     mild_map,
     picard_factor,
@@ -360,11 +361,15 @@ class TestPicardBehaviour:
         assert info.value.regime == "nonlocal"
 
     def test_warning_attached_when_factor_large(self):
+        # the steer report carries the warning; the trajectory has no field
+        # for it
         spec = make_spec(impulses=[ImpulseDescriptor(0.5, -1.0)])
         assert picard_factor(spec) >= 1.0
-        grid = Grid(spec, 0.25)
-        traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
-        assert any("contraction" in w for w in traj.warnings)
+        report, traj, _ = steer(spec, Grid(spec, 0.25), np.array([0.5]), 0.1)
+        assert report.warnings == contraction_warnings(spec)
+        assert report.warnings == ["contraction factor 1 >= 1: convergence not guaranteed"]
+        assert not hasattr(traj, "warnings")
+        assert contraction_warnings(make_spec()) == []
 
 
 class TestContractionCheck:
@@ -415,6 +420,44 @@ class TestContractionCheck:
     def test_eps_must_be_positive(self):
         with pytest.raises(ConfigError):
             contraction_check(make_spec(), eps=0.0)
+
+
+class TestLedgerOnFirstUse:
+    # The contraction ledger is a diagnostic: loading a problem does not
+    # build it, and no solve reads it.
+    def test_built_by_its_first_reader(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mittag_leffler(*args)
+
+        monkeypatch.setattr(model, "mittag_leffler", counted)
+        spec = load_problem(CONFIGS / "flagship.json")
+        assert calls == []
+        ledger = spec.constants
+        assert len(calls) == 1
+        assert spec.constants is ledger
+        assert contraction_check(spec, 0.1) == 1.35 * 11.0
+        assert len(calls) == 1
+
+    def test_solves_do_not_read_it(self, monkeypatch):
+        def refuse(spec):
+            pytest.fail("the ledger was read")
+
+        monkeypatch.setattr(ProblemSpec, "constants", property(refuse))
+        monkeypatch.setattr(solver, "picard_factor", refuse)
+        spec = load_problem(CONFIGS / "linear1d.json")
+        grid = Grid(spec, 0.05)
+        assert solve_mild(spec, ControlSignal.zeros(grid)).residuals
+        assert optimal.eval_cost(spec, optimal.CostDescriptor(), ControlSignal.zeros(grid)) > 0.0
+        param = optimal.ControlParameterization.boxed(2, 1, 10.0)
+        result = optimal.minimize(spec, grid, optimal.CostDescriptor(), param)
+        assert result.converged
+        flagship = load_problem(CONFIGS / "flagship.json")
+        traj = solve_mild(flagship, ControlSignal.zeros(Grid(flagship, 0.05)))
+        assert len(traj.residuals) == 7
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["grid", "values", "residuals"]
 
 
 class TestKernelOwnership:
