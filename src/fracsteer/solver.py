@@ -316,21 +316,24 @@ def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_ite
     out, ids = np.empty_like(values), np.arange(len(values))
     residuals: list[list[float]] = [[] for _ in ids]
     failed: list[int] = []
-    for _ in range(max_iter):
-        new_values = mild_map(grid, values, bu, lagged)
-        res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
-        values = new_values
-        for k, r in zip(ids, res.tolist()):
-            residuals[k].append(r)
-        bad = ~np.isfinite(res)
-        stop = (res <= tol) | bad
-        if stop.any():
-            if bad.any():
-                failed += ids[bad].tolist()
-            out[ids[stop]] = values[stop]
-            ids, values, bu = ids[~stop], values[~stop], bu[~stop]
-            if not ids.size:
-                break
+    # a path that overflows stops at a non-finite residual, and solve_mild
+    # retries or raises on it, so numpy's warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            new_values = mild_map(grid, values, bu, lagged)
+            res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
+            values = new_values
+            for k, r in zip(ids, res.tolist()):
+                residuals[k].append(r)
+            bad = ~np.isfinite(res)
+            stop = (res <= tol) | bad
+            if stop.any():
+                if bad.any():
+                    failed += ids[bad].tolist()
+                out[ids[stop]] = values[stop]
+                ids, values, bu = ids[~stop], values[~stop], bu[~stop]
+                if not ids.size:
+                    break
     out[ids] = values
     return out, residuals, sorted(failed + ids.tolist())
 
@@ -375,9 +378,7 @@ def solve_mild(
 
     values = np.empty(shape)
     values[:] = spec.phi(np.minimum(grid.times, 0.0)) if start is None else start.values
-    # a run that overflows is retried below, so numpy's warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, residuals, retry = _iterate(grid, values, bu, tol, max_iter, lagged=False)
+    out, residuals, retry = _iterate(grid, values, bu, tol, max_iter, lagged=False)
     if retry:
         again, more, failed = _iterate(grid, values[retry], bu[retry], tol, max_iter, lagged=True)
         if failed:

@@ -5,6 +5,7 @@ order, superposition, nonlocal consistency, and contraction arithmetic."""
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -340,6 +341,16 @@ class TestPicardBehaviour:
             np.testing.assert_array_equal(batch.values[i], single.values)
             step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
             assert np.max(np.abs(step)) <= 1e-11
+
+    def test_overflowing_lagged_restart_raises_without_numpy_warnings(self):
+        # f = 120 x on dt = 0.25 overflows the exact run and then the lagged
+        # one; both run under the errstate that keeps numpy's overflow quiet
+        spec = make_spec(n=1, f=NonlinearityDescriptor(f1_gain=120.0, L1=120.0))
+        grid = Grid(spec, 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite iterate at sweep 126$"):
+                solve_mild(spec, ControlSignal.zeros(grid))
 
     def test_anchor_weight_one_at_zero_converges(self):
         # x(0) = phi(0) - x(0): a sweep solves x(0) = phi(0) / 2 outright
