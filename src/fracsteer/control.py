@@ -70,6 +70,13 @@ def synthesize_control(grid: Grid, c: FloatArray) -> ControlSignal:
     return ControlSignal(grid, (grid.kernel_table[::-1] * c) @ grid.spec.B)
 
 
+def _check_steer_args(eps: float, tol: float, max_outer: int) -> None:
+    if not (0.0 < eps < math.inf and tol > 0.0):
+        raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
+    if max_outer < 1:
+        raise ConfigError(f"max_outer must be >= 1, got {max_outer}")
+
+
 def _free_path(spec: ProblemSpec, grid: Grid, h: FloatArray, picard_tol: float) -> Trajectory:
     """The u = 0 path, which only seeds p: its Picard sweeps stop at a residual
     <= max(picard_tol, INEXACT |h - x(T)|), x(T) read off the returned path."""
@@ -109,10 +116,7 @@ def steer(
     given, is the u = 0 path on grid, solved at least as far as _free_path
     does: it only seeds p.  The report carries |x(T) - h| and the energy.
     """
-    if not (0.0 < eps < math.inf and tol > 0.0):
-        raise ConfigError(f"eps must be finite and > 0 and tol > 0, got eps={eps}, tol={tol}")
-    if max_outer < 1:
-        raise ConfigError(f"max_outer must be >= 1, got {max_outer}")
+    _check_steer_args(eps, tol, max_outer)
     h = spec.check_vector(h)
     gram = grammian(spec, grid)
     try:
@@ -188,12 +192,15 @@ def epsilon_sweep(
     """One steering run per eps (strictly decreasing list), all from one
     shared u = 0 path (steer's free=), which does not depend on eps and is
     solved as a solo steer would, to max(PICARD_TOL, INEXACT |h - x(T)|);
-    failures are recorded per entry and the sweep continues."""
+    steer's argument checks run on every eps first.  Failures are recorded
+    per entry and the sweep continues."""
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ConfigError("eps list must not be empty")
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps values must be strictly decreasing")
+    for eps in eps_list:
+        _check_steer_args(eps, tol, max_outer)
     h = spec.check_vector(h)
 
     def run_one(eps: float) -> SweepEntry:

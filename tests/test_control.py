@@ -3,7 +3,9 @@ steering residual in closed form, the regularized law, the 1-D discrete
 steering identity, sweeps, scaling, and degenerate input maps."""
 
 import dataclasses
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +251,25 @@ class TestSweep:
         grid = Grid(spec, 0.125)
         with pytest.raises(ConfigError):
             epsilon_sweep(spec, grid, np.array([1.0]), [1e-2, 1e-1])
+
+    # steer's argument checks run on every eps before the shared u = 0 solve
+    @pytest.mark.parametrize("eps_list, kwargs, message", [
+        ([0.1, -1.0], {}, "eps must be finite and > 0 and tol > 0, got eps=-1.0, tol=1e-08"),
+        ([0.1, math.nan], {}, "eps must be finite and > 0 and tol > 0, got eps=nan, tol=1e-08"),
+        ([math.inf], {}, "eps must be finite and > 0 and tol > 0, got eps=inf, tol=1e-08"),
+        ([0.1], {"tol": 0.0}, "eps must be finite and > 0 and tol > 0, got eps=0.1, tol=0.0"),
+        ([0.1], {"max_outer": 0}, "max_outer must be >= 1, got 0"),
+    ])
+    def test_arguments_refused_before_any_solve(self, monkeypatch, eps_list, kwargs, message):
+        import fracsteer.control as control
+
+        calls = []
+        solve = control.solve_mild
+        monkeypatch.setattr(control, "solve_mild", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        spec = make_spec()
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            epsilon_sweep(spec, Grid(spec, 0.125), np.array([1.0]), eps_list, **kwargs)
+        assert calls == []
 
     def test_failure_recorded_sweep_continues(self):
         # f = 12 x on dt = 0.25 defeats the Picard iteration (a gain of 1.5
