@@ -81,7 +81,7 @@ def mittag_leffler(alpha: float, beta: float, z):
 def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E_{alpha,beta} at every point of a 1-D array z of validated arguments."""
     if alpha == 1.0:
-        return np.array([_alpha_one(beta, v) for v in z.tolist()], dtype=float)
+        return _alpha_one(beta, z)
     out = np.empty_like(z)
     rest = z < _SERIES_Z_MIN
     out[~rest], certified = _series(alpha, beta, z[~rest])
@@ -90,21 +90,29 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _alpha_one(beta: float, z: float) -> float:
+def _alpha_one(beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{1,beta} at a 1-D array z: exp(z) point by point at beta = 1
+    (math.exp, which np.exp differs from in the last bit on some points),
+    else one array call of 1F1(1; beta; z) / Gamma(beta)."""
     if beta == 1.0:
-        try:
-            return math.exp(z)
-        except OverflowError:
-            return math.inf
+        return np.array([_exp(v) for v in z.tolist()], dtype=float)
     from scipy.special import hyp1f1
 
-    val = float(hyp1f1(1.0, beta, z)) / math.gamma(beta)
-    if not math.isfinite(val):
+    val = hyp1f1(1.0, beta, z) / math.gamma(beta)
+    bad = z[~np.isfinite(val)]
+    if bad.size:
         raise EvaluationError(
-            f"confluent-hypergeometric route failed for beta={beta}, z={z}",
+            f"confluent-hypergeometric route failed for beta={beta}, z={float(bad[0])}",
             regime="hyp1f1",
         )
     return val
+
+
+def _exp(z: float) -> float:
+    try:
+        return math.exp(z)
+    except OverflowError:
+        return math.inf
 
 
 def _series(alpha: float, beta: float, z: np.ndarray):

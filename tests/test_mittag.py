@@ -82,6 +82,30 @@ class TestKnownValues:
         assert isinstance(mittag_leffler(1.5, 1.0, -1.0), float)
 
 
+class TestAlphaOne:
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5, 3.2])
+    def test_array_call_has_the_bits_of_point_calls(self, beta):
+        from scipy.special import hyp1f1
+
+        zs = np.linspace(-700.0, 700.0, 2001)
+        want = [float(hyp1f1(1.0, beta, z)) / math.gamma(beta) for z in zs.tolist()]
+        np.testing.assert_array_equal(mittag_leffler(1.0, beta, zs), want)
+
+    def test_one_hypergeometric_call_per_array(self, monkeypatch):
+        import scipy.special
+
+        calls = []
+        hyp1f1 = scipy.special.hyp1f1
+        monkeypatch.setattr(scipy.special, "hyp1f1", lambda *a: calls.append(a) or hyp1f1(*a))
+        mittag_leffler(1.0, 2.5, np.linspace(-100.0, 5.0, 100))
+        assert len(calls) == 1
+
+    def test_first_failing_point_in_array_order_is_named(self):
+        for zs, named in [([0.0, 800.0, 900.0], "800.0"), ([0.0, 900.0, 800.0], "900.0")]:
+            with pytest.raises(EvaluationError, match=f"beta=2.5, z={named} "):
+                mittag_leffler(1.0, 2.5, zs)
+
+
 class TestAlphaTwo:
     # alpha = 2 lies outside the paper's (1, 2) but inside the evaluator's
     # range: its closed forms far out on the negative axis, and the Taylor
