@@ -241,6 +241,19 @@ class TestMinimize:
         assert abs(result.J_opt - j_min) / j_min <= 1e-9
         assert result.n_evals <= 160
 
+    def test_lq_minimum_pinned_bit_for_bit(self):
+        # the optimize_lq_1d run from its seed-0 start (theta = 0), to the
+        # last bit: a change to how its f = 0 solves stop must not move it
+        spec, cost, grid, param, _ = self.lq_problem()
+        result = minimize(spec, grid, cost, param)
+        assert repr(result.J_opt) == "0.8799374606768834"
+        assert [repr(float(v)) for v in result.theta_opt.ravel()] == [
+            "-0.7929628927671832", "-0.6338060298296778", "-0.48919467996881466",
+            "-0.36280063489841746", "-0.2545518885386672", "-0.16300528361242556",
+            "-0.0875002938498073", "-0.025583046451635737",
+        ]
+        assert result.n_evals == 153
+
     def test_batched_gradient_equals_serial_differences(self, monkeypatch):
         # the 2P points of a gradient go through one batched eval_cost call;
         # its values, the gradient and so the first trial point theta - step g
