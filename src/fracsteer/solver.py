@@ -13,11 +13,13 @@ with D the diagonal solution operator, while x(s) = phi(s) - g(x)(s) holds on
 once per Grid (Grid.kernel_table).  Values stored at impulse nodes are left
 limits.  The integral segment that starts at t_k takes f at the right value
 x(t_k^+) = x(t_k^-) + I_k(x(t_k^-)), while the delay window x_{t_k} still
-ends at x(t_k^-), so only the pointwise part of f jumps there.  x(0) and the
-linear part of each jump are linear and mode-diagonal, so each Picard sweep
-solves them for the path it returns, and the loop iterates f alone.  Where
-that loop fails, solve_mild starts over with lagged sweeps, which read both
-off the previous iterate.
+ends at x(t_k^-), so only the pointwise part of f jumps there.  x(0), the
+linear part of each jump and the history rows s < 0 are linear, so each
+Picard sweep solves them for the path it returns, and the loop iterates f
+alone.  With f = 0 the first sweep is therefore the fixed point, and a
+solve stops there.  A path whose exact run does not converge, or whose
+residual passes DIVERGED times its first, starts over with lagged sweeps,
+which read x(0) and the jumps off the previous iterate.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ _NODE_TOL = 1e-9
 _MAX_STEPS = 10**6
 _MAX_CELLS = 10**7
 PICARD_MAX = 400  # Picard sweep budget of every solve
+DIVERGED = 100.0  # an exact run gives up once a residual passes this multiple of its first
 
 
 def _as_steps(value: float, h: float, what: str) -> int:
@@ -68,6 +71,7 @@ class Grid:
     n_fwd: int = field(init=False)  # steps in [0, T] (T / h)
     times: FloatArray = field(init=False)
     impulse_nodes: tuple[int, ...] = field(init=False)  # forward indices
+    anchor_nodes: tuple[int, ...] = field(init=False)  # forward indices of the nonlocal anchors
 
     def __post_init__(self):
         if not (0.0 < self.h < math.inf):
@@ -75,8 +79,8 @@ class Grid:
         nh = _as_steps(self.spec.delay, self.h, "delay r")
         nf = _as_steps(self.spec.horizon, self.h, "horizon T")
         imp = tuple(_as_steps(d.t, self.h, f"impulse time {d.t}") for d in self.spec.impulses)
-        for term in self.spec.nonlocal_terms:
-            _as_steps(term.tau, self.h, f"nonlocal anchor {term.tau}")
+        anchors = tuple(_as_steps(t.tau, self.h, f"nonlocal anchor {t.tau}")
+                        for t in self.spec.nonlocal_terms)
         rows, n = nh + nf + 1, self.spec.n_modes
         if rows * n > _MAX_CELLS:
             raise ConfigError(f"grid of {rows} rows x N={n} modes exceeds {_MAX_CELLS} cells")
@@ -84,6 +88,7 @@ class Grid:
         object.__setattr__(self, "n_fwd", nf)
         object.__setattr__(self, "times", np.arange(-nh, nf + 1) * self.h)
         object.__setattr__(self, "impulse_nodes", imp)
+        object.__setattr__(self, "anchor_nodes", anchors)
 
     def __len__(self) -> int:
         return self.n_hist + self.n_fwd + 1
@@ -123,8 +128,8 @@ class Grid:
         for imp, m in zip(spec.impulses, self.impulse_nodes):
             phi[m + 1 :] += table[1 : self.n_fwd + 1 - m] * (imp.scale * phi[m])
         denom = np.ones(spec.n_modes)
-        for term in spec.nonlocal_terms:
-            denom += term.c * phi[self.row(term.tau) - self.n_hist]
+        for term, k in zip(spec.nonlocal_terms, self.anchor_nodes):
+            denom += term.c * phi[k]
         for k in np.flatnonzero(~np.isfinite(denom) | (denom == 0.0)):
             raise EvaluationError(
                 f"nonlocal condition leaves x(0) undetermined in mode {k + 1}: "
@@ -255,26 +260,22 @@ def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
     return out
 
 
-def _nonlocal_samples(grid: Grid, values: FloatArray) -> FloatArray:
-    """g(x)(s) for every history node s < 0; zero when no nonlocal terms."""
-    n_hist = grid.n_hist
-    out = np.zeros(values.shape[:-2] + (n_hist, grid.spec.n_modes))
-    for term in grid.spec.nonlocal_terms:
-        anchor = grid.row(term.tau)
-        out += term.c * values[..., anchor - n_hist : anchor, :]
-    return out
-
-
 def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = False) -> FloatArray:
     """One Picard sweep: the variation-of-parameters formula of grid's
     problem with f taken at the sampled path values.
 
-    Returns phi - g(values) on the history rows s < 0 and, on the forward
-    rows, x = D(t)(phi(0) - g(x)(0)) + sum_k D(t - t_k) I_k(x(t_k^-))
+    Returns the path x with, on the forward rows,
+    x = D(t)(phi(0) - g(x)(0)) + sum_k D(t - t_k) I_k(x(t_k^-))
     + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with bu the input
-    B u on every forward node: x is A + start_response * (phi(0) - g(A)(0))
-    for the path A from x(0) = 0, whose impulse kicks read its own left
-    values in time order.  lagged reads g(x)(0) and I_k(x(t_k^-)) off values
+    B u on every forward node, and x(s) = phi(s) - g(x)(s) on the history
+    rows s < 0.  Every linear coupling reads x, so the sweep reads values
+    only through f.  The forward rows are A + start_response * (phi(0) -
+    g(A)(0)) for the path A from x(0) = 0, whose impulse kicks read its own
+    left values in time order.  An anchor at tau = k h makes history row j
+    read row j + k, so the history rows form an upper-triangular system
+    with 1 + sum_{tau_i = 0} c_i on its diagonal; it is solved from s = 0
+    down in blocks of the smallest nonzero k, each block reading rows
+    already final.  lagged reads g(x)(0) and I_k(x(t_k^-)) off values
     instead.  Leading axes of values and bu stack paths.
 
     f is evaluated once, at the stored left values.  At impulse node m the
@@ -283,12 +284,19 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     weight h/2 carries only the jump of f's pointwise part, at values.
     """
     spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
-    # first: an undetermined x(0) raises before any work
+    anchors = [(term.c, k) for term, k in zip(spec.nonlocal_terms, grid.anchor_nodes)]
+    # first: an undetermined x(0) or history raises before any work
     response = table if lagged else grid.start_response
+    diagonal = 1.0 + sum(c for c, k in anchors if k == 0)
+    if n_hist and not (diagonal != 0.0 and math.isfinite(diagonal)):
+        raise EvaluationError(
+            "nonlocal condition leaves the history rows undetermined: "
+            f"1 + sum of c_i at tau_i = 0 is {diagonal:g}", regime="nonlocal"
+        )
     x = values[..., n_hist:, :]
     f = eval_f(spec, x, Trajectory(grid, values).history())
     fwd = _convolve_all(grid, bu + f)
-    linear = x if lagged else fwd  # the path the linear couplings read
+    linear = x if lagged else fwd  # the path x(0) and the jumps read
     pointwise = spec.f_desc.pointwise
     for imp, m in zip(spec.impulses, grid.impulse_nodes):
         left = x[..., m, :]
@@ -298,12 +306,21 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
 
     phi = spec.phi(grid.times[: n_hist + 1])
     start = phi[-1]
-    for term in spec.nonlocal_terms:
-        start = start - term.c * linear[..., grid.row(term.tau) - n_hist, :]
+    for c, k in anchors:
+        start = start - c * linear[..., k, :]
     fwd += response * start[..., None, :]
     out = np.empty_like(values)
-    out[..., :n_hist, :] = phi[:-1] - _nonlocal_samples(grid, values)
     out[..., n_hist:, :] = fwd
+    # history rows from s = 0 down: rows [lo, stop) read only themselves
+    # (the diagonal) and rows from stop on, which are final
+    block = min((k for _, k in anchors if k), default=max(n_hist, 1))
+    for stop in range(n_hist, 0, -block):
+        lo = max(stop - block, 0)
+        g = 0.0
+        for c, k in anchors:
+            if k:
+                g = g + c * out[..., lo + k : stop + k, :]
+        out[..., lo:stop, :] = (phi[lo:stop] - g) / diagonal
     return out
 
 
@@ -311,27 +328,37 @@ def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_ite
              lagged: bool) -> tuple[FloatArray, list[list[float]], list[int]]:
     """Picard sweeps on a stack of paths, each until its residual is <= tol
     or not finite, for at most max_iter sweeps: the last iterates, the
-    residual list of every path and the indices of those that failed."""
-    # values and bu hold the paths still iterating, ids their rows in out
+    residual list of every path and the indices of those that failed.  An
+    exact run also fails a path once its residual passes DIVERGED times its
+    first, and with f = 0 it stops every path after one sweep at the
+    residual 0.0 a second sweep would measure (mild_map)."""
+    # values, bu and limit hold the paths still iterating, ids their rows in out
     out, ids = np.empty_like(values), np.arange(len(values))
+    limit = np.full(len(ids), math.inf)
     residuals: list[list[float]] = [[] for _ in ids]
     failed: list[int] = []
+    f_desc = grid.spec.f_desc
+    one_sweep = not lagged and f_desc.f1_gain == f_desc.f2_gain == 0.0
     # a path that overflows stops at a non-finite residual, and solve_mild
     # retries or raises on it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for sweep in range(max_iter):
             new_values = mild_map(grid, values, bu, lagged)
             res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
+            if one_sweep:
+                res[np.isfinite(res)] = 0.0
             values = new_values
             for k, r in zip(ids, res.tolist()):
                 residuals[k].append(r)
-            bad = ~np.isfinite(res)
+            if sweep == 0 and not lagged:
+                limit = DIVERGED * res
+            bad = ~np.isfinite(res) | (res > limit)
             stop = (res <= tol) | bad
             if stop.any():
                 if bad.any():
                     failed += ids[bad].tolist()
                 out[ids[stop]] = values[stop]
-                ids, values, bu = ids[~stop], values[~stop], bu[~stop]
+                ids, values, bu, limit = ids[~stop], values[~stop], bu[~stop], limit[~stop]
                 if not ids.size:
                     break
     out[ids] = values
@@ -352,11 +379,14 @@ def solve_mild(
     spec with the rows of u's grid (for one spec, equal row counts mean
     equal steps), one path for every control or one per control.
     Stops when the sup-norm distance between successive iterates drops to
-    tol.  A path that does not get there in max_iter sweeps, or whose
-    iterate stops being finite, starts over from its start with lagged
-    sweeps (mild_map), which read x(0) and the jumps off the previous
-    iterate: where f's feedback offsets the nonlocal loop, only those
-    converge.  Its residual list then holds both runs.  If the lagged run
+    tol; a sweep solves every linear coupling (mild_map), so with f = 0 the
+    first sweep is the fixed point and the solve stops there, with the
+    residual list [0.0].  A path that does not get there in max_iter
+    sweeps, whose iterate stops being finite, or whose residual passes
+    DIVERGED times its first, starts over from its start with lagged
+    sweeps, which read x(0) and the jumps off the previous iterate: where
+    f's feedback offsets the nonlocal loop, only those converge.  Its
+    residual list then holds both runs.  If the lagged run
     fails too, ConvergenceError carries that run's residuals and last
     iterate.  A stack of controls runs through the same loops (one control
     is a stack of one); each path stops at the sweep where it would alone,

@@ -248,11 +248,11 @@ def mild_map_by_hand(spec, h: float, values, bu, linear_from=None):
     nonlinearity, impulses, phi and eigenvalues are rebuilt here from the
     descriptors' fields; nothing of the package's solver is used.
 
-    linear_from, when given, is the path that g(x)(0) and the linear part
-    I_k(x(t_k)) of each jump read; the history rows s < 0, f and the half
+    linear_from, when given, is the path that g(x)(s) on every row s <= 0
+    and the linear part I_k(x(t_k)) of each jump read; f and the half
     weight with f1 at the right value still read values.  A sweep that
-    solves x(0) and the jumps for the path x it returns gives
-    x = mild_map_by_hand(spec, h, values, bu, linear_from=x).
+    solves x(0), the jumps and the history rows for the path x it returns
+    gives x = mild_map_by_hand(spec, h, values, bu, linear_from=x).
     """
     import numpy as np
 
@@ -261,11 +261,10 @@ def mild_map_by_hand(spec, h: float, values, bu, linear_from=None):
     n_hist, n = round(spec.delay / h), round(spec.horizon / h)
     D = _kernel_by_hand(spec.alpha, spec.omega, spec.n_modes, h, n)
 
-    def g(i):  # g(x) at history row i; at s = 0 it reads lin
-        path = lin if i == n_hist else values
+    def g(i):  # g(x) at history row i, read off lin
         total = np.zeros(spec.n_modes)
         for term in spec.nonlocal_terms:
-            total += term.c * path[round(term.tau / h) + i]
+            total += term.c * lin[round(term.tau / h) + i]
         return total
 
     fd = spec.f_desc

@@ -821,7 +821,7 @@ MANIFEST_KEYS = ["subcommand", "tool_version", "config", "parameters", "outputs"
 # the manifest parameters of each FLAG_RUNS run, in the order they are written
 MANIFEST_PARAMETERS = {
     "ml": {"alpha": 1.5, "beta": 1.0, "z": [-1.0]},
-    "solve": {"dt": 0.05, "tol": 1e-10, "picard_iters": 7,
+    "solve": {"dt": 0.05, "tol": 1e-10, "picard_iters": 6,
               "warnings": ["contraction factor 1.35 >= 1: convergence not guaranteed"]},
     "steer": {"dt": 0.05, "eps": 0.1, "tol": 1e-8},
     "sweep": {"dt": 0.05, "eps_list": [0.1, 0.01], "tol": 1e-8, "errors_non_increasing": True},

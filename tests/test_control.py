@@ -316,25 +316,26 @@ class TestGoldenFlagship:
         # iterate extrapolated along the last outer step and, but for the
         # last, stops at 1e-3 times the control change it solves for; the
         # u = 0 solve stops at 1e-3 times the residual it seeds.  A sweep
-        # solves x(0) and the impulse jumps, so only f is iterated.  The 12
-        # solves take at most 24 Picard sweeps (24 measured; 32 when x(0)
-        # and the jumps lagged one sweep, 43 with the u = 0 solve also run
-        # to picard_tol, 72 when each solve started from the last iterate
+        # solves x(0), the impulse jumps and the history rows, so only f is
+        # iterated.  The 12 solves take at most 22 Picard sweeps (22
+        # measured; 24 when the history rows lagged one sweep, 32 when x(0)
+        # and the jumps did too, 43 with the u = 0 solve also run to
+        # picard_tol, 72 when each solve started from the last iterate
         # itself, 129 when every solve also ran to picard_tol, 204 when each
         # started from phi), in the same 11 outer iterations
         spec, h = flagship_problem()
         report, _, _ = steer(spec, Grid(spec, 1.0 / 200.0), h, eps=1e-2, tol=1e-8)
         assert report.outer_iters == 11
         assert len(report.inner_residuals) == 12
-        assert sum(map(len, report.inner_residuals)) <= 24
+        assert sum(map(len, report.inner_residuals)) <= 22
 
     def test_steer_reads_p_off_the_last_sweep(self, monkeypatch):
         # p is read off each inner solve's last sweep and (eps I + Gamma) is
         # factored once, so a flagship steer at 1/200 evaluates f once per
-        # Picard sweep: at most 24 eval_f calls (24 measured; 32 when x(0)
-        # and the jumps lagged one sweep, 43 with the u = 0 solve also run to
-        # picard_tol, 53 with one more mild map per outer iteration for p)
-        # and one cho_factor call
+        # Picard sweep: at most 22 eval_f calls (22 measured; 24 when the
+        # history rows lagged one sweep, 32 when x(0) and the jumps did too,
+        # 43 with the u = 0 solve also run to picard_tol, 53 with one more
+        # mild map per outer iteration for p) and one cho_factor call
         import fracsteer.control as control
         import fracsteer.solver as solver
 
@@ -351,15 +352,16 @@ class TestGoldenFlagship:
         spec, h = flagship_problem()
         report, _, _ = steer(spec, Grid(spec, 1.0 / 200.0), h, eps=1e-2, tol=1e-8)
         assert report.outer_iters == 11
-        assert calls["eval_f"] <= 24
+        assert calls["eval_f"] <= 22
         assert calls["cho_factor"] == 1
 
-        # a 3-eps sweep: at most 64 (64 measured; 83 when x(0) and the jumps
-        # lagged one sweep, 94 with the u = 0 solve also run to picard_tol,
-        # 126 before p came off the last sweep)
+        # a 3-eps sweep: at most 58 (58 measured; 64 when the history rows
+        # lagged one sweep, 83 when x(0) and the jumps did too, 94 with the
+        # u = 0 solve also run to picard_tol, 126 before p came off the last
+        # sweep)
         calls.update(eval_f=0, cho_factor=0)
         epsilon_sweep(spec, Grid(spec, 1.0 / 200.0), h, [1e-1, 1e-2, 1e-3], tol=1e-8)
-        assert calls["eval_f"] <= 64
+        assert calls["eval_f"] <= 58
         assert calls["cho_factor"] == 3
 
     def test_failed_factorization_raises_once_per_steer(self, monkeypatch):
@@ -386,10 +388,10 @@ class TestGoldenFlagship:
         # the u = 0 solve does not depend on eps: a 3-eps sweep makes it
         # once, then one solve per outer iteration of each entry.  Every
         # entry's first residual list is that shared solve; counted once,
-        # the sweep takes at most 64 Picard sweeps (64 measured; 83 when x(0)
-        # and the jumps lagged one sweep, 94 with the u = 0 solve also run
-        # to picard_tol, 180 when each inner solve started from the last
-        # iterate itself)
+        # the sweep takes at most 58 Picard sweeps (58 measured; 64 when the
+        # history rows lagged one sweep, 83 when x(0) and the jumps did too,
+        # 94 with the u = 0 solve also run to picard_tol, 180 when each inner
+        # solve started from the last iterate itself)
         import fracsteer.control as control
 
         calls = []
@@ -401,14 +403,14 @@ class TestGoldenFlagship:
         assert outer == [10, 11, 12]
         assert len(calls) == 1 + sum(outer) == 34
         lists = [r for e in result.entries for r in e.report.inner_residuals[1:]]
-        assert len(result.entries[0].report.inner_residuals[0]) + sum(map(len, lists)) <= 64
+        assert len(result.entries[0].report.inner_residuals[0]) + sum(map(len, lists)) <= 58
 
     def test_u0_solve_stops_at_a_thousandth_of_the_residual_it_seeds(self):
         # the u = 0 path only seeds p = h - x(T), so its Picard sweeps stop
         # at the first residual <= max(picard_tol, 1e-3 |h - x(T)|): 3 on
-        # the flagship (8 to picard_tol; 6 and 17 when x(0) and the jumps
-        # lagged one sweep).  With the free endpoint as target that bound
-        # is picard_tol
+        # the flagship (7 to picard_tol, 8 when the history rows lagged one
+        # sweep; 6 and 17 when x(0) and the jumps did too).  With the free
+        # endpoint as target that bound is picard_tol
         spec, h = flagship_problem()
         grid = Grid(spec, 1.0 / 200.0)
         report, _, _ = steer(spec, grid, h, eps=1e-2, tol=1e-8)

@@ -18,7 +18,7 @@ from fracsteer.model import (
     eval_f,
 )
 from fracsteer.solver import (
-    ControlSignal, Grid, Trajectory, _nonlocal_samples, mild_map, solve_mild,
+    ControlSignal, Grid, Trajectory, mild_map, solve_mild,
 )
 
 from specs import make_spec
@@ -191,27 +191,39 @@ class TestEvalF:
 
 
 class TestEvalG:
-    # the nonlocal map g(x)(s) = sum_i c_i x(tau_i + s) on every history row
-    # s in [-r, 0), as solver._nonlocal_samples evaluates it; g(x)(0) enters
-    # through the start of mild_map
+    # the nonlocal map g(x)(s) = sum_i c_i x(tau_i + s): a sweep returns a
+    # path y with y(s) = phi(s) - g(y)(s) on every history row s < 0, and
+    # closes y(0) = phi(0) - g(y)(0) through the start of mild_map; a lagged
+    # sweep reads g(x)(0) off its input x instead
+    @staticmethod
+    def g_on_history(spec, grid, y):
+        """phi(s) - y(s) on the history rows s < 0: g(y)(s) for a sweep's output y."""
+        return spec.phi(grid.times[: grid.n_hist]) - y[..., : grid.n_hist, :]
+
     def test_empty_nonlocal_list(self):
         spec = make_spec(n=2, r=0.5)
         grid = Grid(spec, 0.25)
         traj = solve_mild(spec, ControlSignal.zeros(grid))
-        np.testing.assert_array_equal(_nonlocal_samples(grid, traj.values), np.zeros((2, 2)))
+        np.testing.assert_array_equal(self.g_on_history(spec, grid, traj.values), np.zeros((2, 2)))
 
     def test_identity_anchor(self):
+        # g(y)(s) = y(s): y(s) = phi(s) - y(s) is solved to phi(s) / 2 in one
+        # sweep, exact or lagged, whatever path the sweep is given
         spec = make_spec(n=1, r=0.5, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
         grid = Grid(spec, 0.25)
-        traj = Trajectory(grid, np.cos(grid.times)[:, None])
-        np.testing.assert_allclose(
-            _nonlocal_samples(grid, traj.values), traj.values[: grid.row(0.0)]
-        )
+        values = np.cos(grid.times)[:, None]
+        for lagged in (False, True):
+            swept = mild_map(grid, values, np.zeros((grid.n_fwd + 1, 1)), lagged=lagged)
+            np.testing.assert_array_equal(swept[: grid.row(0.0)], 0.5)
+            np.testing.assert_array_equal(
+                self.g_on_history(spec, grid, swept), swept[: grid.row(0.0)]
+            )
 
     def test_weighted_sum_on_known_trajectory(self):
-        # linear-in-t synthetic trajectory: x(t) = 1 + t, by hand:
-        # g(x)(s) = 0.5 x(0.3+s) + 0.25 x(0.6+s); a lagged sweep starts from
-        # x(0) = phi(0) - g(x)(0) = 1 - g(x)(0)
+        # g(x)(s) = 0.5 x(0.3+s) + 0.25 x(0.6+s), by hand.  A lagged sweep of
+        # the linear-in-t trajectory x(t) = 1 + t starts from
+        # x(0) = phi(0) - g(x)(0) = 1 - g(x)(0); on the history rows it
+        # returns y(s) = phi(s) - g(y)(s), which reads y's forward rows
         spec = make_spec(
             n=1,
             r=0.2,
@@ -220,15 +232,19 @@ class TestEvalG:
         grid = Grid(spec, 0.1)
         values = (1.0 + grid.times)[:, None]
         swept = mild_map(grid, values, np.zeros((grid.n_fwd + 1, 1)), lagged=True)
-        g = np.append(_nonlocal_samples(grid, values)[:, 0], 1.0 - swept[grid.row(0.0), 0])
-        for row, s in enumerate((-0.2, -0.1, 0.0)):
-            want = 0.5 * (1.0 + 0.3 + s) + 0.25 * (1.0 + 0.6 + s)
+        assert 1.0 - swept[grid.row(0.0), 0] == pytest.approx(0.5 * 1.3 + 0.25 * 1.6, abs=1e-12)
+        g = self.g_on_history(spec, grid, swept)[:, 0]
+        for row, s in enumerate((-0.2, -0.1)):
+            want = 0.5 * swept[grid.row(0.3 + s), 0] + 0.25 * swept[grid.row(0.6 + s), 0]
             assert g[row] == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_lipschitz_in_trajectory(self, seed):
-        # |g(x) - g(y)| <= (sum |c_i|) * sup-distance, exactly as declared
+        # |g(x) - g(y)| <= (sum |c_i|) * sup-distance, exactly as declared.
+        # Both anchors lie at or after r, so the history rows of a sweep's
+        # output read its forward rows only; lagged sweeps make those depend
+        # on the random input paths
         spec = make_spec(
             n=2,
             r=0.2,
@@ -236,11 +252,12 @@ class TestEvalG:
         )
         grid = Grid(spec, 0.1)
         rng = np.random.default_rng(seed)
-        va = rng.standard_normal((len(grid), 2))
-        vb = rng.standard_normal((len(grid), 2))
-        sup = np.max(np.linalg.norm(va - vb, axis=1))
+        bu = np.zeros((grid.n_fwd + 1, 2))
+        ya, yb = (mild_map(grid, rng.standard_normal((len(grid), 2)), bu, lagged=True)
+                  for _ in range(2))
+        sup = np.max(np.linalg.norm(ya - yb, axis=1))
         l_g = spec.constants.l_g
-        gap = _nonlocal_samples(grid, va) - _nonlocal_samples(grid, vb)
+        gap = self.g_on_history(spec, grid, ya) - self.g_on_history(spec, grid, yb)
         assert np.all(np.linalg.norm(gap, axis=1) <= l_g * sup + 1e-12)
 
 

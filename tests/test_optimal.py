@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsteer import optimal
+from fracsteer import optimal, solver
 from fracsteer.config import load_cost, load_problem
 from fracsteer.errors import ConfigError, DomainError
 from fracsteer.mittag import mittag_leffler
@@ -253,6 +253,25 @@ class TestMinimize:
             "-0.0875002938498073", "-0.025583046451635737",
         ]
         assert result.n_evals == 153
+
+    def test_lq_solves_take_one_sweep_each(self, monkeypatch):
+        # f = 0, so each solve's first Picard sweep is its fixed point: the
+        # descent's 18 batched solves make 18 mild maps (36 when each solve
+        # ran a second sweep to see the residual 0)
+        spec, cost, grid, param, _ = self.lq_problem()
+        calls = {"solve_mild": 0, "mild_map": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(optimal, "solve_mild", counted("solve_mild", optimal.solve_mild))
+        monkeypatch.setattr(solver, "mild_map", counted("mild_map", solver.mild_map))
+        result = minimize(spec, grid, cost, param)
+        assert result.n_evals == 153
+        assert calls == {"solve_mild": 18, "mild_map": 18}
 
     def test_batched_gradient_equals_serial_differences(self, monkeypatch):
         # the 2P points of a gradient go through one batched eval_cost call;

@@ -317,13 +317,13 @@ class TestPicardBehaviour:
             solve_mild(spec, ControlSignal.zeros(grid), tol=1e-10, max_iter=15)
         assert len(err.value.residuals) == 15
 
-    def test_lagged_sweeps_solve_where_the_exact_sweep_diverges(self):
+    @staticmethod
+    def diverging_exact_spec():
         # 1 + c Phi(T) = -0.017 here: a sweep that solves x(0) amplifies f's
-        # feedback about 60-fold and overflows, while sweeps that read x(0)
-        # and the jumps off the previous iterate converge, the negative f
-        # gain offsetting the nonlocal loop.  Alone and in a batch, the solve
-        # ends at an oracle fixed point.
-        spec = make_spec(
+        # feedback about 60-fold, while sweeps that read x(0) and the jumps
+        # off the previous iterate converge, the negative f gain offsetting
+        # the nonlocal loop
+        return make_spec(
             n=1, alpha=1.39, omega=0.42, T=0.5, phi_coeffs=[-0.69], B=[[0.59]],
             impulses=[ImpulseDescriptor(0.05, -0.42), ImpulseDescriptor(0.075, 1.4)],
             nonlocal_terms=[NonlocalTerm(-1.15, 0.5)],
@@ -332,6 +332,10 @@ class TestPicardBehaviour:
                 L1=0.85, L2=1.75, holder_p=0.01,
             ),
         )
+
+    def test_lagged_sweeps_solve_where_the_exact_sweep_diverges(self):
+        # alone and in a batch, the solve ends at an oracle fixed point
+        spec = self.diverging_exact_spec()
         grid = Grid(spec, 0.0125)
         ramp = np.linspace(-1.0, 1.0, grid.n_fwd + 1)
         samples = np.stack([0.0 * ramp, ramp])[..., None]
@@ -341,6 +345,25 @@ class TestPicardBehaviour:
             np.testing.assert_array_equal(batch.values[i], single.values)
             step = mild_map_by_hand(spec, grid.h, single.values, u @ spec.B.T) - single.values
             assert np.max(np.abs(step)) <= 1e-11
+
+    def test_diverging_exact_run_restarts_once_past_the_limit(self, monkeypatch):
+        # the exact run gives up at its first residual above DIVERGED times
+        # its first one (sweep 3 here, where it ran on to overflow before);
+        # the lagged run then starts over from the same start
+        spec = self.diverging_exact_spec()
+        grid = Grid(spec, 0.0125)
+        runs = []
+        sweep = solver.mild_map
+        monkeypatch.setattr(
+            solver, "mild_map", lambda g, v, b, lagged=False: runs.append(lagged) or sweep(g, v, b, lagged)
+        )
+        traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
+        exact = runs.index(True)
+        assert exact == 3 and all(runs[exact:])
+        res = traj.residuals
+        assert len(res) == len(runs)
+        assert max(res[1:exact - 1]) <= solver.DIVERGED * res[0] < res[exact - 1]
+        assert res[-1] <= 1e-12
 
     def test_overflowing_lagged_restart_raises_without_numpy_warnings(self):
         # f = 120 x on dt = 0.25 overflows the exact run and then the lagged
@@ -361,6 +384,55 @@ class TestPicardBehaviour:
         np.testing.assert_allclose(traj.values[grid.row(0.0)], 0.5, rtol=0, atol=1e-15)
         step = mild_map_by_hand(spec, grid.h, traj.values, u.samples @ spec.B.T) - traj.values
         assert np.max(np.abs(step)) <= 1e-12
+
+    def test_anchor_weight_one_at_zero_solves_the_history_rows(self):
+        # with r > 0 the anchor couples every row s <= 0 to itself:
+        # x(s) = phi(s) - x(s), so x = phi / 2 there.  A sweep solves the
+        # history rows for the path it returns, so f = 0 takes one sweep;
+        # read off the input path they flipped between two values for all
+        # 400 sweeps
+        spec = make_spec(n=1, r=0.25, nonlocal_terms=[NonlocalTerm(1.0, 0.0)])
+        grid = Grid(spec, 0.25)
+        traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
+        assert len(traj.residuals) <= 2
+        np.testing.assert_array_equal(traj.values[: grid.row(0.0) + 1], 0.5)
+        step = mild_map_by_hand(spec, grid.h, traj.values, np.zeros((grid.n_fwd + 1, 1)))
+        assert np.max(np.abs(step - traj.values)) <= 1e-12
+
+    def test_history_rows_left_undetermined_raise_before_a_sweep(self, monkeypatch):
+        # x(s) - x(s) = phi(s) - 0.5 x(0.5 + s) on the history rows has no
+        # unique answer, although x(0) has one: no sweep runs, exact or lagged
+        spec = make_spec(n=1, r=0.25,
+                         nonlocal_terms=[NonlocalTerm(-1.0, 0.0), NonlocalTerm(0.5, 0.5)])
+        grid = Grid(spec, 0.25)
+        assert np.all(np.isfinite(grid.start_response))
+        monkeypatch.setattr(solver, "eval_f", lambda *a: pytest.fail("a sweep ran"))
+        bu = np.zeros((grid.n_fwd + 1, 1))
+        for sweep in (lambda: solve_mild(spec, ControlSignal.zeros(grid)),
+                      lambda: mild_map(grid, np.zeros((len(grid), 1)), bu, lagged=True)):
+            with pytest.raises(EvaluationError) as info:
+                sweep()
+            assert str(info.value) == (
+                "nonlocal condition leaves the history rows undetermined: "
+                "1 + sum of c_i at tau_i = 0 is 0 [regime=nonlocal]"
+            )
+
+    def test_f_zero_stops_after_one_sweep(self):
+        # with f = 0 a sweep reads nothing of its input path, so its output
+        # is the fixed point: the solve records the residual 0.0 that a
+        # second sweep measures, bit for bit, and stops there
+        spec = make_spec(
+            n=2, r=0.25, phi_coeffs=[1.0, -0.5], impulses=[ImpulseDescriptor(0.5, -0.7)],
+            nonlocal_terms=[NonlocalTerm(0.4, 0.0), NonlocalTerm(-0.3, 0.1)],
+        )
+        grid = Grid(spec, 0.05)
+        u = np.random.default_rng(7).standard_normal((2, grid.n_fwd + 1, 2))
+        traj = solve_mild(spec, ControlSignal(grid, u), tol=1e-12)
+        assert traj.residuals == [[0.0], [0.0]]
+        np.testing.assert_array_equal(mild_map(grid, traj.values, u @ spec.B.T), traj.values)
+        u[1, 3, 0] = np.nan
+        with pytest.raises(ConvergenceError, match="non-finite iterate at sweep 1$"):
+            solve_mild(spec, ControlSignal(grid, u), tol=1e-12)
 
     def test_anchor_weight_minus_one_at_zero_raises_before_a_sweep(self, monkeypatch):
         # x(0) = phi(0) + x(0) has no answer; no sweep runs on it
@@ -467,7 +539,7 @@ class TestLedgerOnFirstUse:
         assert result.converged
         flagship = load_problem(CONFIGS / "flagship.json")
         traj = solve_mild(flagship, ControlSignal.zeros(Grid(flagship, 0.05)))
-        assert len(traj.residuals) == 7
+        assert len(traj.residuals) == 6
         assert [f.name for f in dataclasses.fields(Trajectory)] == ["grid", "values", "residuals"]
 
 
@@ -687,7 +759,7 @@ class TestBatchAxis:
 
     def test_solve_stack_equals_single_solves(self, flagship):
         # with f linear of gain 2 the three controls stop at different sweeps
-        # (18, 19 and 21); each leaves the loop at its own sweep with its own
+        # (17, 18 and 19); each leaves the loop at its own sweep with its own
         # residual list
         spec, grid, base = flagship
         spec = with_linear_memory(spec, 2.0)
@@ -900,8 +972,9 @@ class TestWarmStart:
     def flagship(self):
         spec = load_problem(CONFIGS / "flagship.json")
         grid = Grid(spec, 1.0 / 200.0)
-        # a sweep solves x(0) and the jumps, so only f is iterated; f linear
-        # of gain 2 makes a cold solve take 19 sweeps (8 with the flagship f)
+        # a sweep solves every linear coupling, so only f is iterated; f
+        # linear of gain 2 makes a cold solve take 18 sweeps (6 with the
+        # flagship f)
         spec = with_linear_memory(spec, 2.0)
         grid = Grid(spec, 1.0 / 200.0)
         base = 100.0 * np.random.default_rng(4).standard_normal((grid.n_fwd + 1, 16))
@@ -920,10 +993,11 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-11)
 
     def test_stack_equals_solo_warm_solves(self, flagship):
-        # the three solves take 1, 19 and 20 sweeps
+        # the three solves take 1, 18 and 19 sweeps: the start's error is
+        # about nine times larger at scale 10 than at scale 0
         spec, grid, base = flagship
         start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11)
-        samples = np.stack([c * base for c in (1.0, 0.0, 3.0)])
+        samples = np.stack([c * base for c in (1.0, 0.0, 10.0)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=start)
         singles = [
             solve_mild(spec, ControlSignal(grid, u), tol=1e-11, start=start) for u in samples
