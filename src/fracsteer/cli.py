@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,6 +51,16 @@ def _atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _json(obj) -> str:
+    """obj as indented JSON.  JSON has no inf or NaN, so a non-finite number
+    ends the run with a one-line error instead of writing invalid JSON."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EvaluationError(f"cannot write a non-finite number as JSON: {exc}",
+                              regime="output") from None
 
 
 def _load(args) -> tuple:
@@ -111,7 +122,7 @@ def _cmd_steer(args) -> tuple[str, dict, int]:
     payload = dataclasses.asdict(report)
     payload["terminal_state"] = [float(v) for v in traj.terminal()]
     parameters = dict(dt=args.dt, eps=args.eps, tol=args.tol)
-    return json.dumps(payload, indent=2) + "\n", parameters, EXIT_OK
+    return _json(payload), parameters, EXIT_OK
 
 
 def _cmd_sweep(args) -> tuple[str, dict, int]:
@@ -150,7 +161,7 @@ def _cmd_optimize(args) -> tuple[str, dict, int]:
         "converged": result.converged,
         "n_evals": result.n_evals,
     }
-    return json.dumps(payload, indent=2) + "\n", dict(
+    return _json(payload), dict(
         dt=args.dt, intervals=args.intervals, bound=args.bound, converged=result.converged,
     ), EXIT_OK
 
@@ -171,21 +182,25 @@ def _cmd_check(args) -> tuple[str, dict, int]:
 def _write_run(args, text: str, parameters: dict, started: float) -> None:
     """Write a run's text (atomically to --out, else to stdout) and then its
     manifest: to --manifest, else next to --out, else to
-    <subcommand>.manifest.json in the working directory."""
+    <subcommand>.manifest.json in the working directory.  The manifest is
+    encoded first, so a run whose manifest cannot be written writes nothing.
+    A flag value JSON cannot hold (an unbounded box, --bound inf) is
+    recorded as its repr, the string "inf"."""
+    manifest = _json({
+        "subcommand": args.subcommand,
+        "tool_version": __version__,
+        "config": getattr(args, "config", None),
+        "parameters": {k: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in parameters.items()},
+        "outputs": [args.out] if args.out else [],
+        "duration_s": round(time.monotonic() - started, 6),
+    })
     if args.out:
         _atomic_write(Path(args.out), text)
     else:
         sys.stdout.write(text)
-    manifest = {
-        "subcommand": args.subcommand,
-        "tool_version": __version__,
-        "config": getattr(args, "config", None),
-        "parameters": parameters,
-        "outputs": [args.out] if args.out else [],
-        "duration_s": round(time.monotonic() - started, 6),
-    }
     default = f"{args.out}.manifest.json" if args.out else f"{args.subcommand}.manifest.json"
-    _atomic_write(Path(args.manifest or default), json.dumps(manifest, indent=2) + "\n")
+    _atomic_write(Path(args.manifest or default), manifest)
 
 
 class _Parser(argparse.ArgumentParser):

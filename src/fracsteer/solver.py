@@ -221,11 +221,15 @@ def contraction_check(spec: ProblemSpec, eps: float) -> float:
         M (K l_2 + l_g + T^{1-p} (|L1|_{1/p} + |L2|_{1/p}))
             * (1 + M M_B^2 T / eps);
 
-    the caller compares the returned factor against 1."""
-    if not eps > 0.0:
-        raise ConfigError(f"eps must be > 0, got {eps}")
+    the caller compares the returned factor against 1.  eps must be finite
+    and > 0, as steer requires, and the factor finite."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps must be finite and > 0, got eps={eps}")
     c = spec.constants
-    return picard_factor(spec) * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
+    factor = picard_factor(spec) * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
+    if not math.isfinite(factor):
+        raise EvaluationError(f"contraction factor overflows at eps={eps}", regime="contraction")
+    return factor
 
 
 def picard_factor(spec: ProblemSpec) -> float:

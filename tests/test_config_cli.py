@@ -695,6 +695,44 @@ class TestInvalidFlags:
         assert err.count("\n") == 1 and err.startswith(f"error: {name} must ")
         assert not (tmp_path / "out").exists()
 
+    # check refuses every eps that steer refuses, and a factor that
+    # overflows, which its manifest could only hold as the non-JSON Infinity
+    @pytest.mark.parametrize("eps, code, message", [
+        ("inf", 2, "error: eps must be finite and > 0, got eps=inf\n"),
+        ("nan", 2, "error: eps must be finite and > 0, got eps=nan\n"),
+        ("1e-320", 3, "error: contraction factor overflows at eps=1e-320 [regime=contraction]\n"),
+    ])
+    def test_check_eps_without_a_finite_factor(self, tmp_path, eps, code, message):
+        argv = [a for a in FLAG_RUNS["check"] if not a.startswith("--eps=")]
+        out = tmp_path / "out"
+        assert _run_captured(argv + [f"--eps={eps}", f"--out={out}"]) == (code, message)
+        assert list(tmp_path.iterdir()) == []
+
+    # JSON has no inf or NaN: a run whose result holds one exits 3 with one
+    # line and writes nothing
+    def test_non_finite_result_exits_3(self, tmp_path, monkeypatch):
+        import fracsteer.cli as cli
+        from fracsteer.optimal import MinimizeResult
+
+        monkeypatch.setattr(cli, "minimize", lambda *a, **k: MinimizeResult(
+            J_opt=math.inf, theta_opt=np.zeros((2, 1)), history=[math.inf],
+            converged=True, n_evals=6))
+        code, err = _run_captured(FLAG_RUNS["optimize"] + [f"--out={tmp_path / 'out'}"])
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot write a non-finite number as JSON: ")
+        assert err.endswith(" [regime=output]\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # a flag value JSON cannot hold is recorded as its repr, so the
+    # manifest stays JSON
+    def test_infinite_bound_recorded_as_a_string(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(FLAG_RUNS["optimize"] + ["--bound=-inf", f"--out={out}"]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text(),
+                              parse_constant=pytest.fail)
+        assert manifest["parameters"]["bound"] == "-inf"
+
     # a z sweep of no points, or of more points than a grid may have
     @pytest.mark.parametrize("steps", ["0", "-1", "1000001"])
     def test_grid_step_count_out_of_range(self, tmp_path, steps):
