@@ -182,7 +182,13 @@ def minimize(
         nonlocal n_evals
         n_evals += x.size // theta.size
         thetas = x.reshape(x.shape[:-1] + theta.shape)
-        return eval_cost(spec, cost, param.expand(grid, thetas))
+        if thetas.ndim == 2:
+            return eval_cost(spec, cost, param.expand(grid, thetas))
+        # a stack runs in chunks of at most _MAX_CELLS path cells; a batch
+        # entry equals its solo solve, so the split moves no bit
+        step = max(1, _MAX_CELLS // (len(grid) * spec.n_modes))
+        return np.concatenate([eval_cost(spec, cost, param.expand(grid, thetas[i : i + step]))
+                               for i in range(0, len(thetas), step)])
 
     x, b = theta.ravel(), param.bound
     J = J_of(x)

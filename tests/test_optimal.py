@@ -304,6 +304,35 @@ class TestMinimize:
         trial = param.expand(grid, np.clip(x - optimal._FIRST_STEP * g, -10.0, 10.0).reshape(8, 1))
         np.testing.assert_array_equal(calls[2][0], trial.samples)
 
+    def test_gradient_stack_split_by_the_cell_cap(self, monkeypatch):
+        # a gradient stack runs in chunks of at most _MAX_CELLS cells (paths
+        # x rows x N); a batch entry equals its solo solve, so a cap of
+        # three paths moves no bit of the descent
+        f = NonlinearityDescriptor(
+            f1_gain=0.5, f2_gain=0.5, kernel_rate=1.0,
+            f1_form="saturating", f2_form="saturating",
+            L1=0.5, L2=0.5, M1=1.0,
+        )
+        spec = make_spec(n=2, alpha=1.5, r=0.25, phi_coeffs=[1.0, -0.5], f=f,
+                         nonlocal_terms=[NonlocalTerm(0.3, 0.5)])
+        grid = Grid(spec, 0.05)
+        param = ControlParameterization.boxed(2, 2, 10.0)
+        opts = MinimizeOptions(max_evals=40)
+        whole = minimize(spec, grid, QUAD, param, opts=opts)
+        sizes = []
+
+        def recording(spec_, cost_, u, tol=1e-10):
+            sizes.append(u.samples.shape[:-2])
+            return eval_cost(spec_, cost_, u, tol=tol)
+
+        monkeypatch.setattr(optimal, "eval_cost", recording)
+        monkeypatch.setattr(optimal, "_MAX_CELLS", 3 * len(grid) * 2)
+        split = minimize(spec, grid, QUAD, param, opts=opts)
+        assert sizes[:4] == [(), (3,), (3,), (2,)]
+        assert split.J_opt == whole.J_opt
+        np.testing.assert_array_equal(split.theta_opt, whole.theta_opt)
+        assert split.history == whole.history and split.n_evals == whole.n_evals
+
     def test_batched_eval_cost_equals_single_calls(self):
         # delay, memory forcing and the history term of the cost all active
         f = NonlinearityDescriptor(
