@@ -268,19 +268,18 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     """One Picard sweep: the variation-of-parameters formula of grid's
     problem with f taken at the sampled path values.
 
-    Returns the path x with, on the forward rows,
-    x = D(t)(phi(0) - g(x)(0)) + sum_k D(t - t_k) I_k(x(t_k^-))
-    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds, with bu the input
-    B u on every forward node, and x(s) = phi(s) - g(x)(s) on the history
-    rows s < 0.  Every linear coupling reads x, so the sweep reads values
-    only through f.  The forward rows are A + start_response * (phi(0) -
-    g(A)(0)) for the path A from x(0) = 0, whose impulse kicks read its own
-    left values in time order.  An anchor at tau = k h makes history row j
-    read row j + k, so the history rows form an upper-triangular system
-    with 1 + sum_{tau_i = 0} c_i on its diagonal; it is solved from s = 0
-    down in blocks of the smallest nonzero k, each block reading rows
-    already final.  lagged reads g(x)(0) and I_k(x(t_k^-)) off values
-    instead.  Leading axes of values and bu stack paths.
+    Returns the path x with x(s) = phi(s) - g(x)(s) on the history rows
+    s < 0 and x = D(t)(phi(0) - g(x)(0)) + sum_k D(t - t_k) I_k(x(t_k^-))
+    + int_0^t D(t - s)(bu + f(s, values(s), values_s)) ds on the forward
+    rows, bu the input B u on every forward node: every linear coupling
+    reads x, so the sweep reads values only through f.  The forward rows
+    are A + start_response * (phi(0) - g(A)(0)) for the path A from
+    x(0) = 0, whose impulse kicks read its own left values in time order.
+    An anchor at tau = k h makes history row j read row j + k: an
+    upper-triangular system with 1 + sum_{tau_i = 0} c_i on its diagonal,
+    solved from s = 0 down in blocks of the smallest nonzero k.  lagged
+    reads g(x)(0) and I_k(x(t_k^-)) off values instead.  Leading axes of
+    values and bu stack paths.
 
     f is evaluated once, at the stored left values.  At impulse node m the
     trapezoid segment starting there takes f at the right value instead;
@@ -292,11 +291,9 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     # first: an undetermined x(0) or history raises before any work
     response = table if lagged else grid.start_response
     diagonal = 1.0 + sum(c for c, k in anchors if k == 0)
-    if n_hist and not (diagonal != 0.0 and math.isfinite(diagonal)):
-        raise EvaluationError(
-            "nonlocal condition leaves the history rows undetermined: "
-            f"1 + sum of c_i at tau_i = 0 is {diagonal:g}", regime="nonlocal"
-        )
+    if n_hist and diagonal == 0.0:
+        raise EvaluationError("nonlocal condition leaves the history rows undetermined: "
+                              "1 + sum of c_i at tau_i = 0 is 0", regime="nonlocal")
     x = values[..., n_hist:, :]
     f = eval_f(spec, x, Trajectory(grid, values).history())
     fwd = _convolve_all(grid, bu + f)
@@ -320,10 +317,7 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     block = min((k for _, k in anchors if k), default=max(n_hist, 1))
     for stop in range(n_hist, 0, -block):
         lo = max(stop - block, 0)
-        g = 0.0
-        for c, k in anchors:
-            if k:
-                g = g + c * out[..., lo + k : stop + k, :]
+        g = sum(c * out[..., lo + k : stop + k, :] for c, k in anchors if k)
         out[..., lo:stop, :] = (phi[lo:stop] - g) / diagonal
     return out
 
@@ -341,8 +335,8 @@ def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_ite
     limit = np.full(len(ids), math.inf)
     residuals: list[list[float]] = [[] for _ in ids]
     failed: list[int] = []
-    f_desc = grid.spec.f_desc
-    one_sweep = not lagged and f_desc.f1_gain == f_desc.f2_gain == 0.0
+    f = grid.spec.f_desc
+    one_sweep = not lagged and f.f1_gain == f.f2_gain == 0.0
     # a path that overflows stops at a non-finite residual, and solve_mild
     # retries or raises on it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
