@@ -348,15 +348,18 @@ class TestPicardBehaviour:
 
     def test_diverging_exact_run_restarts_once_past_the_limit(self, monkeypatch):
         # the exact run gives up at its first residual above DIVERGED times
-        # its first one (sweep 3 here, where it ran on to overflow before);
+        # its first one, sweep 3 here, instead of running on to overflow;
         # the lagged run then starts over from the same start
         spec = self.diverging_exact_spec()
         grid = Grid(spec, 0.0125)
         runs = []
         sweep = solver.mild_map
-        monkeypatch.setattr(
-            solver, "mild_map", lambda g, v, b, lagged=False: runs.append(lagged) or sweep(g, v, b, lagged)
-        )
+
+        def recorded(grid, values, bu, lagged=False):
+            runs.append(lagged)
+            return sweep(grid, values, bu, lagged)
+
+        monkeypatch.setattr(solver, "mild_map", recorded)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
         exact = runs.index(True)
         assert exact == 3 and all(runs[exact:])
