@@ -304,10 +304,9 @@ class TestMinimize:
         trial = param.expand(grid, np.clip(x - optimal._FIRST_STEP * g, -10.0, 10.0).reshape(8, 1))
         np.testing.assert_array_equal(calls[2][0], trial.samples)
 
-    def test_gradient_stack_split_by_the_cell_cap(self, monkeypatch):
-        # a gradient stack runs in chunks of at most _MAX_CELLS cells (paths
-        # x rows x N); a batch entry equals its solo solve, so a cap of
-        # three paths moves no bit of the descent
+    @staticmethod
+    def two_mode_saturating():
+        # delay, memory forcing and a nonlocal term, P = 2 in 2 modes
         f = NonlinearityDescriptor(
             f1_gain=0.5, f2_gain=0.5, kernel_rate=1.0,
             f1_form="saturating", f2_form="saturating",
@@ -315,8 +314,13 @@ class TestMinimize:
         )
         spec = make_spec(n=2, alpha=1.5, r=0.25, phi_coeffs=[1.0, -0.5], f=f,
                          nonlocal_terms=[NonlocalTerm(0.3, 0.5)])
-        grid = Grid(spec, 0.05)
-        param = ControlParameterization.boxed(2, 2, 10.0)
+        return spec, Grid(spec, 0.05), ControlParameterization.boxed(2, 2, 10.0)
+
+    def test_gradient_stack_split_by_the_cell_cap(self, monkeypatch):
+        # a gradient stack runs in chunks of at most _MAX_CELLS cells (paths
+        # x rows x N); a batch entry equals its solo solve, so a cap of
+        # three paths moves no bit of the descent
+        spec, grid, param = self.two_mode_saturating()
         opts = MinimizeOptions(max_evals=40)
         whole = minimize(spec, grid, QUAD, param, opts=opts)
         sizes = []
@@ -402,6 +406,79 @@ class TestMinimize:
         result = minimize(spec, grid, QUAD, param, opts=MinimizeOptions(max_evals=6))
         assert not result.converged
         assert result.n_evals <= 6
+
+    @staticmethod
+    def probe():
+        # linear1d at dt 0.1 with P = 4: its descent ends in a line search
+        # whose first trial point is rejected
+        spec = load_problem(CONFIGS / "linear1d.json")
+        cost = load_cost(CONFIGS / "cost_quadratic.json")
+        return spec, cost, Grid(spec, 0.1), ControlParameterization.boxed(4, 1, 10.0)
+
+    # n_evals of the probe's descent at the budgets 10 to 127, recorded when
+    # every trial point was solved alone; only 121 and up converge
+    PROBE_N_EVALS = (
+        [10] * 8 + [18] + [19] * 8 + [27] + [28] * 8 + [36] + [37] * 8 + [45] + [46] * 8
+        + [54] + [55] * 8 + [63] + [64] * 8 + [72] + [73] * 8 + [81] + [82] * 8
+        + list(range(90, 121)) + [120] * 7
+    )
+
+    def test_probe_descent_pinned_bit_for_bit(self):
+        spec, cost, grid, param = self.probe()
+        result = minimize(spec, grid, cost, param)
+        assert result.converged
+        assert repr(result.J_opt) == "0.8869514951257463"
+        assert [repr(float(v)) for v in result.theta_opt.ravel()] == [
+            "-0.7050065707730024", "-0.4516541228369858", "-0.2281704694816917",
+            "-0.05729915356759806",
+        ]
+        assert [repr(v) for v in result.history] == [
+            "1.1553315014134207", "0.9966581369951703", "0.8871939335260705",
+            "0.8869782816377038", "0.8869523632671756", "0.8869515455968229",
+            "0.8869514952146813", "0.8869514951267593", "0.8869514951258015",
+            "0.8869514951257463",
+        ]
+        assert result.n_evals == 120
+
+    def test_probe_converges_in_a_budget_of_121(self):
+        spec, cost, grid, param = self.probe()
+        result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=121))
+        assert result.converged and result.n_evals == 120
+        assert repr(result.J_opt) == "0.8869514951257463"
+
+    def test_probe_at_every_budget(self):
+        # the budget is never passed and the best J never rises; below 128
+        # the run stops where the recorded one did
+        spec, cost, grid, param = self.probe()
+        for max_evals in range(10, 141):
+            result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=max_evals))
+            assert result.n_evals <= max_evals
+            assert np.all(np.diff(result.history) <= 0.0)
+            if max_evals <= 127:
+                want = (max_evals >= 121, self.PROBE_N_EVALS[max_evals - 10])
+                assert (result.converged, result.n_evals) == want, max_evals
+
+    @pytest.mark.parametrize("max_evals, J_opt, theta_opt, history, n_evals, converged", [
+        (40, "1.1058312288292904",
+         ["-0.38650226266422505", "0.051584554250305684", "-0.12873388399950322",
+          "-0.01651516466215253"],
+         ["1.2112932817975184", "1.1189994717694312", "1.1058999896095973",
+          "1.1058320402331712", "1.1058312288292904"], 37, False),
+        (4000, "1.105831219935823",
+         ["-0.3864603486989935", "0.05164749573402724", "-0.12864121804593914",
+          "-0.016542468495499847"],
+         ["1.2112932817975184", "1.1189994717694312", "1.1058999896095973",
+          "1.1058320402331712", "1.1058312288292904", "1.1058312199513678",
+          "1.1058312199360811", "1.1058312199358242", "1.105831219935823"], 81, True),
+    ])
+    def test_two_mode_saturating_descent_pinned(self, max_evals, J_opt, theta_opt, history,
+                                                n_evals, converged):
+        spec, grid, param = self.two_mode_saturating()
+        result = minimize(spec, grid, QUAD, param, opts=MinimizeOptions(max_evals=max_evals))
+        assert repr(result.J_opt) == J_opt
+        assert [repr(float(v)) for v in result.theta_opt.ravel()] == theta_opt
+        assert [repr(v) for v in result.history] == history
+        assert (result.n_evals, result.converged) == (n_evals, converged)
 
 
 class TestCoercivity:
