@@ -163,6 +163,9 @@ def minimize(
     1e-15 (backtracking halving), so the best-J history is non-increasing; a
     predicted decrease -g.d within that margin is stationary, and exhausting
     the evaluation budget returns the best iterate flagged as non-converged.
+    The start, and a step's first trial point when a rejection would leave
+    room for every halving, are solved in one stack with their 2 P N gradient
+    points; n_evals counts every evaluation, a rejected trial's stencil too.
     A budget too small for the start, one gradient and one trial point
     (2 P N + 2 evaluations) is refused, as is an interval with no grid node."""
     if param.n_modes != spec.n_modes:
@@ -190,18 +193,23 @@ def minimize(
         return np.concatenate([eval_cost(spec, cost, param.expand(grid, thetas[i : i + step]))
                                for i in range(0, len(thetas), step)])
 
+    def J_and_grad(x: FloatArray, J: float | None = None):  # J at x unless given, and g, in one stack
+        h = _FD_STEP * np.maximum(1.0, np.abs(x))
+        J_all = J_of(np.concatenate([x[None]] * (J is None) + [x + np.diag(h), x - np.diag(h)]))
+        up, down = J_all[-2 * x.size :].reshape(2, x.size)
+        return (float(J_all[0]) if J is None else J), (up - down) / (2.0 * h)
+
     x, b = theta.ravel(), param.bound
-    J = J_of(x)
+    J, g = J_and_grad(x)
     history = [J]
     converged = False
     eye = np.eye(x.size)
     H = _FIRST_STEP * eye
     s = g_old = None
 
-    while n_evals + 2 * x.size <= opts.max_evals:
-        hstep = _FD_STEP * np.maximum(1.0, np.abs(x))
-        J_pm = J_of(np.concatenate([x + np.diag(hstep), x - np.diag(hstep)]))
-        g = (J_pm[: x.size] - J_pm[x.size :]) / (2.0 * hstep)
+    while g is not None or n_evals + 2 * x.size <= opts.max_evals:
+        if g is None:  # a step accepted after backtracking
+            g = J_and_grad(x, J)[1]
         if s is not None:
             y = g - g_old
             sy = s @ y
@@ -216,16 +224,20 @@ def minimize(
             converged = True
             break
 
+        room = n_evals + 2 * x.size + _MAX_BACKTRACKS <= opts.max_evals  # to halve after a rejection
         for k in range(min(_MAX_BACKTRACKS, opts.max_evals - n_evals)):
             cand = param.project(x + 0.5**k * d)
-            J_cand = J_of(cand)
+            if k == 0 and room and np.linalg.norm(cand - x) > _STAT_TOL:
+                J_cand, g_cand = J_and_grad(cand)
+            else:
+                J_cand, g_cand = J_of(cand), None
             if J_cand < J - 1e-15:
                 break
         else:
             # no decrease at the finest step: stationary, unless out of budget
             converged = n_evals < opts.max_evals
             break
-        s, g_old, x, J = cand - x, g, cand, J_cand
+        s, g_old, x, J, g = cand - x, g, cand, J_cand, g_cand
         history.append(J)
         if np.linalg.norm(s) <= _STAT_TOL:
             converged = True

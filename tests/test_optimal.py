@@ -234,7 +234,8 @@ class TestMinimize:
     def test_lq_stops_without_a_failing_line_search(self):
         # at the minimizer the predicted decrease -g.d is below the acceptance
         # margin, so the descent stops there instead of halving a step 30
-        # times: 1 start, 9 gradients of 16 points and 8 accepted steps
+        # times: the start and 8 accepted steps, each point with its
+        # 16-point gradient, 9 x 17 evaluations
         spec, cost, grid, param, j_min = self.lq_problem()
         result = minimize(spec, grid, cost, param)
         assert result.converged
@@ -256,8 +257,9 @@ class TestMinimize:
 
     def test_lq_solves_take_one_sweep_each(self, monkeypatch):
         # f = 0, so each solve's first Picard sweep is its fixed point: the
-        # descent's 18 batched solves make 18 mild maps (36 when each solve
-        # ran a second sweep to see the residual 0)
+        # descent's 9 batched solves, the start and each accepted trial point
+        # with its gradient, make 9 mild maps (18 when each solve ran a
+        # second sweep to see the residual 0)
         spec, cost, grid, param, _ = self.lq_problem()
         calls = {"solve_mild": 0, "mild_map": 0}
 
@@ -271,12 +273,13 @@ class TestMinimize:
         monkeypatch.setattr(solver, "mild_map", counted("mild_map", solver.mild_map))
         result = minimize(spec, grid, cost, param)
         assert result.n_evals == 153
-        assert calls == {"solve_mild": 18, "mild_map": 18}
+        assert calls == {"solve_mild": 9, "mild_map": 9}
 
     def test_batched_gradient_equals_serial_differences(self, monkeypatch):
-        # the 2P points of a gradient go through one batched eval_cost call;
-        # its values, the gradient and so the first trial point theta - step g
-        # must equal 2P one-at-a-time evaluations bit for bit
+        # the start and the 2P points of its gradient go through one batched
+        # eval_cost call; its values, the gradient and so the first trial
+        # point theta - step g must equal 1 + 2P one-at-a-time evaluations
+        # bit for bit
         spec, cost, grid, param, _ = self.lq_problem()
         theta0 = np.random.default_rng(4).uniform(-0.5, 0.5, (8, 1))
         calls = []
@@ -289,9 +292,10 @@ class TestMinimize:
         monkeypatch.setattr(optimal, "eval_cost", recording)
         minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=18), theta0=theta0)
         monkeypatch.undo()
-        assert [np.ndim(J) for _, J in calls] == [0, 1, 0]
+        assert [np.ndim(J) for _, J in calls] == [1, 0]
 
         x = theta0.ravel()
+        assert calls[0][1][0] == eval_cost(spec, cost, param.expand(grid, theta0))
         hstep = optimal._FD_STEP * np.maximum(1.0, np.abs(x))
         g = np.empty(x.size)
         for i in range(x.size):
@@ -299,10 +303,10 @@ class TestMinimize:
             e[i] = hstep[i]
             up = eval_cost(spec, cost, param.expand(grid, (x + e).reshape(8, 1)))
             dn = eval_cost(spec, cost, param.expand(grid, (x - e).reshape(8, 1)))
-            assert calls[1][1][i] == up and calls[1][1][x.size + i] == dn
+            assert calls[0][1][1 + i] == up and calls[0][1][1 + x.size + i] == dn
             g[i] = (up - dn) / (2.0 * hstep[i])
         trial = param.expand(grid, np.clip(x - optimal._FIRST_STEP * g, -10.0, 10.0).reshape(8, 1))
-        np.testing.assert_array_equal(calls[2][0], trial.samples)
+        np.testing.assert_array_equal(calls[1][0], trial.samples)
 
     @staticmethod
     def two_mode_saturating():
@@ -317,25 +321,29 @@ class TestMinimize:
         return spec, Grid(spec, 0.05), ControlParameterization.boxed(2, 2, 10.0)
 
     def test_gradient_stack_split_by_the_cell_cap(self, monkeypatch):
-        # a gradient stack runs in chunks of at most _MAX_CELLS cells (paths
-        # x rows x N); a batch entry equals its solo solve, so a cap of
-        # three paths moves no bit of the descent
+        # a stack of a point and its gradient runs in chunks of at most
+        # _MAX_CELLS cells (paths x rows x N); a batch entry equals its solo
+        # solve, so a cap of three paths moves no bit of the descent.  At 40
+        # evaluations each trial point is solved alone; at 4000 the first one
+        # takes its gradient along
         spec, grid, param = self.two_mode_saturating()
-        opts = MinimizeOptions(max_evals=40)
-        whole = minimize(spec, grid, QUAD, param, opts=opts)
-        sizes = []
+        for max_evals, first in [(40, [(3,)] * 3 + [()]), (4000, [(3,)] * 6)]:
+            opts = MinimizeOptions(max_evals=max_evals)
+            whole = minimize(spec, grid, QUAD, param, opts=opts)
+            sizes = []
 
-        def recording(spec_, cost_, u, tol=1e-10):
-            sizes.append(u.samples.shape[:-2])
-            return eval_cost(spec_, cost_, u, tol=tol)
+            def recording(spec_, cost_, u, tol=1e-10):
+                sizes.append(u.samples.shape[:-2])
+                return eval_cost(spec_, cost_, u, tol=tol)
 
-        monkeypatch.setattr(optimal, "eval_cost", recording)
-        monkeypatch.setattr(optimal, "_MAX_CELLS", 3 * len(grid) * 2)
-        split = minimize(spec, grid, QUAD, param, opts=opts)
-        assert sizes[:4] == [(), (3,), (3,), (2,)]
-        assert split.J_opt == whole.J_opt
-        np.testing.assert_array_equal(split.theta_opt, whole.theta_opt)
-        assert split.history == whole.history and split.n_evals == whole.n_evals
+            with monkeypatch.context() as m:
+                m.setattr(optimal, "eval_cost", recording)
+                m.setattr(optimal, "_MAX_CELLS", 3 * len(grid) * 2)
+                split = minimize(spec, grid, QUAD, param, opts=opts)
+            assert sizes[: len(first)] == first
+            assert split.J_opt == whole.J_opt
+            np.testing.assert_array_equal(split.theta_opt, whole.theta_opt)
+            assert split.history == whole.history and split.n_evals == whole.n_evals
 
     def test_batched_eval_cost_equals_single_calls(self):
         # delay, memory forcing and the history term of the cost all active
@@ -438,7 +446,10 @@ class TestMinimize:
             "0.8869514952146813", "0.8869514951267593", "0.8869514951258015",
             "0.8869514951257463",
         ]
-        assert result.n_evals == 120
+        # each step's first trial point is solved with its 8-point gradient;
+        # the last step's is rejected, so its stencil adds 8 evaluations to
+        # the 30 failing trials
+        assert result.n_evals == 128
 
     def test_probe_converges_in_a_budget_of_121(self):
         spec, cost, grid, param = self.probe()
