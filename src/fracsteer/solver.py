@@ -398,7 +398,8 @@ def solve_mild(
     if grid.spec is not spec:
         raise DomainError("control grid belongs to a different problem instance")
 
-    bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite B u fails at sweep 1
+        bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
     shape = (len(bu), len(grid), spec.n_modes)
     if start is not None and (start.grid.spec is not spec
                               or start.values.shape not in (shape, shape[1:])):

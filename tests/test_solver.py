@@ -791,6 +791,19 @@ class TestBatchAxis:
         assert len(info.value.residuals) == 1
         assert not np.isfinite(info.value.last_iterate.values).all()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_control_raises_at_first_sweep(self, value):
+        # inf times a zero of B is NaN in B u: an infinite control sample
+        # takes the NaN path, with no numpy warning on the way
+        spec = make_spec(n=2, phi_coeffs=[1.0, -0.5])
+        grid = Grid(spec, 0.05)
+        samples = np.zeros((2, grid.n_fwd + 1, 2))
+        samples[1, 3, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="non-finite iterate at sweep 1$"):
+                solve_mild(spec, ControlSignal(grid, samples))
+
 
 class TestMildMapOracle:
     # mild_map and solve_mild against tests/oracles.py::mild_map_by_hand on
