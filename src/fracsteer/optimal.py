@@ -163,9 +163,9 @@ def minimize(
     1e-15 (backtracking halving), so the best-J history is non-increasing; a
     predicted decrease -g.d within that margin is stationary, and exhausting
     the evaluation budget returns the best iterate flagged as non-converged.
-    The start, and a step's first trial point when a rejection would leave
-    room for every halving, are solved in one stack with their 2 P N gradient
-    points; n_evals counts every evaluation, a rejected trial's stencil too.
+    The start and, while a rejection would leave room for every halving,
+    each step's first trial point are solved in one stack with their 2 P N
+    gradient points; n_evals counts them all, a rejected trial's too.
     A budget too small for the start, one gradient and one trial point
     (2 P N + 2 evaluations) is refused, as is an interval with no grid node."""
     if param.n_modes != spec.n_modes:
@@ -181,12 +181,10 @@ def minimize(
         np.zeros((param.intervals, param.n_modes)) if theta0 is None else np.asarray(theta0, float)
     )
 
-    def J_of(x: FloatArray):  # J at x, or at each row of a stack of points
+    def J_of(x: FloatArray) -> FloatArray:  # J at each row of a stack of points
         nonlocal n_evals
-        n_evals += x.size // theta.size
-        thetas = x.reshape(x.shape[:-1] + theta.shape)
-        if thetas.ndim == 2:
-            return eval_cost(spec, cost, param.expand(grid, thetas))
+        n_evals += len(x)
+        thetas = x.reshape((len(x),) + theta.shape)
         # a stack runs in chunks of at most _MAX_CELLS path cells; a batch
         # entry equals its solo solve, so the split moves no bit
         step = max(1, _MAX_CELLS // (len(grid) * spec.n_modes))
@@ -230,7 +228,7 @@ def minimize(
             if k == 0 and room and np.linalg.norm(cand - x) > _STAT_TOL:
                 J_cand, g_cand = J_and_grad(cand)
             else:
-                J_cand, g_cand = J_of(cand), None
+                J_cand, g_cand = float(J_of(cand[None])[0]), None
             if J_cand < J - 1e-15:
                 break
         else:

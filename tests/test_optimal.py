@@ -292,7 +292,7 @@ class TestMinimize:
         monkeypatch.setattr(optimal, "eval_cost", recording)
         minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=18), theta0=theta0)
         monkeypatch.undo()
-        assert [np.ndim(J) for _, J in calls] == [1, 0]
+        assert [np.shape(J) for _, J in calls] == [(17,), (1,)]
 
         x = theta0.ravel()
         assert calls[0][1][0] == eval_cost(spec, cost, param.expand(grid, theta0))
@@ -306,7 +306,7 @@ class TestMinimize:
             assert calls[0][1][1 + i] == up and calls[0][1][1 + x.size + i] == dn
             g[i] = (up - dn) / (2.0 * hstep[i])
         trial = param.expand(grid, np.clip(x - optimal._FIRST_STEP * g, -10.0, 10.0).reshape(8, 1))
-        np.testing.assert_array_equal(calls[1][0], trial.samples)
+        np.testing.assert_array_equal(calls[1][0], trial.samples[None])
 
     @staticmethod
     def two_mode_saturating():
@@ -327,7 +327,7 @@ class TestMinimize:
         # evaluations each trial point is solved alone; at 4000 the first one
         # takes its gradient along
         spec, grid, param = self.two_mode_saturating()
-        for max_evals, first in [(40, [(3,)] * 3 + [()]), (4000, [(3,)] * 6)]:
+        for max_evals, first in [(40, [(3,)] * 3 + [(1,)]), (4000, [(3,)] * 6)]:
             opts = MinimizeOptions(max_evals=max_evals)
             whole = minimize(spec, grid, QUAD, param, opts=opts)
             sizes = []
