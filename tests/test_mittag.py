@@ -318,6 +318,16 @@ class TestTablePath:
         got = mittag._branch_cut(alpha, 1.0, ts[cut] ** alpha)
         np.testing.assert_allclose(got, want[cut], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.001, 1.5, 1.999])
+    def test_quadrature_at_powers_of_two(self, alpha):
+        # w = x^{1/alpha} on both sides of each power of two from 1 to 32, and
+        # at both ends of the certified range: within the documented 1.2e-14
+        edges = 2.0 ** np.arange(6)
+        ws = np.concatenate([[0.5], edges * (1.0 - 1e-9), edges * (1.0 + 1e-9), [59.9]])
+        want = np.array([ml_branch_cut_oracle(alpha, -(w**alpha)) for w in ws])
+        got = mittag._branch_cut(alpha, 1.0, ws**alpha)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1.2e-14)
+
     def test_flagship_table_matches_scalar_kernel(self):
         spec = load_problem(CONFIGS / "flagship.json")
         grid = solver.Grid(spec, 1.0 / 200.0)
