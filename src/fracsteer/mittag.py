@@ -42,9 +42,11 @@ _EPS = 2.220446049250313e-16
 _ABS_TARGET = 5.0e-12
 _REL_TARGET = 1.0e-13
 
-# The series is tried at z >= _SERIES_Z_MIN only: further out on the negative
-# axis its terms cancel beyond what the rounding gate certifies.
+# The series is tried at z >= _series_floor(alpha, beta) >= _SERIES_Z_MIN
+# only: further out on the negative axis its terms cancel beyond what the
+# rounding gate certifies.
 _SERIES_Z_MIN = -50.0
+_FLOOR_W_MIN = 2.0
 
 # Most terms of the series, and most beta -> beta - alpha reductions of the
 # quadrature (each is one term of the same sum).
@@ -57,6 +59,13 @@ _CUT_W_MIN = 0.5
 # a table build does not raise a run's peak memory.
 _BLOCK_ENTRIES = 2**16
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+# A point's head (the nodes where w v <= 1) adds sum_i (-w)^i / i! sum c v^i
+# over i < _HEAD_TERMS: the rest is at most (w^{1-b} sum |c|) e / _HEAD_TERMS!,
+# below 2e-20 as w^{1-b} sum |c| < 5 on every head (measured for alpha in
+# [0.05, 2], within 1e-7 of 1 too).
+_HEAD_TERMS = 22
+_HEAD_POWERS = np.arange(_HEAD_TERMS)[:, None]
+_HEAD_SCALE = np.array([1.0 / math.factorial(i) for i in range(_HEAD_TERMS)])
 
 
 def _check(alpha: float, beta: float, z: np.ndarray) -> None:
@@ -83,7 +92,7 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     if alpha == 1.0:
         return _alpha_one(beta, z)
     out = np.empty_like(z)
-    rest = z < _SERIES_Z_MIN
+    rest = z < _series_floor(alpha, beta)
     out[~rest], certified = _series(alpha, beta, z[~rest])
     rest[~rest] = ~certified
     out[rest] = _branch_cut(alpha, beta, -z[rest])
@@ -113,6 +122,29 @@ def _exp(z: float) -> float:
         return math.exp(z)
     except OverflowError:
         return math.inf
+
+
+def _series_floor(alpha: float, beta: float) -> float:
+    """z_lo(alpha, beta) >= _SERIES_Z_MIN: the series certifies no z < z_lo.
+
+    At z = -x < 0 the gate needs the sum of |terms|, E_{alpha,beta}(x),
+    within _ABS_TARGET / (50 eps), about 450: on [-50, 0] |E| stays far
+    below the ninth of that sum the relative target would need.  The sum
+    grows like w^{1-beta} e^w / alpha, w = x^{1/alpha}, and z_lo = -w^alpha
+    is where that law reaches twice the bound.  From w = _FLOOR_W_MIN on, the
+    law is within 10% below the sum there (measured over alpha in [1e-3, 2]
+    and beta in [1e-3, 100] where the series stops within its terms); short
+    of it, z_lo = _SERIES_Z_MIN.
+    """
+    top = math.log(2.0 * alpha * _ABS_TARGET / (50.0 * _EPS))
+    w = max(top, beta, _FLOOR_W_MIN)
+    for _ in range(60):  # the root of w + (1 - beta) ln w = top above beta - 1
+        w, last = max(top + (beta - 1.0) * math.log(w), _FLOOR_W_MIN), w
+        if w == last:
+            break
+    if w == _FLOOR_W_MIN or alpha * math.log(w) >= math.log(-_SERIES_Z_MIN):
+        return _SERIES_Z_MIN
+    return -(w**alpha)
 
 
 def _series(alpha: float, beta: float, z: np.ndarray):
@@ -202,8 +234,14 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     independent of x, so one node set serves every point; for alpha > 1 the
     residue pair of the poles w e^{+-i pi/alpha} is added.  A point's first
     panel is narrow enough that it adds below 1e-17.  A point outside the
-    quadrature's range (x < 0 among them) raises EvaluationError.  exp(-w v)
-    is formed in row blocks of at most _BLOCK_ENTRIES entries.
+    quadrature's range (x < 0 among them) raises EvaluationError.
+
+    Each point has j = ceil(log2 max(w, 1)).  Its head, the nodes below
+    v = 2^-j where w v <= 1, is summed through the head's moments (see
+    _HEAD_TERMS); the nodes where exp(-2^(j-1) v) < e^-45 are dropped, as
+    exp(-w v) is smaller still there (together they add below 2e-21, measured
+    for w in [0.5, 1e6]).  exp(-w v) at the nodes between is formed in row
+    blocks of at most _BLOCK_ENTRIES entries, in one buffer.
     """
     if beta > alpha * _SERIES_MAX_TERMS:
         raise EvaluationError(
@@ -225,22 +263,40 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         w = x ** (1.0 / alpha)
         bound = (abs(s1) + abs(s2)) * np.maximum(_CUT_W_MIN ** (1.0 - b), w ** (1.0 - b))
         n0 = np.ceil(np.log2(0.5 / (1e-17 * math.pi * p / bound) ** (1.0 / p)))
+        j = np.ceil(np.log2(np.maximum(w, 1.0)))
     # 2^-n0 stays a normal float
     bad = ~((x > 0.0) & (w >= _CUT_W_MIN) & (w < math.inf) & (n0 <= 1000))
     if bad.any():
         raise EvaluationError(
             f"no route certifies alpha={alpha}, beta={beta}, z={-x[bad][0]}", regime="table"
         )
-    val = np.empty_like(w)
-    for n in np.unique(n0):
-        at = np.flatnonzero(n0 == n)
-        v, c = _cut_nodes(alpha, b, int(n))
-        rows = max(1, _BLOCK_ENTRIES // v.size)
+    val, buf, n_nodes = np.empty_like(w), np.empty(_BLOCK_ENTRIES), None
+    # one group per (n0, j); j <= 1024 as w < 2^1024
+    key = 2048.0 * n0 + j
+    for k in np.unique(key):
+        at = np.flatnonzero(key == k)
+        n, jn = divmod(int(k), 2048)
+        if n != n_nodes:
+            v, c = _cut_nodes(alpha, b, n)
+            n_nodes = n
+        head = v < 2.0**-jn
+        keep = ~head & (v * 2.0 ** (jn - 1.0) <= 45.0)
+        vk, ck = v[keep], c[keep]
+        moments = np.einsum("ij,j->i", v[head] ** _HEAD_POWERS, c[head]) * _HEAD_SCALE
+        wa = w[at]
+        sums, neg_w = np.full(at.size, moments[-1]), -wa
+        for m in moments[-2::-1]:  # Horner's rule in -w
+            sums *= neg_w
+            sums += m
+        rows = max(1, _BLOCK_ENTRIES // max(vk.size, 1))
         for i in range(0, at.size, rows):
-            e = np.multiply.outer(w[at[i : i + rows]], -v)
+            block = wa[i : i + rows]
+            e = buf[: block.size * vk.size].reshape(block.size, vk.size)
+            np.multiply.outer(block, -vk, out=e)
             # einsum, unlike a BLAS product, sums each row the same way
             # whatever the number of rows
-            val[at[i : i + rows]] = np.einsum("ij,j->i", np.exp(e, out=e), c)
+            sums[i : i + rows] += np.einsum("ij,j->i", np.exp(e, out=e), ck)
+        val[at] = sums
     if alpha > 1.0:
         damp, freq = math.cos(math.pi / alpha), math.sin(math.pi / alpha)
         val += (2.0 / alpha) * np.exp(w * damp) * np.cos(w * freq + math.pi * (1.0 - b) / alpha)

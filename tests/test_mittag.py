@@ -213,6 +213,23 @@ class TestProperties:
                 want = ml_branch_cut_oracle(alpha, z)
                 assert mittag_leffler(alpha, 1.0, z) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.001, 1.1, 1.5, 1.9, 1.99, 2.0])
+    def test_series_floor_moves_no_certified_point(self, alpha):
+        # the series runs at z >= z_lo only: below it, it certifies nothing
+        z = np.linspace(-50.0, 0.0, 2001)
+        for beta in [0.5, 1.0, 1.5, 2.5, 3.2]:
+            floor = mittag._series_floor(alpha, beta)
+            assert -50.0 <= floor < 0.0
+            assert not mittag._series(alpha, beta, z[z < floor])[1].any(), beta
+
+    def test_series_floor_ends_past_the_certified_range(self):
+        # the series certifies z in [-16.63, 0] at alpha 1.5, beta 1, and
+        # [-1.54, 0] at alpha 0.3, beta 0.5; all of [-50, 0] at alpha 1.7,
+        # beta 2.5, where the series is tried everywhere
+        assert -20.0 < mittag._series_floor(1.5, 1.0) < -16.63
+        assert -2.0 < mittag._series_floor(0.3, 0.5) < -1.54
+        assert mittag._series_floor(1.7, 2.5) == -50.0
+
     def test_asymptotic_branch_accuracy(self):
         # the branch-cut oracle stands in for the Taylor oracle, which needs
         # about 1900 digits and ten minutes at alpha = 1.1, z = -1e4;
