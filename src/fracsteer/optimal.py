@@ -161,8 +161,10 @@ def minimize(
     (s.y / y.y) I before its first update, and an update with s.y <= 0 is
     skipped.  Steps are accepted only when they decrease J by more than
     1e-15 (backtracking halving), so the best-J history is non-increasing; a
-    predicted decrease -g.d within that margin is stationary, and exhausting
-    the evaluation budget returns the best iterate flagged as non-converged.
+    predicted decrease -g.d within that margin is stationary, as is a line
+    search that ran every halving without one, even on the last evaluation
+    of the budget; a budget that cuts the descent short returns the best
+    iterate flagged as non-converged.
     The start and, while a rejection would leave room for every halving,
     each step's first trial point are solved in one stack with their 2 P N
     gradient points; n_evals counts them all, a rejected trial's too.
@@ -223,7 +225,8 @@ def minimize(
             break
 
         room = n_evals + 2 * x.size + _MAX_BACKTRACKS <= opts.max_evals  # to halve after a rejection
-        for k in range(min(_MAX_BACKTRACKS, opts.max_evals - n_evals)):
+        tries = min(_MAX_BACKTRACKS, opts.max_evals - n_evals)
+        for k in range(tries):
             cand = param.project(x + 0.5**k * d)
             if k == 0 and room and np.linalg.norm(cand - x) > _STAT_TOL:
                 J_cand, g_cand = J_and_grad(cand)
@@ -232,8 +235,8 @@ def minimize(
             if J_cand < J - 1e-15:
                 break
         else:
-            # no decrease at the finest step: stationary, unless out of budget
-            converged = n_evals < opts.max_evals
+            # no decrease at the finest step: stationary if every halving ran
+            converged = tries == _MAX_BACKTRACKS
             break
         s, g_old, x, J, g = cand - x, g, cand, J_cand, g_cand
         history.append(J)

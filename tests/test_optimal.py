@@ -424,7 +424,7 @@ class TestMinimize:
         return spec, cost, Grid(spec, 0.1), ControlParameterization.boxed(4, 1, 10.0)
 
     # n_evals of the probe's descent at the budgets 10 to 127, recorded when
-    # every trial point was solved alone; only 121 and up converge
+    # every trial point was solved alone; only 120 and up converge
     PROBE_N_EVALS = (
         [10] * 8 + [18] + [19] * 8 + [27] + [28] * 8 + [36] + [37] * 8 + [45] + [46] * 8
         + [54] + [55] * 8 + [63] + [64] * 8 + [72] + [73] * 8 + [81] + [82] * 8
@@ -466,8 +466,18 @@ class TestMinimize:
             assert result.n_evals <= max_evals
             assert np.all(np.diff(result.history) <= 0.0)
             if max_evals <= 127:
-                want = (max_evals >= 121, self.PROBE_N_EVALS[max_evals - 10])
+                want = (max_evals >= 120, self.PROBE_N_EVALS[max_evals - 10])
                 assert (result.converged, result.n_evals) == want, max_evals
+
+    @pytest.mark.parametrize("max_evals", [120, 128])
+    def test_line_search_on_the_last_evaluation_is_stationary(self, max_evals):
+        # the probe's last line search runs every halving and its last trial
+        # spends the whole budget: stationary, as with one evaluation to spare
+        spec, cost, grid, param = self.probe()
+        runs = [minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=m))
+                for m in (max_evals, max_evals + 1)]
+        assert [(r.converged, r.n_evals) for r in runs] == [(True, max_evals)] * 2
+        assert repr(runs[0].J_opt) == repr(runs[1].J_opt) == "0.8869514951257463"
 
     @pytest.mark.parametrize("max_evals, J_opt, theta_opt, history, n_evals, converged", [
         (40, "1.1058312288292904",
