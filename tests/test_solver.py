@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fracsteer import model, optimal, solver
@@ -946,12 +946,14 @@ class TestMildMapOracle:
         assert np.max(np.linalg.norm(step, axis=-1)) <= self.TOL
 
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @seed(9)
+    @settings(max_examples=100, deadline=None, database=None)
     def test_census_of_wide_problems(self, data):
         # wherever exact sweeps alone or lagged sweeps alone converge,
         # solve_mild converges; every converged path is a fixed point of the
         # oracle; every other problem raises one of the two errors a failed
-        # solve may raise
+        # solve may raise.  A fixed seed draws the same 100 problems whatever
+        # this body says (derandomize would seed from the test's source).
         spec, grid, rng = self.draw_problem(data, wide=True)
         u = rng.standard_normal((grid.n_fwd + 1, spec.n_modes))
         bu = u @ spec.B.T
