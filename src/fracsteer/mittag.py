@@ -8,13 +8,15 @@ Real arguments only; the negative real axis is the primary regime.  One array
 evaluator serves a single point (mittag_leffler of a float) and a whole table
 (mittag_leffler of an array, as Grid.kernel_table calls it):
 
-  * the compensated Taylor series, one array sum per term, at every z >= -50;
-    a point counts only if it met the stopping rule and its rounding gate
-    certifies 5e-12 absolute or 1e-13 relative, whichever is looser;
+  * the compensated Taylor series, one array sum per term, at every
+    z >= z_lo(alpha, beta) >= -50 (_series_floor); a point counts only if it
+    met the stopping rule and its rounding gate certifies 5e-12 absolute or
+    1e-13 relative, whichever is looser;
   * at every other z < 0, one fixed-node Gauss-Legendre quadrature of the
     branch-cut integral (Gorenflo, Loutchko & Luchko, Fract. Calc. Appl.
-    Anal. 5(4), 2002) with the same nodes for every point, plus for alpha > 1
-    the residue pair of the Laplace-domain poles;
+    Anal. 5(4), 2002) with the same nodes for every point, summed through
+    its moments where w v <= 1 and cut where exp(-w v) < e^-45, plus for
+    alpha > 1 the residue pair of the Laplace-domain poles;
   * closed forms at alpha = 1 (exponential, confluent hypergeometric), which
     takes neither route above.
 
@@ -42,11 +44,9 @@ _EPS = 2.220446049250313e-16
 _ABS_TARGET = 5.0e-12
 _REL_TARGET = 1.0e-13
 
-# The series is tried at z >= _series_floor(alpha, beta) >= _SERIES_Z_MIN
-# only: further out on the negative axis its terms cancel beyond what the
-# rounding gate certifies.
+# The series is tried at z >= _series_floor(alpha, beta) >= _SERIES_Z_MIN only:
+# further out on the negative axis its terms cancel beyond what the gate certifies.
 _SERIES_Z_MIN = -50.0
-_FLOOR_W_MIN = 2.0
 
 # Most terms of the series, and most beta -> beta - alpha reductions of the
 # quadrature (each is one term of the same sum).
@@ -59,13 +59,11 @@ _CUT_W_MIN = 0.5
 # a table build does not raise a run's peak memory.
 _BLOCK_ENTRIES = 2**16
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
-# A point's head (the nodes where w v <= 1) adds sum_i (-w)^i / i! sum c v^i
-# over i < _HEAD_TERMS: the rest is at most (w^{1-b} sum |c|) e / _HEAD_TERMS!,
-# below 2e-20 as w^{1-b} sum |c| < 5 on every head (measured for alpha in
-# [0.05, 2], within 1e-7 of 1 too).
-_HEAD_TERMS = 22
-_HEAD_POWERS = np.arange(_HEAD_TERMS)[:, None]
-_HEAD_SCALE = np.array([1.0 / math.factorial(i) for i in range(_HEAD_TERMS)])
+# A head (nodes where w v <= 1) adds sum_i (-w)^i / i! sum c v^i over i < 22;
+# the rest is below e / 22! times w^{1-b} sum |c|, which is < 5 on every head
+# (measured for alpha in [0.05, 2], within 1e-7 of 1 too): below 2e-20.
+_HEAD_POWERS = np.arange(22)[:, None]
+_HEAD_SCALE = 1.0 / np.cumprod(np.maximum(np.arange(22.0), 1.0))
 
 
 def _check(alpha: float, beta: float, z: np.ndarray) -> None:
@@ -95,7 +93,8 @@ def _evaluate(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     rest = z < _series_floor(alpha, beta)
     out[~rest], certified = _series(alpha, beta, z[~rest])
     rest[~rest] = ~certified
-    out[rest] = _branch_cut(alpha, beta, -z[rest])
+    if rest.any():
+        out[rest] = _branch_cut(alpha, beta, -z[rest])
     return out
 
 
@@ -127,22 +126,20 @@ def _exp(z: float) -> float:
 def _series_floor(alpha: float, beta: float) -> float:
     """z_lo(alpha, beta) >= _SERIES_Z_MIN: the series certifies no z < z_lo.
 
-    At z = -x < 0 the gate needs the sum of |terms|, E_{alpha,beta}(x),
-    within _ABS_TARGET / (50 eps), about 450: on [-50, 0] |E| stays far
-    below the ninth of that sum the relative target would need.  The sum
-    grows like w^{1-beta} e^w / alpha, w = x^{1/alpha}, and z_lo = -w^alpha
-    is where that law reaches twice the bound.  From w = _FLOOR_W_MIN on, the
-    law is within 10% below the sum there (measured over alpha in [1e-3, 2]
-    and beta in [1e-3, 100] where the series stops within its terms); short
-    of it, z_lo = _SERIES_Z_MIN.
+    The gate holds the sum of |terms|, E_{alpha,beta}(-z), within
+    _ABS_TARGET / (50 eps), about 450 (on [-50, 0] |E| is far too small for
+    the relative target to loosen that).  The sum grows like
+    w^{1-beta} e^w / alpha, w = (-z)^{1/alpha}, and z_lo = -w^alpha is where
+    that law reaches twice the bound.  From w = 2 on, the law is within 10%
+    below the sum (measured for alpha in [1e-3, 2] and beta in [1e-3, 100]
+    where the series stops within its terms); short of it, z_lo = -50.
     """
-    top = math.log(2.0 * alpha * _ABS_TARGET / (50.0 * _EPS))
-    w = max(top, beta, _FLOOR_W_MIN)
+    top, w = math.log(2.0 * alpha * _ABS_TARGET / (50.0 * _EPS)), max(beta, 2.0)
     for _ in range(60):  # the root of w + (1 - beta) ln w = top above beta - 1
-        w, last = max(top + (beta - 1.0) * math.log(w), _FLOOR_W_MIN), w
+        w, last = max(top + (beta - 1.0) * math.log(w), 2.0), w
         if w == last:
             break
-    if w == _FLOOR_W_MIN or alpha * math.log(w) >= math.log(-_SERIES_Z_MIN):
+    if w == 2.0 or alpha * math.log(w) >= math.log(-_SERIES_Z_MIN):
         return _SERIES_Z_MIN
     return -(w**alpha)
 
@@ -236,12 +233,10 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     panel is narrow enough that it adds below 1e-17.  A point outside the
     quadrature's range (x < 0 among them) raises EvaluationError.
 
-    Each point has j = ceil(log2 max(w, 1)).  Its head, the nodes below
-    v = 2^-j where w v <= 1, is summed through the head's moments (see
-    _HEAD_TERMS); the nodes where exp(-2^(j-1) v) < e^-45 are dropped, as
-    exp(-w v) is smaller still there (together they add below 2e-21, measured
-    for w in [0.5, 1e6]).  exp(-w v) at the nodes between is formed in row
-    blocks of at most _BLOCK_ENTRIES entries, in one buffer.
+    With j = ceil(log2 max(w, 1)), a point's head, the nodes below 2^-j (where
+    w v <= 1), is summed through its moments, and the nodes where
+    exp(-2^(j-1) v) < e^-45 are dropped: they add below 2e-21 (measured for w
+    in [0.5, 1e6]).  exp(-w v) at the rest fills one _BLOCK_ENTRIES buffer.
     """
     if beta > alpha * _SERIES_MAX_TERMS:
         raise EvaluationError(
@@ -270,32 +265,26 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
         raise EvaluationError(
             f"no route certifies alpha={alpha}, beta={beta}, z={-x[bad][0]}", regime="table"
         )
-    val, buf, n_nodes = np.empty_like(w), np.empty(_BLOCK_ENTRIES), None
-    # one group per (n0, j); j <= 1024 as w < 2^1024
-    key = 2048.0 * n0 + j
+    val, buf, nodes_of = np.empty_like(w), np.empty(_BLOCK_ENTRIES), None
+    key = 2048.0 * n0 + j  # one group per (n0, j): j <= 1024 as w < 2^1024
     for k in np.unique(key):
-        at = np.flatnonzero(key == k)
-        n, jn = divmod(int(k), 2048)
-        if n != n_nodes:
-            v, c = _cut_nodes(alpha, b, n)
-            n_nodes = n
-        head = v < 2.0**-jn
-        keep = ~head & (v * 2.0 ** (jn - 1.0) <= 45.0)
-        vk, ck = v[keep], c[keep]
+        at, (n, jn) = np.flatnonzero(key == k), divmod(int(k), 2048)
+        if n != nodes_of:
+            (v, c), nodes_of = _cut_nodes(alpha, b, n), n
+        head, keep = v < 2.0**-jn, (v >= 2.0**-jn) & (v * 2.0 ** (jn - 1) <= 45.0)
         moments = np.einsum("ij,j->i", v[head] ** _HEAD_POWERS, c[head]) * _HEAD_SCALE
-        wa = w[at]
-        sums, neg_w = np.full(at.size, moments[-1]), -wa
+        sums, neg_w, vk = np.full(at.size, moments[-1]), -w[at], v[keep]
         for m in moments[-2::-1]:  # Horner's rule in -w
             sums *= neg_w
             sums += m
         rows = max(1, _BLOCK_ENTRIES // max(vk.size, 1))
         for i in range(0, at.size, rows):
-            block = wa[i : i + rows]
+            block = neg_w[i : i + rows]
             e = buf[: block.size * vk.size].reshape(block.size, vk.size)
-            np.multiply.outer(block, -vk, out=e)
+            np.multiply.outer(block, vk, out=e)
             # einsum, unlike a BLAS product, sums each row the same way
             # whatever the number of rows
-            sums[i : i + rows] += np.einsum("ij,j->i", np.exp(e, out=e), ck)
+            sums[i : i + rows] += np.einsum("ij,j->i", np.exp(e, out=e), c[keep])
         val[at] = sums
     if alpha > 1.0:
         damp, freq = math.cos(math.pi / alpha), math.sin(math.pi / alpha)

@@ -172,6 +172,13 @@ class TestOracleSweep:
         with pytest.raises(EvaluationError, match="no route certifies"):
             mittag_leffler(0.01, 1.0, 0.999)
 
+    def test_series_points_skip_the_quadrature_checks(self):
+        # at alpha = 0.001 the quadrature would need over 600 beta reductions;
+        # points the series certifies never reach it
+        for z in [0.5, -0.5]:
+            want = ml_oracle(0.001, 1.0, z)
+            assert mittag_leffler(0.001, 1.0, z) == pytest.approx(want, abs=1e-13), z
+
 
 class TestProperties:
     @given(
