@@ -25,13 +25,11 @@ from .errors import (
 from .mittag import mittag_leffler
 from .model import (
     ConstantsLedger,
-    HistorySegment,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
     PhiDescriptor,
     ProblemSpec,
-    eval_f,
 )
 from .optimal import (
     ControlParameterization,
@@ -47,6 +45,7 @@ from .solver import (
     SolutionKernel,
     Trajectory,
     contraction_check,
+    eval_f,
     mild_map,
     picard_factor,
     solve_mild,

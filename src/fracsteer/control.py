@@ -83,8 +83,8 @@ def _free_path(spec: ProblemSpec, grid: Grid, h: FloatArray, picard_tol: float) 
     u = ControlSignal.zeros(grid)
     traj = solve_mild(spec, u, tol=max(picard_tol, INEXACT * np.linalg.norm(h - spec.phi(0.0))))
     while traj.residuals[-1] > (need := max(picard_tol, INEXACT * np.linalg.norm(h - traj.terminal()))):
-        more = solve_mild(spec, u, tol=need, start=traj)
-        traj = Trajectory(grid, more.values, traj.residuals + more.residuals)
+        more = solve_mild(spec, u, tol=need, start=traj.values)
+        traj.values, traj.residuals = more.values, traj.residuals + more.residuals
     return traj
 
 
@@ -108,8 +108,8 @@ def steer(
     in place of one more mild map per outer iteration.
 
     Successive controls must agree to tol in sup-norm.  The loop contracts
-    along one dominant direction, so inner solve k+1 starts from the
-    extrapolation x_k + a (x_k - x_{k-1}), a = <du_{k+1}, du_k> / <du_k, du_k>
+    along one dominant direction, so inner solve k+1 starts from the path
+    array x_k + a (x_k - x_{k-1}), a = <du_{k+1}, du_k> / <du_k, du_k>
     with du_k = u_k - u_{k-1} summed over all samples (from x_k when no
     earlier step exists).  It runs to max(picard_tol, INEXACT d), d the
     control's sup change; the last (d <= tol) runs to picard_tol.  free, if
@@ -136,13 +136,13 @@ def steer(
         u_prev, u = u, synthesize_control(grid, c)
         diffs.append(u.sup_distance(u_prev))
         inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, INEXACT * diffs[-1])
-        du, start = u.samples - u_prev.samples, traj
+        du, start = u.samples - u_prev.samples, traj.values
         if x_prev is not None:
             # np.sum, not np.vdot: BLAS splits a long dot product over its
             # threads, so its rounding would follow the thread count
             a = np.sum(du * du_prev) / np.sum(du_prev * du_prev)
-            start = Trajectory(grid, traj.values + a * (traj.values - x_prev.values))
-        du_prev, x_prev = du, traj
+            start = traj.values + a * (traj.values - x_prev)
+        du_prev, x_prev = du, traj.values
         traj = solve_mild(spec, u, tol=inner_tol, start=start)
         # on the flagship a 16 x 16 mat-vec, which BLAS does not split over
         # threads, so sweeps stay bit-for-bit reproducible

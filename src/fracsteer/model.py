@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import ConfigError, DomainError
@@ -54,23 +53,6 @@ class ImpulseDescriptor:
 class NonlocalTerm:
     c: float
     tau: float
-
-
-@dataclass(frozen=True)
-class HistorySegment:
-    """Trailing delay windows of M grid nodes one step apart: window i holds
-    samples of x(t_i + s), s in offsets, aligned with the trajectory grid.
-    values holds the M + W - 1 trajectory rows the windows share
-    (W = len(offsets)) and window i is values[i : i + W]; leading axes of
-    values stack paths."""
-
-    offsets: FloatArray  # uniform, offsets[0] = -r, offsets[-1] = 0
-    values: FloatArray  # shape (..., M + W - 1, N)
-
-    def sup_norm(self) -> FloatArray:
-        """Largest sample norm in each window."""
-        norms = np.linalg.norm(self.values, axis=-1)
-        return sliding_window_view(norms, len(self.offsets), axis=-1).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -245,25 +227,3 @@ class ProblemSpec:
         if x.shape != (self.n_modes,):
             raise DomainError(f"state vector must have shape ({self.n_modes},)")
         return x
-
-
-def eval_f(spec: ProblemSpec, x: FloatArray, hist: HistorySegment) -> FloatArray:
-    """Nonlinearity value f(t, x, x_t) at a stack of times; f does not read t.
-
-    x holds one state row per time and hist the matching stacked windows;
-    leading axes of x and hist.values stack paths.  f is its pointwise part
-    plus, when f2_gain is nonzero, h(t-s) f2(s, x(s)) integrated over each
-    trailing delay window by the composite trapezoid rule on the window's own
-    sub-grid: f2 is applied once per trajectory row, then every window is
-    summed over a sliding view of those rows.
-    """
-    desc = spec.f_desc
-    f1 = desc.pointwise(np.asarray(x, dtype=float))
-    width = len(hist.offsets)
-    if desc.f2_gain == 0.0 or width < 2:
-        return f1
-    rows = _form(desc.f2_form, desc.f2_gain, hist.values)
-    w = trapezoid_weights(width, hist.offsets[1] - hist.offsets[0])
-    w *= np.exp(desc.kernel_rate * hist.offsets)  # h(t - s) = exp(-rate (t - s))
-    windows = sliding_window_view(rows, width, axis=-2)  # (..., M, N, W), no copy
-    return f1 + windows @ w

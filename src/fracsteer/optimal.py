@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError
-from .model import FloatArray, HistorySegment, ProblemSpec
+from .model import FloatArray, ProblemSpec
 from .solver import _MAX_CELLS, ControlSignal, Grid, solve_mild
 
 
@@ -45,11 +46,13 @@ class CostDescriptor:
         if self.f_u > self.w_control:
             raise ConfigError("coercivity f_u cannot exceed the control weight")
 
-    def evaluate(self, x: FloatArray, hist: HistorySegment, u: FloatArray) -> FloatArray:
-        """L at a stack of times: one row of x and u per time and hist the
-        matching stacked windows; leading axes of x, u and hist.values stack
-        paths."""
-        hist_norm = hist.sup_norm() if self.w_hist != 0.0 else 0.0
+    def evaluate(self, grid: Grid, values: FloatArray, u: FloatArray) -> FloatArray:
+        """L at every forward node of grid, with x(t) and x_t read off the
+        path values as eval_f reads them (|x_t|_r: the largest row norm in
+        the window) and one row of u per node; leading axes stack paths."""
+        x = values[..., grid.n_hist :, :]
+        windows = sliding_window_view(np.linalg.norm(values, axis=-1), grid.n_hist + 1, axis=-1)
+        hist_norm = windows.max(axis=-1) if self.w_hist != 0.0 else 0.0
         return (
             self.w_state * np.einsum("...i,...i->...", x, x)
             + self.w_hist * hist_norm**2
@@ -109,7 +112,7 @@ def eval_cost(
     """Trapezoid approximation of int_0^T L dt along the solved trajectory, per path."""
     traj = solve_mild(spec, u, tol=tol)
     grid = u.grid
-    samples = cost.evaluate(traj.forward_values(), traj.history(), u.samples)
+    samples = cost.evaluate(grid, traj.values, u.samples)
     w = grid.trapezoid_weights(grid.n_fwd)
     # one dot product per path: a matrix-vector product rounds differently
     return float(w @ samples) if samples.ndim == 1 else np.array([w @ row for row in samples])

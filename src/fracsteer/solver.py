@@ -29,13 +29,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from .mittag import mittag_leffler
-from .model import (
-    FloatArray, HistorySegment, ProblemSpec, eval_f, trapezoid_weights,
-)
+from .model import FloatArray, ProblemSpec, _form, trapezoid_weights
 
 _NODE_TOL = 1e-9
 # Largest number of grid steps a span may take, and of grid rows times modes
@@ -63,7 +62,8 @@ def _as_steps(value: float, h: float, what: str) -> int:
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform grid from -r to T; 0, every impulse time and every nonlocal
-    anchor are exact nodes.  Forward index m counts nodes in [0, T]."""
+    anchor are exact nodes.  Forward index m counts nodes in [0, T]; [0, T]
+    spans at least one step, and the impulses fall on distinct inner nodes."""
 
     spec: ProblemSpec
     h: float
@@ -81,6 +81,11 @@ class Grid:
         imp = tuple(_as_steps(d.t, self.h, f"impulse time {d.t}") for d in self.spec.impulses)
         anchors = tuple(_as_steps(t.tau, self.h, f"nonlocal anchor {t.tau}")
                         for t in self.spec.nonlocal_terms)
+        if nf == 0:
+            raise ConfigError(f"horizon T={self.spec.horizon} spans no step of dt={self.h}")
+        if any(b <= a for a, b in zip((0,) + imp, imp + (nf,))):  # 0 < m_1 < ... < m_K < n_fwd
+            raise ConfigError(f"impulse times must fall on strictly increasing nodes inside "
+                              f"(0, T) at dt={self.h}, got nodes {list(imp)}")
         rows, n = nh + nf + 1, self.spec.n_modes
         if rows * n > _MAX_CELLS:
             raise ConfigError(f"grid of {rows} rows x N={n} modes exceeds {_MAX_CELLS} cells")
@@ -208,12 +213,6 @@ class Trajectory:
     def forward_values(self) -> FloatArray:
         return self.values[..., self.grid.n_hist :, :]
 
-    def history(self) -> HistorySegment:
-        """Trailing delay windows ending at every forward node, stacked over
-        the stored rows: window m is values[m : m + n_hist + 1]."""
-        g = self.grid
-        return HistorySegment(offsets=np.arange(-g.n_hist, 1) * g.h, values=self.values)
-
 
 def contraction_check(spec: ProblemSpec, eps: float) -> float:
     """Left-hand side of the contraction inequality,
@@ -264,6 +263,27 @@ def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
     return out
 
 
+def eval_f(grid: Grid, values: FloatArray) -> FloatArray:
+    """f(t, x(t), x_t) at every forward node m of grid, read off the path
+    values (one row per grid row; leading axes stack paths): x(t_m) is its
+    forward row m and the delay window x_{t_m} its rows m .. m + n_hist.
+    f does not read t.  f is its pointwise part plus, when f2_gain is
+    nonzero, h(t-s) f2(x(s)) integrated over each window by the trapezoid
+    rule: f2 is applied once per row, then every window is summed over a
+    sliding view of those rows."""
+    desc, n_hist = grid.spec.f_desc, grid.n_hist
+    f1 = desc.pointwise(values[..., n_hist:, :])
+    if desc.f2_gain == 0.0 or n_hist == 0:
+        return f1
+    rows = _form(desc.f2_form, desc.f2_gain, values)
+    offsets = np.arange(-n_hist, 1) * grid.h
+    # the spacing offsets[1] - offsets[0] can differ from h in its last bits
+    w = trapezoid_weights(n_hist + 1, offsets[1] - offsets[0])
+    w *= np.exp(desc.kernel_rate * offsets)  # h(t - s) = exp(-rate (t - s))
+    windows = sliding_window_view(rows, n_hist + 1, axis=-2)  # (..., n_fwd + 1, N, W), no copy
+    return f1 + windows @ w
+
+
 def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = False) -> FloatArray:
     """One Picard sweep: the variation-of-parameters formula of grid's
     problem with f taken at the sampled path values.
@@ -281,10 +301,10 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     reads g(x)(0) and I_k(x(t_k^-)) off values instead.  Leading axes of
     values and bu stack paths.
 
-    f is evaluated once, at the stored left values.  At impulse node m the
-    trapezoid segment starting there takes f at the right value instead;
-    the delay window ends at the left value on both sides, so the half
-    weight h/2 carries only the jump of f's pointwise part, at values.
+    eval_f reads f once off values, at the stored left values.  At impulse
+    node m the trapezoid segment starting there takes f at the right value
+    instead; the delay window ends at the left value on both sides, so the
+    half weight h/2 carries only the jump of f's pointwise part, at values.
     """
     spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
     anchors = [(term.c, k) for term, k in zip(spec.nonlocal_terms, grid.anchor_nodes)]
@@ -295,7 +315,7 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
         raise EvaluationError("nonlocal condition leaves the history rows undetermined: "
                               "1 + sum of c_i at tau_i = 0 is 0", regime="nonlocal")
     x = values[..., n_hist:, :]
-    f = eval_f(spec, x, Trajectory(grid, values).history())
+    f = eval_f(grid, values)
     fwd = _convolve_all(grid, bu + f)
     linear = x if lagged else fwd  # the path x(0) and the jumps read
     pointwise = spec.f_desc.pointwise
@@ -368,27 +388,25 @@ def solve_mild(
     u: ControlSignal,
     tol: float = 1e-10,
     max_iter: int = PICARD_MAX,
-    start: Trajectory | None = None,
+    start: FloatArray | None = None,
 ) -> Trajectory:
     """Picard iteration for the mild solution under the control u.
 
-    Iterates start from start.values when it is given, else from phi on
-    [-r, 0] extended constantly by phi(0).  start must be a trajectory of
-    spec with the rows of u's grid (for one spec, equal row counts mean
-    equal steps), one path for every control or one per control.
-    Stops when the sup-norm distance between successive iterates drops to
-    tol; a sweep solves every linear coupling (mild_map), so with f = 0 the
-    first sweep is the fixed point and the solve stops there, with the
-    residual list [0.0].  A path that does not get there in max_iter
-    sweeps, whose iterate stops being finite, or whose residual passes
-    DIVERGED times its first, starts over from its start with lagged
-    sweeps, which read x(0) and the jumps off the previous iterate: where
-    f's feedback offsets the nonlocal loop, only those converge.  Its
-    residual list then holds both runs.  If the lagged run
-    fails too, ConvergenceError carries that run's residuals and last
-    iterate.  A stack of controls runs through the same loops (one control
-    is a stack of one); each path stops at the sweep where it would alone,
-    and the first path that fails both runs raises.
+    Iterates from the path array start, which holds the rows of u's grid
+    (one path, or one per control) and is not written, or else from phi on
+    [-r, 0] extended constantly by phi(0).  Stops when the sup-norm distance
+    between successive iterates drops to tol; a sweep solves every linear
+    coupling (mild_map), so with f = 0 the first sweep is the fixed point
+    and the solve stops there, with the residual list [0.0].  A path that
+    does not get there in max_iter sweeps, whose iterate stops being
+    finite, or whose residual passes DIVERGED times its first, starts over
+    from its start with lagged sweeps, which read x(0) and the jumps off
+    the previous iterate: where f's feedback offsets the nonlocal loop,
+    only those converge.  Its residual list then holds both runs.  If the
+    lagged run fails too, ConvergenceError carries that run's residuals and
+    last iterate.  A stack of controls runs through the same loops (one
+    control is a stack of one); each path stops at the sweep where it would
+    alone, and the first path that fails both runs raises.
     """
     if not tol > 0.0:
         raise ConfigError(f"tol must be > 0, got {tol}")
@@ -401,12 +419,11 @@ def solve_mild(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite B u fails at sweep 1
         bu = (u.samples @ spec.B.T).reshape(-1, grid.n_fwd + 1, spec.n_modes)
     shape = (len(bu), len(grid), spec.n_modes)
-    if start is not None and (start.grid.spec is not spec
-                              or start.values.shape not in (shape, shape[1:])):
-        raise DomainError("start must be a trajectory on u's grid, one path or one per control")
+    if start is not None and np.shape(start) not in (shape, shape[1:]):
+        raise DomainError("start must be an array of u's grid rows, one path or one per control")
 
     values = np.empty(shape)
-    values[:] = spec.phi(np.minimum(grid.times, 0.0)) if start is None else start.values
+    values[:] = spec.phi(np.minimum(grid.times, 0.0)) if start is None else start
     out, residuals, retry = _iterate(grid, values, bu, tol, max_iter, lagged=False)
     if retry:
         again, more, failed = _iterate(grid, values[retry], bu[retry], tol, max_iter, lagged=True)

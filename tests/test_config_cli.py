@@ -769,6 +769,32 @@ class TestInvalidFlags:
         assert peak < 40e6
         assert not (tmp_path / "out").exists()
 
+    # at dt = 0.1 a horizon of 1e-12 rounds to no step, impulse times 1e-12
+    # and 1 - 1e-12 to the end nodes 0 and 10, where a kick moves nothing,
+    # and impulse times 0.5 and 0.5 + 1e-12 to one node, where the second
+    # kick would be lost
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(T=1e-12), "horizon T=1e-12 spans no step of dt=0.1"),
+        (dict(impulses=[{"t": 1e-12, "kind": "linear", "scale": -0.5}]),
+         "impulse times must fall on strictly increasing nodes inside (0, T) at dt=0.1, "
+         "got nodes [0]"),
+        (dict(impulses=[{"t": 1.0 - 1e-12, "kind": "linear", "scale": -0.5}]),
+         "impulse times must fall on strictly increasing nodes inside (0, T) at dt=0.1, "
+         "got nodes [10]"),
+        (dict(impulses=[{"t": 0.5, "kind": "linear", "scale": -0.5},
+                        {"t": 0.5 + 1e-12, "kind": "linear", "scale": -0.5}]),
+         "impulse times must fall on strictly increasing nodes inside (0, T) at dt=0.1, "
+         "got nodes [5, 5]"),
+    ], ids=["no-step", "impulse-at-0", "impulse-at-T", "impulses-on-one-node"])
+    def test_grid_nodes_that_collapse_exit_2(self, tmp_path, overrides, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(minimal_config(**overrides)))
+        argv = [a for a in FLAG_RUNS["steer"] if not a.startswith(("--config=", "--dt="))]
+        code, err = _run_captured(argv + [f"--config={cfg}", "--dt=0.1",
+                                          "--out", str(tmp_path / "out")])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     # P*N = 10^6 parameters would need a 10^12-cell BFGS matrix (7.28 TiB):
     # refused before anything is allocated
     @pytest.mark.parametrize("intervals", [10**6, 10**7])

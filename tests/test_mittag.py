@@ -91,6 +91,21 @@ class TestAlphaOne:
         want = [float(hyp1f1(1.0, beta, z)) / math.gamma(beta) for z in zs.tolist()]
         np.testing.assert_array_equal(mittag_leffler(1.0, beta, zs), want)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 2.5, 3.2])
+    def test_matches_extended_precision_hypergeometric(self, beta):
+        # E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta), here by mpmath at 50
+        # digits, not by scipy's own bits; the bound is the README's 5.9e-13
+        # on the smaller of absolute and relative error
+        from mpmath import gamma, hyp1f1, mp
+
+        zs = np.concatenate([-np.geomspace(1e4, 1e-3, 40), [0.0, 0.5, 1.0, 2.5, 5.0]])
+        got = mittag_leffler(1.0, beta, zs)
+        with mp.workdps(50):
+            want = [float(hyp1f1(1, beta, z) / gamma(beta)) for z in zs.tolist()]
+        for z, g, w in zip(zs.tolist(), got.tolist(), want):
+            err = abs(g - w)
+            assert min(err, err / abs(w)) <= 5.9e-13, z
+
     def test_one_hypergeometric_call_per_array(self, monkeypatch):
         import scipy.special
 

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from fracsteer.config import problem_from_dict
 from fracsteer.errors import ConfigError
 from fracsteer.model import (
-    HistorySegment,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
-    eval_f,
 )
 from fracsteer.solver import (
-    ControlSignal, Grid, Trajectory, mild_map, solve_mild,
+    ControlSignal, Grid, Trajectory, eval_f, mild_map, solve_mild,
 )
 
 from specs import make_spec
@@ -93,21 +91,18 @@ class TestValidation:
             problem_from_dict(config_with_f({"kind": "memory", "params": params}))
 
 
-def flat_history(spec, grid, value):
-    offs = np.arange(-grid.n_hist, 1) * grid.h
-    return HistorySegment(offs, np.tile(value, (len(offs), 1)))  # one window
-
-
 class TestEvalF:
+    # eval_f(grid, values) reads x(t_m) off forward row m of the path and
+    # the delay window x_{t_m} off its rows m .. m + n_hist
     def test_zero_kind(self):
-        spec = make_spec(n=3)
+        spec = make_spec(n=3, r=0.5)
         grid = Grid(spec, 0.25)
-        x = np.array([1.0, 2.0, 3.0])
-        out = eval_f(spec, [x], flat_history(spec, grid, x))[0]
-        np.testing.assert_array_equal(out, np.zeros(3))
+        values = np.random.default_rng(2).standard_normal((len(grid), 3))
+        out = eval_f(grid, values)
+        np.testing.assert_array_equal(out, np.zeros((grid.n_fwd + 1, 3)))
 
     def test_memory_with_kernel_off(self):
-        # f2 gain zero leaves only the pointwise part f1
+        # f2 gain zero leaves only the pointwise part f1, read off the forward rows
         f = NonlinearityDescriptor(
             f1_gain=0.3, f2_gain=0.0, f1_form="linear",
             L1=0.3,
@@ -115,33 +110,38 @@ class TestEvalF:
         )
         spec = make_spec(n=2, r=0.5, f=f)
         grid = Grid(spec, 0.25)
-        x = np.array([2.0, -1.0])
-        out = eval_f(spec, [x], flat_history(spec, grid, x))[0]
-        np.testing.assert_allclose(out, 0.3 * x)
+        values = np.random.default_rng(6).standard_normal((len(grid), 2))
+        out = eval_f(grid, values)
+        np.testing.assert_allclose(out, 0.3 * values[grid.n_hist :])
 
     def test_memory_integral_against_hand_quadrature(self):
-        # exponential kernel, linear f2, piecewise-constant history on 4
-        # intervals: compare with an independently coded trapezoid sum
-        rate, b_gain, r = 1.0, 0.7, 1.0
+        # exponential kernel, linear f1 and f2, a piecewise-constant path on
+        # [-r, T]: compare every forward node with an independently coded
+        # trapezoid sum over the 5 samples of its window
+        rate, a_gain, b_gain, r = 1.0, 0.2, 0.7, 1.0
         f = NonlinearityDescriptor(
-            f1_gain=0.0, f2_gain=b_gain, kernel_rate=rate,
-            L2=b_gain,
+            f1_gain=a_gain, f2_gain=b_gain, kernel_rate=rate,
+            L1=a_gain, L2=b_gain,
             holder_p=0.4,
         )
         spec = make_spec(n=1, r=r, T=2.0, f=f)
-        offs = np.linspace(-r, 0.0, 5)
-        hist_vals = np.array([[1.0], [1.0], [-2.0], [-2.0], [0.5]])
-        hist = HistorySegment(offs, hist_vals)
-        got = eval_f(spec, [[0.0]], hist)[0, 0]
-        h_step = r / 4
-        expected = 0.0
-        for j, s in enumerate(offs):
-            w = 0.5 if j in (0, 4) else 1.0
-            expected += w * h_step * math.exp(rate * s) * b_gain * hist_vals[j, 0]
-        assert got == pytest.approx(expected, abs=1e-14)
+        grid = Grid(spec, 0.25)
+        path = [1.0, 1.0, -2.0, -2.0, 0.5, 0.5, 3.0, 3.0, -1.0, -1.0, 0.0, 0.0, 2.0]
+        got = eval_f(grid, np.array(path)[:, None])[:, 0]
+        assert got.shape == (9,)
+        for m in range(9):
+            expected = a_gain * path[m + 4]
+            for j in range(5):
+                s = -r + 0.25 * j
+                w = 0.5 if j in (0, 4) else 1.0
+                expected += w * 0.25 * math.exp(rate * s) * b_gain * path[m + j]
+            assert got[m] == pytest.approx(expected, abs=1e-14)
 
     def test_declared_lipschitz_not_exceeded(self):
-        # finite-difference Lipschitz estimates stay within declared L1, L2
+        # finite-difference Lipschitz estimates at a random node m: moving
+        # only the window's earlier rows changes f by at most L2 times their
+        # sup distance, moving only its last row x(t_m) by at most L1 + L2
+        # times its distance
         f = NonlinearityDescriptor(
             f1_gain=0.4,
             f2_gain=0.3,
@@ -156,23 +156,20 @@ class TestEvalF:
         spec = make_spec(n=2, r=0.5, f=f)
         grid = Grid(spec, 0.125)
         rng = np.random.default_rng(3)
-        offs = np.arange(-grid.n_hist, 1) * grid.h
         for _ in range(40):
-            x1 = rng.standard_normal(2)
-            x2 = rng.standard_normal(2)
-            hv1 = rng.standard_normal((len(offs), 2))
-            hv2 = rng.standard_normal((len(offs), 2))
-            h1 = HistorySegment(offs, hv1)
-            h2 = HistorySegment(offs, hv2)
-            d_state = np.linalg.norm(
-                eval_f(spec, [x1], h1) - eval_f(spec, [x2], h1)
-            )
-            assert d_state <= 1.01 * f.L1 * np.linalg.norm(x1 - x2) + 1e-12
-            d_hist = np.linalg.norm(
-                eval_f(spec, [x1], h1) - eval_f(spec, [x1], h2)
-            )
-            sup_dist = np.max(np.linalg.norm(hv1 - hv2, axis=1))
+            m = int(rng.integers(grid.n_fwd + 1))
+            last = m + grid.n_hist  # the row of x(t_m)
+            v1 = rng.standard_normal((len(grid), 2))
+            v_hist, v_last = v1.copy(), v1.copy()
+            v_hist[m:last] = rng.standard_normal((grid.n_hist, 2))
+            v_last[last] = rng.standard_normal(2)
+            f1 = eval_f(grid, v1)[m]
+            d_hist = np.linalg.norm(eval_f(grid, v_hist)[m] - f1)
+            sup_dist = np.max(np.linalg.norm(v_hist - v1, axis=1))
             assert d_hist <= 1.01 * f.L2 * sup_dist + 1e-12
+            d_state = np.linalg.norm(eval_f(grid, v_last)[m] - f1)
+            dist = np.linalg.norm(v_last[last] - v1[last])
+            assert d_state <= 1.01 * (f.L1 + f.L2) * dist + 1e-12
 
     def test_bound_respected_when_declared(self):
         f = NonlinearityDescriptor(
@@ -182,12 +179,10 @@ class TestEvalF:
             holder_p=0.4,
         )
         spec = make_spec(n=2, r=0.0, f=f)
-        grid = Grid(spec, 0.25)
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            x = 10.0 * rng.standard_normal(2)
-            out = eval_f(spec, [x], flat_history(spec, grid, x))[0]
-            assert np.linalg.norm(out) <= f.M1 + 1e-12
+        grid = Grid(spec, 1.0 / 32.0)
+        values = 10.0 * np.random.default_rng(11).standard_normal((len(grid), 2))
+        out = eval_f(grid, values)
+        assert np.all(np.linalg.norm(out, axis=1) <= f.M1 + 1e-12)
 
 
 class TestEvalG:

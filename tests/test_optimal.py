@@ -13,7 +13,6 @@ from fracsteer.config import load_cost, load_problem
 from fracsteer.errors import ConfigError, DomainError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
-    HistorySegment,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
@@ -73,15 +72,12 @@ class TestEvalCost:
         u = ControlSignal(grid, rng.standard_normal((grid.n_fwd + 1, 2)))
         traj = solve_mild(spec, u)
         cost = CostDescriptor(w_state=1.0, w_hist=0.7, w_control=0.4, f_u=0.4)
-        offs = np.arange(-grid.n_hist, 1) * grid.h
-        samples = [
-            cost.evaluate(
-                traj.values[grid.fwd_row(m)][None],
-                HistorySegment(offs, traj.values[m : m + grid.n_hist + 1]),
-                u.samples[m][None],
-            )[0]
-            for m in range(grid.n_fwd + 1)
-        ]
+        samples = cost.evaluate(grid, traj.values, u.samples)
+        norms = np.linalg.norm(traj.values, axis=1)
+        for m in range(grid.n_fwd + 1):
+            x, window = traj.values[grid.fwd_row(m)], norms[m : m + grid.n_hist + 1]
+            want = 1.0 * x @ x + 0.7 * max(window) ** 2 + 0.4 * u.samples[m] @ u.samples[m]
+            assert samples[m] == pytest.approx(want, rel=1e-14)
         want = float(grid.trapezoid_weights(grid.n_fwd) @ samples)
         assert eval_cost(spec, cost, u) == pytest.approx(want, rel=1e-14)
 

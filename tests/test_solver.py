@@ -21,7 +21,6 @@ from fracsteer.control import epsilon_sweep, steer
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
-    HistorySegment,
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
@@ -706,9 +705,9 @@ class TestImpulseNodeForcing:
 
 class TestWholeGridPrimitives:
     def test_match_per_node_evaluation(self):
-        # whole-grid eval_f against one call per window, and the FFT
-        # convolution against the direct trapezoid sum; the sums only change
-        # order, so the gaps stay at rounding level
+        # whole-grid eval_f against a hand sum over each node's window, and
+        # the FFT convolution against the direct trapezoid sum; the sums only
+        # change order, so the gaps stay at rounding level
         f = NonlinearityDescriptor(
             f1_gain=0.3, f2_gain=0.2, kernel_rate=2.0,
             f1_form="saturating", f2_form="saturating",
@@ -718,12 +717,17 @@ class TestWholeGridPrimitives:
         grid = Grid(spec, 1.0 / 40.0)
         rng = np.random.default_rng(5)
         values = rng.standard_normal((len(grid), 3))
-        forcing = eval_f(spec, values[grid.n_hist :], Trajectory(grid, values).history())
+        forcing = eval_f(grid, values)
 
-        offs = np.arange(-grid.n_hist, 1) * grid.h
+        def sat(gain, v):
+            return gain * v / (1.0 + np.linalg.norm(v))
+
         for m in range(grid.n_fwd + 1):
-            window = HistorySegment(offs, values[m : m + grid.n_hist + 1])
-            want = eval_f(spec, values[grid.fwd_row(m)][None], window)[0]
+            want = sat(0.3, values[grid.fwd_row(m)])
+            for j in range(grid.n_hist + 1):
+                wt = grid.h if 0 < j < grid.n_hist else 0.5 * grid.h
+                s = (j - grid.n_hist) * grid.h
+                want = want + wt * math.exp(2.0 * s) * sat(0.2, values[m + j])
             np.testing.assert_allclose(forcing[m], want, rtol=0, atol=1e-15)
 
         table = grid.kernel_table
@@ -984,8 +988,9 @@ class TestMildMapOracle:
 
 
 class TestWarmStart:
-    # solve_mild(start=traj) begins the Picard loop at traj.values instead of
-    # phi extended by phi(0); steer passes the last outer iterate this way.
+    # solve_mild(start=values) begins the Picard loop at the path array
+    # values instead of phi extended by phi(0); steer passes the last outer
+    # iterate's values this way.
     @pytest.fixture(scope="class")
     def flagship(self):
         spec = load_problem(CONFIGS / "flagship.json")
@@ -1000,12 +1005,12 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("rebuilt", [False, True], ids=["same-grid", "equal-grid"])
     def test_converged_start_stops_after_one_sweep(self, flagship, rebuilt):
-        # a start on a grid rebuilt with the same problem and step is accepted
+        # a start solved on a grid rebuilt with the same problem and step is accepted
         spec, grid, base = flagship
         u = ControlSignal(grid, base)
-        cold = solve_mild(spec, u, tol=1e-11)
-        start = Trajectory(Grid(spec, grid.h), cold.values) if rebuilt else cold
-        warm = solve_mild(spec, u, tol=1e-11, start=start)
+        cold = solve_mild(spec, ControlSignal(Grid(spec, grid.h), base) if rebuilt else u,
+                          tol=1e-11)
+        warm = solve_mild(spec, u, tol=1e-11, start=cold.values)
         assert len(cold.residuals) > 10
         assert len(warm.residuals) == 1
         np.testing.assert_allclose(warm.values, cold.values, rtol=0, atol=1e-11)
@@ -1014,7 +1019,7 @@ class TestWarmStart:
         # the three solves take 1, 18 and 19 sweeps: the start's error is
         # about nine times larger at scale 10 than at scale 0
         spec, grid, base = flagship
-        start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11)
+        start = solve_mild(spec, ControlSignal(grid, base), tol=1e-11).values
         samples = np.stack([c * base for c in (1.0, 0.0, 10.0)])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=start)
         singles = [
@@ -1027,24 +1032,21 @@ class TestWarmStart:
 
     def test_start_left_unchanged(self, flagship):
         spec, grid, base = flagship
-        start = Trajectory(grid, np.ones((len(grid), 16)))
+        start = np.ones((len(grid), 16))
         solve_mild(spec, ControlSignal(grid, base), tol=1e-11, start=start)
-        np.testing.assert_array_equal(start.values, 1.0)
+        np.testing.assert_array_equal(start, 1.0)
 
-    @pytest.mark.parametrize("other", ["step", "problem"])
+    @pytest.mark.parametrize("other", ["step"])
     def test_start_from_another_grid_rejected(self, flagship, other):
+        # an array carries no problem: only its row count tells another step
         spec, grid, _ = flagship
-        if other == "step":
-            foreign = Grid(spec, 2.0 * grid.h)
-        else:  # same file and step, another problem instance
-            foreign = Grid(load_problem(CONFIGS / "flagship.json"), grid.h)
-        start = Trajectory(foreign, np.zeros((len(foreign), 16)))
-        with pytest.raises(DomainError, match="start must be a trajectory"):
+        start = np.zeros((len(Grid(spec, 2.0 * grid.h)), 16))
+        with pytest.raises(DomainError, match="start must be an array of u's grid rows"):
             solve_mild(spec, ControlSignal.zeros(grid), start=start)
 
     def test_start_with_another_batch_size_rejected(self, flagship):
         spec, grid, base = flagship
-        start = Trajectory(grid, np.zeros((2, len(grid), 16)))
+        start = np.zeros((2, len(grid), 16))
         with pytest.raises(DomainError, match="one per control"):
             solve_mild(spec, ControlSignal(grid, np.stack([base] * 3)), start=start)
 
@@ -1052,10 +1054,11 @@ class TestWarmStart:
         spec, grid, base = flagship
         samples = np.stack([2.0 * base, base])
         starts = [solve_mild(spec, ControlSignal(grid, u), tol=1e-11) for u in samples]
-        stacked = Trajectory(grid, np.stack([t.values for t in starts]))
+        stacked = np.stack([t.values for t in starts])
         batch = solve_mild(spec, ControlSignal(grid, samples), tol=1e-11, start=stacked)
         for i, start in enumerate(starts):
-            single = solve_mild(spec, ControlSignal(grid, samples[i]), tol=1e-11, start=start)
+            single = solve_mild(spec, ControlSignal(grid, samples[i]), tol=1e-11,
+                                start=start.values)
             assert len(single.residuals) == 1
             np.testing.assert_array_equal(batch.values[i], single.values)
             assert batch.residuals[i] == single.residuals
