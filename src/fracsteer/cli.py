@@ -11,6 +11,7 @@ Outputs are written atomically via a temp file and rename.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -46,10 +47,8 @@ def _atomic_write(path: Path, text: str) -> None:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -71,6 +71,11 @@ def _number(raw, where: str) -> float:
         raise ConfigError(f"{where} must be finite") from None
 
 
+def _fields(obj: dict, keys: tuple, where: str) -> dict:
+    """The number under each of keys in obj, every key required."""
+    return {key: _number(_require(obj, key, where), f"{where}.{key}") for key in keys}
+
+
 def _numbers(raw, where: str) -> np.ndarray:
     return np.array([_number(v, f"{where}[{i}]") for i, v in enumerate(_list(raw, where))])
 
@@ -174,21 +179,11 @@ def problem_from_dict(raw: dict) -> ProblemSpec:
         _reject_unknown(item, {"t", "kind", "scale"}, f"impulses[{i}]")
         if item.get("kind", "linear") != "linear":  # I(x) = scale * x
             raise ConfigError(f"unknown impulse kind {item['kind']!r}")
-        impulses.append(
-            ImpulseDescriptor(
-                t=_number(_require(item, "t", f"impulses[{i}]"), f"impulses[{i}].t"),
-                scale=_number(_require(item, "scale", f"impulses[{i}]"), f"impulses[{i}].scale"),
-            )
-        )
+        impulses.append(ImpulseDescriptor(**_fields(item, ("t", "scale"), f"impulses[{i}]")))
     terms = []
     for i, item in enumerate(_list(raw.get("nonlocal", []), "nonlocal")):
         _reject_unknown(item, {"c", "tau"}, f"nonlocal[{i}]")
-        terms.append(
-            NonlocalTerm(
-                c=_number(_require(item, "c", f"nonlocal[{i}]"), f"nonlocal[{i}].c"),
-                tau=_number(_require(item, "tau", f"nonlocal[{i}]"), f"nonlocal[{i}].tau"),
-            )
-        )
+        terms.append(NonlocalTerm(**_fields(item, ("c", "tau"), f"nonlocal[{i}]")))
     return ProblemSpec(
         alpha=_number(_require(raw, "alpha", "problem config"), "alpha"),
         omega=_number(raw.get("omega", 0.0), "omega"),

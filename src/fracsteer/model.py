@@ -73,7 +73,8 @@ class PhiDescriptor:
 def _form(form: str, gain: float, x: FloatArray) -> FloatArray:
     if form == "linear":
         return gain * x
-    return gain * x / (1.0 + np.linalg.norm(x, axis=-1, keepdims=True))  # "saturating"
+    # "saturating"; on real x the same bits as np.linalg.norm(x, axis=-1, keepdims=True)
+    return gain * x / (1.0 + np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True)))
 
 
 @dataclass(frozen=True)

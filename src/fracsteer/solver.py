@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigError, ConvergenceError, DomainError, EvaluationError
@@ -71,7 +70,7 @@ class Grid:
     n_fwd: int = field(init=False)  # steps in [0, T] (T / h)
     times: FloatArray = field(init=False)
     impulse_nodes: tuple[int, ...] = field(init=False)  # forward indices
-    anchor_nodes: tuple[int, ...] = field(init=False)  # forward indices of the nonlocal anchors
+    anchors: tuple[tuple[float, int], ...] = field(init=False)  # (c_i, forward index of tau_i)
 
     def __post_init__(self):
         if not (0.0 < self.h < math.inf):
@@ -79,7 +78,7 @@ class Grid:
         nh = _as_steps(self.spec.delay, self.h, "delay r")
         nf = _as_steps(self.spec.horizon, self.h, "horizon T")
         imp = tuple(_as_steps(d.t, self.h, f"impulse time {d.t}") for d in self.spec.impulses)
-        anchors = tuple(_as_steps(t.tau, self.h, f"nonlocal anchor {t.tau}")
+        anchors = tuple((t.c, _as_steps(t.tau, self.h, f"nonlocal anchor {t.tau}"))
                         for t in self.spec.nonlocal_terms)
         if nf == 0:
             raise ConfigError(f"horizon T={self.spec.horizon} spans no step of dt={self.h}")
@@ -93,7 +92,7 @@ class Grid:
         object.__setattr__(self, "n_fwd", nf)
         object.__setattr__(self, "times", np.arange(-nh, nf + 1) * self.h)
         object.__setattr__(self, "impulse_nodes", imp)
-        object.__setattr__(self, "anchor_nodes", anchors)
+        object.__setattr__(self, "anchors", anchors)
 
     def __len__(self) -> int:
         return self.n_hist + self.n_fwd + 1
@@ -133,8 +132,8 @@ class Grid:
         for imp, m in zip(spec.impulses, self.impulse_nodes):
             phi[m + 1 :] += table[1 : self.n_fwd + 1 - m] * (imp.scale * phi[m])
         denom = np.ones(spec.n_modes)
-        for term, k in zip(spec.nonlocal_terms, self.anchor_nodes):
-            denom += term.c * phi[k]
+        for c, k in self.anchors:
+            denom += c * phi[k]
         for k in np.flatnonzero(~np.isfinite(denom) | (denom == 0.0)):
             raise EvaluationError(
                 f"nonlocal condition leaves x(0) undetermined in mode {k + 1}: "
@@ -142,6 +141,14 @@ class Grid:
             )
         phi /= denom
         return phi
+
+    @cached_property
+    def window_weights(self) -> FloatArray:
+        """Trapezoid weights of a delay window s = t - r .. t times exp(-rate (t - s))."""
+        offsets = np.arange(-self.n_hist, 1) * self.h
+        # the spacing offsets[1] - offsets[0] can differ from h in its last bits
+        w = trapezoid_weights(self.n_hist + 1, offsets[1] - offsets[0])
+        return w * np.exp(self.spec.f_desc.kernel_rate * offsets)
 
     @cached_property
     def kernel_spectrum(self) -> FloatArray:
@@ -179,9 +186,8 @@ class ControlSignal:
 
     def energy(self) -> float:
         """int_0^T |u(t)|^2 dt by the grid's trapezoid rule."""
-        sq = np.sum(self.samples**2, axis=1)
         w = self.grid.trapezoid_weights(self.grid.n_fwd)
-        return float(w @ sq)
+        return float(w @ np.sum(self.samples**2, axis=1))
 
     def sup_distance(self, other: "ControlSignal") -> float:
         return float(np.max(np.linalg.norm(self.samples - other.samples, axis=1)))
@@ -258,7 +264,7 @@ def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
     size = next_fast_len(2 * n - 1, real=True)
     out = irfft(grid.kernel_spectrum * rfft(forcing, size, axis=-2), size, axis=-2)[..., :n, :]
     out *= h
-    out -= 0.5 * h * (ker * forcing[..., :1, :] + ker[0] * forcing)
+    out -= 0.5 * h * (ker * forcing[..., :1, :] + forcing)  # ker[0] = E_{alpha,1}(0) = 1
     out[..., 0, :] = 0.0
     return out
 
@@ -270,17 +276,15 @@ def eval_f(grid: Grid, values: FloatArray) -> FloatArray:
     f does not read t.  f is its pointwise part plus, when f2_gain is
     nonzero, h(t-s) f2(x(s)) integrated over each window by the trapezoid
     rule: f2 is applied once per row, then every window is summed over a
-    sliding view of those rows."""
+    strided view of those rows, with the weights grid.window_weights."""
     desc, n_hist = grid.spec.f_desc, grid.n_hist
     f1 = desc.pointwise(values[..., n_hist:, :])
     if desc.f2_gain == 0.0 or n_hist == 0:
         return f1
-    rows = _form(desc.f2_form, desc.f2_gain, values)
-    offsets = np.arange(-n_hist, 1) * grid.h
-    # the spacing offsets[1] - offsets[0] can differ from h in its last bits
-    w = trapezoid_weights(n_hist + 1, offsets[1] - offsets[0])
-    w *= np.exp(desc.kernel_rate * offsets)  # h(t - s) = exp(-rate (t - s))
-    windows = sliding_window_view(rows, n_hist + 1, axis=-2)  # (..., n_fwd + 1, N, W), no copy
+    rows, w = np.ascontiguousarray(_form(desc.f2_form, desc.f2_gain, values)), grid.window_weights
+    # every window as one strided view of rows, (..., n_fwd + 1, N, W): no copy
+    windows = np.ndarray((*rows.shape[:-2], grid.n_fwd + 1, rows.shape[-1], len(w)),
+                         rows.dtype, rows, 0, rows.strides + rows.strides[-2:-1])
     return f1 + windows @ w
 
 
@@ -306,8 +310,7 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     instead; the delay window ends at the left value on both sides, so the
     half weight h/2 carries only the jump of f's pointwise part, at values.
     """
-    spec, n_hist, table = grid.spec, grid.n_hist, grid.kernel_table
-    anchors = [(term.c, k) for term, k in zip(spec.nonlocal_terms, grid.anchor_nodes)]
+    spec, n_hist, table, anchors = grid.spec, grid.n_hist, grid.kernel_table, grid.anchors
     # first: an undetermined x(0) or history raises before any work
     response = table if lagged else grid.start_response
     diagonal = 1.0 + sum(c for c, k in anchors if k == 0)
@@ -315,8 +318,7 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
         raise EvaluationError("nonlocal condition leaves the history rows undetermined: "
                               "1 + sum of c_i at tau_i = 0 is 0", regime="nonlocal")
     x = values[..., n_hist:, :]
-    f = eval_f(grid, values)
-    fwd = _convolve_all(grid, bu + f)
+    fwd = _convolve_all(grid, bu + eval_f(grid, values))
     linear = x if lagged else fwd  # the path x(0) and the jumps read
     pointwise = spec.f_desc.pointwise
     for imp, m in zip(spec.impulses, grid.impulse_nodes):
@@ -362,7 +364,8 @@ def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_ite
     with np.errstate(over="ignore", invalid="ignore"):
         for sweep in range(max_iter):
             new_values = mild_map(grid, values, bu, lagged)
-            res = np.max(np.linalg.norm(new_values - values, axis=-1), axis=-1)
+            # max row norm: sqrt is monotone, so the bits of np.linalg.norm
+            res = np.sqrt(np.max(np.add.reduce((new_values - values) ** 2, axis=-1), axis=-1))
             if one_sweep:
                 res[np.isfinite(res)] = 0.0
             values = new_values
@@ -370,11 +373,13 @@ def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_ite
                 residuals[k].append(r)
             if sweep == 0 and not lagged:
                 limit = DIVERGED * res
+            # one path going on needs no masks; +inf passes inf <= DIVERGED * inf
+            if len(ids) == 1 and tol < (r := res.item()) <= limit.item() and math.isfinite(r):
+                continue
             bad = ~np.isfinite(res) | (res > limit)
             stop = (res <= tol) | bad
             if stop.any():
-                if bad.any():
-                    failed += ids[bad].tolist()
+                failed += ids[bad].tolist()
                 out[ids[stop]] = values[stop]
                 ids, values, bu, limit = ids[~stop], values[~stop], bu[~stop], limit[~stop]
                 if not ids.size:

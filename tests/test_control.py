@@ -537,6 +537,29 @@ def test_sweep_bits_independent_of_blas_threads():
     assert done.stdout.strip() == flagship_sweep_reprs()
 
 
+
+class TestFlagshipBits:
+    # The sweep tests above compare the tree only with itself; these pin
+    # the flagship's bits (eps 1e-2, tol 1e-8), so a rewrite of the Picard
+    # sweep that moves one fails here
+    @pytest.mark.parametrize("steps, error, energy", [
+        (200, "0.01886425498272974", "1.1276800920509062"),
+        (400, "0.018864424546213284", "1.1277013332188868"),
+    ])
+    def test_steer(self, steps, error, energy):
+        spec, h = flagship_problem()
+        report, _, _ = steer(spec, Grid(spec, 1.0 / steps), h, 1e-2, tol=1e-8)
+        assert (repr(report.terminal_error), repr(report.control_energy)) == (error, energy)
+        sweeps = [len(r) for r in report.inner_residuals]
+        assert sweeps == [3, 3, 2, 2, 2, 2, 2, 2, 1, 1, 1, 1]
+
+    def test_sweep_terminal_errors(self):
+        spec, h = flagship_problem()
+        result = epsilon_sweep(spec, Grid(spec, 1.0 / 200.0), h, [1e-1, 1e-2, 1e-3], tol=1e-8)
+        assert repr([e.report.terminal_error for e in result.entries]) == (
+            "[0.14055850817168142, 0.01886425498272974, 0.001958626857919529]")
+
+
 class TestCrossInstanceMisuse:
     def test_foreign_spec_rejected_not_crashed(self):
         from fracsteer.errors import DomainError

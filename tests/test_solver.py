@@ -589,6 +589,109 @@ class TestKernelOwnership:
             SolutionKernel(make_spec(n=2), grid)
 
 
+class TestGridMembers:
+    # Arrays that depend only on the grid: a sweep reads them, never builds them
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.99])
+    @pytest.mark.parametrize("omega, T, dt", [(0.0, 1.0, 0.25), (1.0, 2.0, 1.0 / 64.0)])
+    def test_kernel_table_starts_at_one(self, alpha, omega, T, dt):
+        # E_{alpha,1}(0) = 1 exactly in every mode: _convolve_all takes the
+        # half-weight endpoint term at s = t as the forcing itself
+        f = NonlinearityDescriptor(holder_p=0.005)  # p < alpha - 1
+        grid = Grid(make_spec(n=16, alpha=alpha, omega=omega, T=T, f=f), dt)
+        assert grid.kernel_table[0].tolist() == [1.0] * 16
+
+    def test_window_weights_by_hand(self):
+        spec = with_linear_memory(make_spec(n=2, r=0.25), 0.1)
+        spec = dataclasses.replace(spec, f_desc=dataclasses.replace(spec.f_desc, kernel_rate=0.7))
+        for dt in (1.0 / 20.0, 1.0 / 400.0):
+            grid = Grid(spec, dt)
+            offsets = np.arange(-grid.n_hist, 1) * dt
+            step = offsets[1] - offsets[0]  # not dt in its last bits at dt = 1/400
+            trapezoid = np.full(grid.n_hist + 1, step)
+            trapezoid[[0, -1]] = 0.5 * step
+            np.testing.assert_array_equal(grid.window_weights, trapezoid * np.exp(0.7 * offsets))
+
+    def test_window_weights_built_once_per_grid(self, monkeypatch):
+        builds = []
+
+        def counted(n, h):
+            builds.append(n)
+            return model.trapezoid_weights(n, h)
+
+        monkeypatch.setattr(solver, "trapezoid_weights", counted)
+        spec = with_linear_memory(make_spec(n=2, r=0.25), 0.3)
+        grid = Grid(spec, 0.05)
+        weights = grid.window_weights
+        traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
+        assert len(traj.residuals) > 5 and grid.window_weights is weights
+        assert builds == [grid.n_hist + 1]
+        other = Grid(dataclasses.replace(spec, f_desc=dataclasses.replace(spec.f_desc,
+                                                                          kernel_rate=2.0)), 0.05)
+        assert other.window_weights is not weights
+        assert not np.array_equal(other.window_weights, weights)
+        assert builds == [grid.n_hist + 1] * 2
+
+
+class TestOnePathStopRule:
+    # A lone path that goes on skips the stop masks of a stack.  It must
+    # stop at the sweep where the same path stops inside a stack of three:
+    # at a first residual of +inf (d * d overflows on a start of 1e200, and
+    # inf <= DIVERGED * inf holds), of NaN, or at one past DIVERGED times
+    # the first.  The other two paths start from phi and run on.
+    @staticmethod
+    def stack(case):
+        spec = TestPicardBehaviour.diverging_exact_spec()
+        grid = Grid(spec, 0.0125)
+        values = np.empty((3, len(grid), 1))
+        values[:] = spec.phi(np.minimum(grid.times, 0.0))
+        if case == "inf":
+            values[1] = 1e200
+        elif case == "nan":
+            values[1, -1] = math.nan
+        u = np.zeros((3, grid.n_fwd + 1, 1))
+        u[2, :, 0] = np.linspace(-1.0, 1.0, grid.n_fwd + 1)
+        return spec, ControlSignal(grid, u), values
+
+    @pytest.mark.parametrize("lagged", [False, True])
+    @pytest.mark.parametrize("case", ["inf", "nan", "diverged"])
+    def test_sweeps_of_one_path_and_of_a_stack(self, case, lagged):
+        spec, u, values = self.stack(case)
+        bu = u.samples @ spec.B.T
+        (stack, stack_res, stack_failed), (solo, solo_res, solo_failed) = [
+            solver._iterate(u.grid, v, b, 1e-12, solver.PICARD_MAX, lagged)
+            for v, b in ((values, bu), (values[1:2], bu[1:2]))
+        ]
+        res = solo_res[0]
+        assert repr(res) == repr(stack_res[1])
+        np.testing.assert_array_equal(solo[0], stack[1])
+        assert solo_failed == [0] * (1 in stack_failed)
+        if case != "diverged":  # stops at once
+            assert repr(res) == repr([math.inf if case == "inf" else math.nan])
+            assert solo_failed == [0] and len(stack_res[0]) > 1
+        elif not lagged:  # stops at the first residual past DIVERGED times the first
+            assert len(res) == 3 and res[2] > solver.DIVERGED * res[0] >= res[1]
+            assert solo_failed == [0]
+        else:  # lagged sweeps converge on this problem
+            assert len(res) < solver.PICARD_MAX and res[-1] <= 1e-12 and solo_failed == []
+
+    @pytest.mark.parametrize("case", ["inf", "nan", "diverged"])
+    def test_solve_of_one_path_and_of_a_stack(self, case):
+        spec, u, values = self.stack(case)
+        runs = []  # the path's residuals, or the error it raises
+        for paths, at in ((slice(None), 1), (slice(1, 2), 0)):
+            try:
+                traj = solve_mild(spec, ControlSignal(u.grid, u.samples[paths]), tol=1e-12,
+                                  start=values[paths])
+                runs.append(traj.residuals[at])
+            except ConvergenceError as err:
+                runs.append((str(err), err.residuals))
+        assert repr(runs[0]) == repr(runs[1])
+        if case == "diverged":  # the exact run gives up at sweep 3, the lagged one converges
+            assert 3 < len(runs[1]) < solver.PICARD_MAX and runs[1][-1] <= 1e-12
+        else:  # the lagged restart fails at once too
+            assert runs[1][0] == "Picard iteration produced a non-finite iterate at sweep 1"
+
+
 class TestImpulseNodeForcing:
     # At an impulse node t_k the integral segment starting there uses
     # f1(x(t_k^+)) while the memory window still ends at the stored left
