@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -94,7 +95,7 @@ def _trajectory_csv(traj) -> str:
     writer = csv.writer(buf)
     n = grid.spec.n_modes
     writer.writerow(["t"] + [f"mode_{i}" for i in range(1, n + 1)] + ["is_left_limit"])
-    impulse_rows = {grid.fwd_row(m): m for m in grid.impulse_nodes}
+    impulse_rows = {grid.fwd_row(m): m for m, _ in grid.kicks}
     for row in range(len(grid)):
         t = grid.times[row]
         is_imp = row in impulse_rows
@@ -204,7 +205,12 @@ def _write_run(args, text: str, parameters: dict, started: float) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors (a malformed value, a missing flag) end the run with the
-    one `error:` line of every other configuration fault."""
+    one `error:` line of every other configuration fault.  No option starts
+    with "-" and a digit, "inf" or "nan": such a token is a value (-1e4)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise ConfigError(message)

@@ -134,9 +134,9 @@ def steer(
     for outer in range(1, max_outer + 1):
         c = cho_solve(factor, p)
         u_prev, u = u, synthesize_control(grid, c)
-        diffs.append(u.sup_distance(u_prev))
-        inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, INEXACT * diffs[-1])
         du, start = u.samples - u_prev.samples, traj.values
+        diffs.append(float(np.max(np.linalg.norm(du, axis=1))))
+        inner_tol = picard_tol if diffs[-1] <= tol else max(picard_tol, INEXACT * diffs[-1])
         if x_prev is not None:
             # np.sum, not np.vdot: BLAS splits a long dot product over its
             # threads, so its rounding would follow the thread count

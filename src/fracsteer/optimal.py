@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError
 from .model import FloatArray, ProblemSpec
-from .solver import _MAX_CELLS, ControlSignal, Grid, solve_mild
+from .solver import _MAX_CELLS, ControlSignal, Grid, delay_windows, solve_mild
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,11 @@ class CostDescriptor:
     def evaluate(self, grid: Grid, values: FloatArray, u: FloatArray) -> FloatArray:
         """L at every forward node of grid, with x(t) and x_t read off the
         path values as eval_f reads them (|x_t|_r: the largest row norm in
-        the window) and one row of u per node; leading axes stack paths."""
+        the window of delay_windows) and one row of u per node; leading axes
+        stack paths."""
         x = values[..., grid.n_hist :, :]
-        windows = sliding_window_view(np.linalg.norm(values, axis=-1), grid.n_hist + 1, axis=-1)
-        hist_norm = windows.max(axis=-1) if self.w_hist != 0.0 else 0.0
+        norms = np.linalg.norm(values, axis=-1, keepdims=True)
+        hist_norm = delay_windows(grid, norms).max(axis=-1)[..., 0] if self.w_hist != 0.0 else 0.0
         return (
             self.w_state * np.einsum("...i,...i->...", x, x)
             + self.w_hist * hist_norm**2
@@ -91,9 +91,10 @@ class ControlParameterization:
         return np.clip(theta, -self.bound, self.bound)
 
     def interval_of(self, grid: Grid) -> np.ndarray:
-        """Each forward node's interval (right-open; the final node in the last)."""
-        ts = grid.forward_times()
-        return np.minimum((ts / grid.spec.horizon * self.intervals).astype(int), self.intervals - 1)
+        """Each forward node's interval (right-open; the final node in the
+        last).  Node m sits at m / n_fwd of the horizon, so integer
+        arithmetic places it: a float t / T * P can round below a boundary."""
+        return np.minimum(np.arange(grid.n_fwd + 1) * self.intervals // grid.n_fwd, self.intervals - 1)
 
     def expand(self, grid: Grid, theta: FloatArray) -> ControlSignal:
         """Piecewise-constant expansion onto the forward grid; leading axes stack parameter sets."""

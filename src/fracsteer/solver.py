@@ -69,7 +69,7 @@ class Grid:
     n_hist: int = field(init=False)  # nodes below 0 (r / h)
     n_fwd: int = field(init=False)  # steps in [0, T] (T / h)
     times: FloatArray = field(init=False)
-    impulse_nodes: tuple[int, ...] = field(init=False)  # forward indices
+    kicks: tuple[tuple[int, float], ...] = field(init=False)  # (forward index, scale) per impulse
     anchors: tuple[tuple[float, int], ...] = field(init=False)  # (c_i, forward index of tau_i)
 
     def __post_init__(self):
@@ -91,7 +91,7 @@ class Grid:
         object.__setattr__(self, "n_hist", nh)
         object.__setattr__(self, "n_fwd", nf)
         object.__setattr__(self, "times", np.arange(-nh, nf + 1) * self.h)
-        object.__setattr__(self, "impulse_nodes", imp)
+        object.__setattr__(self, "kicks", tuple((m, d.scale) for m, d in zip(imp, self.spec.impulses)))
         object.__setattr__(self, "anchors", anchors)
 
     def __len__(self) -> int:
@@ -106,9 +106,6 @@ class Grid:
 
     def fwd_row(self, m: int) -> int:
         return self.n_hist + m
-
-    def forward_times(self) -> FloatArray:
-        return self.times[self.n_hist :]
 
     def trapezoid_weights(self, m: int) -> FloatArray:
         return trapezoid_weights(m + 1, self.h)
@@ -129,8 +126,8 @@ class Grid:
         finite leaves x(0) undetermined and raises."""
         table, spec = self.kernel_table, self.spec
         phi = table.copy()
-        for imp, m in zip(spec.impulses, self.impulse_nodes):
-            phi[m + 1 :] += table[1 : self.n_fwd + 1 - m] * (imp.scale * phi[m])
+        for m, scale in self.kicks:
+            phi[m + 1 :] += table[1 : self.n_fwd + 1 - m] * (scale * phi[m])
         denom = np.ones(spec.n_modes)
         for c, k in self.anchors:
             denom += c * phi[k]
@@ -189,9 +186,6 @@ class ControlSignal:
         w = self.grid.trapezoid_weights(self.grid.n_fwd)
         return float(w @ np.sum(self.samples**2, axis=1))
 
-    def sup_distance(self, other: "ControlSignal") -> float:
-        return float(np.max(np.linalg.norm(self.samples - other.samples, axis=1)))
-
 
 @dataclass
 class Trajectory:
@@ -208,10 +202,8 @@ class Trajectory:
     def right_value(self, m: int) -> FloatArray:
         """x(t_m^+): the left value plus I_k at impulse node m, else x(t_m)."""
         left = self.values[..., self.grid.fwd_row(m), :]
-        if m in self.grid.impulse_nodes:
-            k = self.grid.impulse_nodes.index(m)
-            return left + self.grid.spec.impulses[k].scale * left
-        return left
+        scale = dict(self.grid.kicks).get(m)
+        return left if scale is None else left + scale * left
 
     def terminal(self) -> FloatArray:
         return self.values[..., -1, :]
@@ -269,23 +261,28 @@ def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
     return out
 
 
+def delay_windows(grid: Grid, rows: FloatArray) -> FloatArray:
+    """The delay window of every forward node m as one view of rows, no copy:
+    rows hold one entry per grid row along axis -2 (leading axes stack paths)
+    and view[..., m, :, j] = rows[..., m + j, :], the sample at t_m - r + j h."""
+    rows = np.ascontiguousarray(rows)
+    return np.ndarray((*rows.shape[:-2], grid.n_fwd + 1, rows.shape[-1], grid.n_hist + 1),
+                      rows.dtype, rows, 0, rows.strides + rows.strides[-2:-1])
+
+
 def eval_f(grid: Grid, values: FloatArray) -> FloatArray:
     """f(t, x(t), x_t) at every forward node m of grid, read off the path
     values (one row per grid row; leading axes stack paths): x(t_m) is its
-    forward row m and the delay window x_{t_m} its rows m .. m + n_hist.
-    f does not read t.  f is its pointwise part plus, when f2_gain is
-    nonzero, h(t-s) f2(x(s)) integrated over each window by the trapezoid
-    rule: f2 is applied once per row, then every window is summed over a
-    strided view of those rows, with the weights grid.window_weights."""
+    forward row m and x_{t_m} its delay window (delay_windows).  f does not
+    read t.  f is its pointwise part plus, when f2_gain is nonzero,
+    h(t-s) f2(x(s)) integrated over each window by the trapezoid rule: f2
+    is applied once per row, then every window of those rows is summed
+    with the weights grid.window_weights."""
     desc, n_hist = grid.spec.f_desc, grid.n_hist
     f1 = desc.pointwise(values[..., n_hist:, :])
     if desc.f2_gain == 0.0 or n_hist == 0:
         return f1
-    rows, w = np.ascontiguousarray(_form(desc.f2_form, desc.f2_gain, values)), grid.window_weights
-    # every window as one strided view of rows, (..., n_fwd + 1, N, W): no copy
-    windows = np.ndarray((*rows.shape[:-2], grid.n_fwd + 1, rows.shape[-1], len(w)),
-                         rows.dtype, rows, 0, rows.strides + rows.strides[-2:-1])
-    return f1 + windows @ w
+    return f1 + delay_windows(grid, _form(desc.f2_form, desc.f2_gain, values)) @ grid.window_weights
 
 
 def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = False) -> FloatArray:
@@ -321,10 +318,10 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
     fwd = _convolve_all(grid, bu + eval_f(grid, values))
     linear = x if lagged else fwd  # the path x(0) and the jumps read
     pointwise = spec.f_desc.pointwise
-    for imp, m in zip(spec.impulses, grid.impulse_nodes):
+    for m, scale in grid.kicks:
         left = x[..., m, :]
-        kick = imp.scale * linear[..., m, :]
-        kick += 0.5 * grid.h * (pointwise(left + imp.scale * left) - pointwise(left))
+        kick = scale * linear[..., m, :]
+        kick += 0.5 * grid.h * (pointwise(left + scale * left) - pointwise(left))
         fwd[..., m + 1 :, :] += table[1 : grid.n_fwd + 1 - m] * kick[..., None, :]
 
     phi = spec.phi(grid.times[: n_hist + 1])
@@ -346,15 +343,14 @@ def mild_map(grid: Grid, values: FloatArray, bu: FloatArray, lagged: bool = Fals
 
 def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_iter: int,
              lagged: bool) -> tuple[FloatArray, list[list[float]], list[int]]:
-    """Picard sweeps on a stack of paths, each until its residual is <= tol
-    or not finite, for at most max_iter sweeps: the last iterates, the
-    residual list of every path and the indices of those that failed.  An
-    exact run also fails a path once its residual passes DIVERGED times its
-    first, and with f = 0 it stops every path after one sweep at the
-    residual 0.0 a second sweep would measure (mild_map)."""
-    # values, bu and limit hold the paths still iterating, ids their rows in out
-    out, ids = np.empty_like(values), np.arange(len(values))
-    limit = np.full(len(ids), math.inf)
+    """Picard sweeps on a stack of paths, for at most max_iter sweeps: the
+    last iterates, the residual list of every path and the sorted indices of
+    those that failed.  A path goes on while its residual r is finite and
+    tol < r <= DIVERGED times its first (exact run) or inf (lagged run);
+    else its iterate is kept, and it fails unless r is finite and <= tol.
+    With f = 0 an exact run stops at the 0.0 a second sweep would measure."""
+    # values and bu hold the paths still iterating, ids their rows in out
+    out, ids = np.empty_like(values), list(range(len(values)))
     residuals: list[list[float]] = [[] for _ in ids]
     failed: list[int] = []
     f = grid.spec.f_desc
@@ -362,30 +358,28 @@ def _iterate(grid: Grid, values: FloatArray, bu: FloatArray, tol: float, max_ite
     # a path that overflows stops at a non-finite residual, and solve_mild
     # retries or raises on it, so numpy's warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(max_iter):
+        for _ in range(max_iter):
             new_values = mild_map(grid, values, bu, lagged)
             # max row norm: sqrt is monotone, so the bits of np.linalg.norm
             res = np.sqrt(np.max(np.add.reduce((new_values - values) ** 2, axis=-1), axis=-1))
-            if one_sweep:
-                res[np.isfinite(res)] = 0.0
-            values = new_values
-            for k, r in zip(ids, res.tolist()):
+            values, going = new_values, []
+            for i, (k, r) in enumerate(zip(ids, res.tolist())):
+                finite = math.isfinite(r)
+                r = 0.0 if one_sweep and finite else r
                 residuals[k].append(r)
-            if sweep == 0 and not lagged:
-                limit = DIVERGED * res
-            # one path going on needs no masks; +inf passes inf <= DIVERGED * inf
-            if len(ids) == 1 and tol < (r := res.item()) <= limit.item() and math.isfinite(r):
-                continue
-            bad = ~np.isfinite(res) | (res > limit)
-            stop = (res <= tol) | bad
-            if stop.any():
-                failed += ids[bad].tolist()
-                out[ids[stop]] = values[stop]
-                ids, values, bu, limit = ids[~stop], values[~stop], bu[~stop], limit[~stop]
-                if not ids.size:
+                limit = math.inf if lagged else DIVERGED * residuals[k][0]
+                if finite and tol < r <= limit:
+                    going.append(i)
+                else:
+                    out[k] = values[i]
+                    if not (finite and r <= tol):
+                        failed.append(k)
+            if len(going) < len(ids):
+                ids, values, bu = [ids[i] for i in going], values[going], bu[going]
+                if not ids:
                     break
     out[ids] = values
-    return out, residuals, sorted(failed + ids.tolist())
+    return out, residuals, sorted(failed + ids)
 
 
 def solve_mild(

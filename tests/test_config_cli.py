@@ -184,6 +184,18 @@ class TestCliMl:
         monkeypatch.chdir(tmp_path)
         assert run(["ml", "--alpha", "1.5", "--beta", "1"]) == 2
 
+    # argparse alone reads a token such as -1e4 as an unknown option, and
+    # the run ends with "argument --z: expected one argument"
+    @pytest.mark.parametrize("points, zs", [
+        (["--z", "-1e4"], [-1e4]),
+        (["--grid", "-50,5,3"], [-50.0, -22.5, 5.0]),
+    ])
+    def test_negative_value_with_an_exponent_or_a_list(self, tmp_path, points, zs):
+        out = tmp_path / "ml.csv"
+        assert run(["ml", "--alpha", "1.5", "--beta", "1", *points, "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == zs
+
 
 class TestCliSolve:
     def test_csv_columns_and_left_limits(self, tmp_path):
@@ -216,7 +228,7 @@ class TestCliSolve:
         spec = load_problem(CONFIGS / "flagship.json")
         grid = Grid(spec, 0.05)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-10)
-        impulse_rows = {grid.fwd_row(m): m for m in grid.impulse_nodes}
+        impulse_rows = {grid.fwd_row(m): m for m, _ in grid.kicks}
         assert len(impulse_rows) == 1
         expected = []
         for row, t in enumerate(grid.times):
@@ -419,14 +431,29 @@ class TestCliOptimizeCheck:
     def test_optimize_box_is_the_bound_magnitude(self, tmp_path):
         # the box is [-|b|, |b|], and the optimum of this run lies inside
         # |theta| < 3: a bound of -3, 1e300 or inf gives the bytes of 3
-        def optimize(bound):
-            out = tmp_path / f"{bound}.json"
-            assert run(FLAG_RUNS["optimize"] + [f"--bound={bound}", f"--out={out}"]) == 0
+        def optimize(*bound):
+            out = tmp_path / "opt.json"
+            assert run(FLAG_RUNS["optimize"] + [*bound, f"--out={out}"]) == 0
             return out.read_bytes()
 
-        three = optimize("3")
+        three = optimize("--bound=3")
         for bound in ("-3", "1e300", "inf"):
-            assert optimize(bound) == three
+            assert optimize(f"--bound={bound}") == three
+        # a negative value after a space, also with an exponent or as -inf
+        for bound in ("-3", "-1e1", "-inf"):
+            assert optimize("--bound", bound) == three
+
+    # one interval per grid step: in floats t / T * P put node 29 of 100
+    # in interval 28, and node 3 of 7 in interval 2, leaving one empty
+    @pytest.mark.parametrize("dt, intervals", [("0.01", "100"), ("0.14285714285714285", "7")])
+    def test_optimize_takes_one_interval_per_step(self, tmp_path, dt, intervals):
+        out = tmp_path / "opt.json"
+        assert run([
+            "optimize", "--config", str(CONFIGS / "linear1d.json"), "--dt", dt,
+            "--cost", str(CONFIGS / "cost_quadratic.json"), "--intervals", intervals,
+            "--out", str(out),
+        ]) == 0
+        assert len(json.loads(out.read_text())["parameters"]) == int(intervals)
 
     def test_optimize_zero_bound_pins_the_control_at_zero(self, tmp_path):
         out = tmp_path / "opt.json"

@@ -260,7 +260,7 @@ def impulse_jump(spec, x):
     """I(x) at the one impulse of spec: Trajectory.right_value at its node,
     less the left value x stored there."""
     grid = Grid(spec, 0.25)
-    m = grid.impulse_nodes[0]
+    m = grid.kicks[0][0]
     values = np.zeros((len(grid), spec.n_modes))
     values[grid.fwd_row(m)] = x
     return Trajectory(grid, values).right_value(m) - x

@@ -104,6 +104,18 @@ class TestParameterization:
         with pytest.raises(ConfigError):
             ControlParameterization(2, 1, -1.0)
 
+    @pytest.mark.parametrize("dt", [1 / 7, 1 / 9, 1 / 12, 0.01])
+    def test_node_m_lands_in_the_interval_of_m_over_n(self, dt):
+        # node m lies in interval q when q / P <= m / n_fwd < (q + 1) / P, the
+        # last node in the last interval; in floats t / T * P read 0.29 * 100
+        # as 28.999999999999996 and put node 29 of dt = 0.01 in interval 28
+        grid = Grid(make_spec(), dt)
+        n, m = grid.n_fwd, np.arange(grid.n_fwd + 1)
+        for P in range(1, n + 1):
+            q = ControlParameterization.boxed(P, 1, 1.0).interval_of(grid)
+            assert np.all(q * n <= m * P) and np.all((m * P < (q + 1) * n) | (m == n))
+            assert np.all(np.bincount(q, minlength=P) > 0)
+
 
 class TestMinimize:
     def test_parameterization_of_another_dimension_rejected(self):

@@ -63,7 +63,7 @@ class TestGrid:
         assert grid.n_fwd == 8
         assert grid.times[0] == pytest.approx(-0.25)
         assert grid.times[-1] == pytest.approx(1.0)
-        assert grid.impulse_nodes == (4,)
+        assert grid.kicks == ((4, -1.0),)
         assert grid.row(0.0) == grid.n_hist
 
     def test_incommensurate_step_rejected(self):
@@ -124,7 +124,7 @@ class TestFreeResponse:
         spec = make_spec(alpha=1.5, omega=0.0)
         grid = Grid(spec, 1.0 / 200.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
-        ts = grid.forward_times()
+        ts = grid.times[grid.n_hist :]
         want = np.array([mittag_leffler(1.5, 1.0, -(t**1.5)) for t in ts])
         np.testing.assert_allclose(traj.forward_values()[:, 0], want, atol=1e-12)
 
@@ -160,7 +160,7 @@ class TestImpulse:
         spec = make_spec(alpha=1.5, impulses=[ImpulseDescriptor(0.5, -1.0)])
         grid = Grid(spec, 1.0 / 8.0)
         traj = solve_mild(spec, ControlSignal.zeros(grid), tol=1e-12)
-        m = grid.impulse_nodes[0]
+        m = grid.kicks[0][0]
         left = traj.values[grid.fwd_row(m)]
         right = traj.right_value(m)
         # value AT the node is the left limit; jump identity holds exactly
@@ -180,7 +180,7 @@ class TestQuadratureOrder:
             grid = Grid(spec, 1.0 / denom)
             u = ControlSignal(grid, np.ones((grid.n_fwd + 1, 1)))
             traj = solve_mild(spec, u, tol=1e-13)
-            ts = grid.forward_times()
+            ts = grid.times[grid.n_hist :]
             want = np.array(
                 [
                     mittag_leffler(alpha, 1.0, -(t**alpha))
@@ -633,11 +633,10 @@ class TestGridMembers:
 
 
 class TestOnePathStopRule:
-    # A lone path that goes on skips the stop masks of a stack.  It must
-    # stop at the sweep where the same path stops inside a stack of three:
-    # at a first residual of +inf (d * d overflows on a start of 1e200, and
-    # inf <= DIVERGED * inf holds), of NaN, or at one past DIVERGED times
-    # the first.  The other two paths start from phi and run on.
+    # Every path of a stack stops at the sweep where it stops alone, by the
+    # same rule: at a first residual of +inf (d * d overflows on a start of
+    # 1e200, and inf <= DIVERGED * inf holds), of NaN, or at one past
+    # DIVERGED times the first.  The other two paths start from phi and run on.
     @staticmethod
     def stack(case):
         spec = TestPicardBehaviour.diverging_exact_spec()
@@ -690,6 +689,51 @@ class TestOnePathStopRule:
             assert 3 < len(runs[1]) < solver.PICARD_MAX and runs[1][-1] <= 1e-12
         else:  # the lagged restart fails at once too
             assert runs[1][0] == "Picard iteration produced a non-finite iterate at sweep 1"
+
+    def test_a_non_finite_residual_fails_at_any_tol(self):
+        # tol = inf stops every path at sweep 1, and inf <= tol holds there
+        spec, u, values = self.stack("inf")
+        bu = u.samples @ spec.B.T
+        _, res, failed = solver._iterate(u.grid, values, bu, math.inf, solver.PICARD_MAX, False)
+        assert [len(r) for r in res] == [1, 1, 1] and res[1] == [math.inf]
+        assert failed == [1]
+
+    def test_a_stack_whose_paths_stop_three_ways(self):
+        # path 0 passes DIVERGED times its first residual at sweep 3, path 1
+        # starts at the fixed point and stops on tol, path 2 turns NaN at
+        # sweep 1; the stack shrinks at sweeps 1 and 3
+        spec, u, values = self.stack("diverged")
+        grid, zero = u.grid, ControlSignal.zeros(u.grid)
+        values[1] = solve_mild(spec, zero, tol=1e-13).values
+        values[2, -1] = math.nan
+        u = ControlSignal(grid, np.zeros_like(u.samples))
+        bu = u.samples @ spec.B.T
+        out, res, failed = solver._iterate(grid, values, bu, 1e-12, solver.PICARD_MAX, False)
+        assert failed == [0, 2]
+        assert [len(r) for r in res] == [3, 1, 1] and res[1][0] <= 1e-12
+        assert res[0][2] > solver.DIVERGED * res[0][0] and math.isnan(res[2][0])
+        for i, sweeps in enumerate([3, 1, 1]):
+            x = values[i]
+            for _ in range(sweeps):
+                x = mild_map(grid, x, bu[i])
+            np.testing.assert_array_equal(out[i], x)
+
+        def solve(paths):
+            return solve_mild(spec, ControlSignal(grid, u.samples[paths]), tol=1e-12,
+                              start=values[paths])
+
+        pair = solve(slice(0, 2))  # path 0 converges after the lagged restart
+        for i in range(2):
+            solo = solve(slice(i, i + 1))
+            assert repr(pair.residuals[i]) == repr(solo.residuals[0])
+            np.testing.assert_array_equal(pair.values[i], solo.values[0])
+        errors = []  # path 2 fails both runs: the stack raises as path 2 alone does
+        for paths in (slice(None), slice(2, 3)):
+            with pytest.raises(ConvergenceError) as err:
+                solve(paths)
+            errors.append((str(err.value), repr(err.value.residuals), err.value.last_iterate))
+        assert errors[0][:2] == errors[1][:2]
+        np.testing.assert_array_equal(errors[0][2].values, errors[1][2].values)
 
 
 class TestImpulseNodeForcing:
@@ -798,7 +842,7 @@ class TestImpulseNodeForcing:
         grid = Grid(spec, 1.0 / 8.0)
         values = np.random.default_rng(3).standard_normal((len(grid), 2))
         traj = Trajectory(grid, values)
-        for k, m in enumerate(grid.impulse_nodes):
+        for k, (m, _) in enumerate(grid.kicks):
             left = values[grid.fwd_row(m)]
             np.testing.assert_array_equal(
                 traj.right_value(m), left + spec.impulses[k].scale * left

@@ -40,3 +40,17 @@ def test_traced_steer_run_prints_a_well_formed_result():
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert {m["name"] for m in declared} <= set(result["metrics"])
+
+
+def test_every_workload_passes_its_correctness_gate(monkeypatch, tmp_path):
+    # the benchmark's gates in process, in well under a second: the golden
+    # steer report, the exact LQ minimum, and a second sweep bit for bit
+    # equal to the first
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # child imports speed
+    child = importlib.import_module("child")
+    monkeypatch.setattr(child, "DIGESTS", tmp_path)
+    for name, w in child.WORKLOADS.items():
+        ctx, inputs = child.setup(w), child.make_inputs(w, 0)
+        for _ in range(2):
+            result = child.operate(w, ctx, inputs)
+            assert child.check(name, w, ctx, inputs, 0, result) == [], name
