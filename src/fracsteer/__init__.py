@@ -30,6 +30,9 @@ from .model import (
     NonlocalTerm,
     PhiDescriptor,
     ProblemSpec,
+    contraction_check,
+    contraction_warnings,
+    picard_factor,
 )
 from .optimal import (
     ControlParameterization,
@@ -44,10 +47,8 @@ from .solver import (
     Grid,
     SolutionKernel,
     Trajectory,
-    contraction_check,
     eval_f,
     mild_map,
-    picard_factor,
     solve_mild,
 )
 

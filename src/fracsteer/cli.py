@@ -31,9 +31,9 @@ from .config import load_cost, load_problem, load_target
 from .control import epsilon_sweep, steer
 from .errors import ConfigError, ConvergenceError, EvaluationError, FracsteerError
 from .mittag import mittag_leffler
+from .model import contraction_check, contraction_warnings
 from .optimal import ControlParameterization, MinimizeOptions, minimize
-from .solver import (_MAX_STEPS, PICARD_MAX, ControlSignal, Grid, contraction_check,
-                     contraction_warnings, solve_mild)
+from .solver import _MAX_STEPS, PICARD_MAX, ControlSignal, Grid, solve_mild
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,6 +120,7 @@ def _cmd_steer(args) -> tuple[str, dict, int]:
     h = load_target(args.target, spec.n_modes)
     report, traj, u = steer(spec, grid, h, args.eps, tol=args.tol, max_outer=args.max_outer)
     payload = dataclasses.asdict(report)
+    payload["warnings"] = contraction_warnings(spec)
     payload["terminal_state"] = [float(v) for v in traj.terminal()]
     parameters = dict(dt=args.dt, eps=args.eps, tol=args.tol)
     return _json(payload), parameters, EXIT_OK

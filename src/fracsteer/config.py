@@ -117,9 +117,7 @@ F_PARAMS = {
 
 def _f_param(key: str, raw):
     where = f"f.params.{key}"
-    if key.endswith("_form"):
-        if raw not in ("linear", "saturating"):
-            raise ConfigError(f"{where} must be 'linear' or 'saturating', got {raw!r}")
+    if key.endswith("_form"):  # NonlinearityDescriptor checks the vocabulary
         return raw
     value = _number(raw, where)
     _check_finite(where, value)

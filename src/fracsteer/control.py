@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, ConvergenceError, EvaluationError
 from .model import FloatArray, ProblemSpec
-from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, contraction_warnings, solve_mild
+from .solver import ControlSignal, Grid, SolutionKernel, Trajectory, solve_mild
 
 PICARD_TOL = 1e-11  # inner tolerance of a steer's final solve
 INEXACT = 1e-3  # an inexact inner solve stops at this fraction of what it feeds the outer loop
@@ -40,13 +40,14 @@ INEXACT = 1e-3  # an inexact inner solve stops at this fraction of what it feeds
 
 @dataclass
 class SteeringReport:
+    """One steer's outcome; `fracsteer steer` adds the contraction warning to its JSON."""
+
     eps: float
     terminal_error: float
     control_energy: float
     outer_iters: int
     inner_residuals: list = field(default_factory=list)
     converged: bool = True
-    warnings: list = field(default_factory=list)
 
 
 def grammian(spec: ProblemSpec, grid: Grid) -> FloatArray:
@@ -163,7 +164,6 @@ def steer(
         control_energy=u.energy(),
         outer_iters=outer,
         inner_residuals=inner,
-        warnings=contraction_warnings(spec),
     )
     return report, traj, u
 

@@ -1,6 +1,6 @@
 """Problem description in the truncated sine-basis: state vectors, the
-nonlinearity / nonlocal / impulse maps, and the constants ledger feeding the
-contraction diagnostics, built on first read: no solve reads it.
+nonlinearity / nonlocal / impulse maps, and the contraction ledger, built on
+first read by the contraction arithmetic below and never by a solve or steer.
 
 State vectors are plain float arrays holding coefficients of the orthonormal
 basis sqrt(2/pi)*sin(n*y) on [0, pi]; the Euclidean norm of the coefficients
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, EvaluationError
 from .mittag import mittag_leffler
 
 FloatArray = NDArray[np.float64]
@@ -100,6 +100,9 @@ class NonlinearityDescriptor:
     holder_p: float = 0.25
 
     def __post_init__(self):
+        for name, form in [("f1_form", self.f1_form), ("f2_form", self.f2_form)]:
+            if form not in ("linear", "saturating"):
+                raise ConfigError(f"f.params.{name} must be 'linear' or 'saturating', got {form!r}")
         if min(self.L1, self.L2, self.M1) < 0.0:
             raise ConfigError("Lipschitz/bound constants must be >= 0")
 
@@ -166,8 +169,10 @@ class ProblemSpec:
         for term in self.nonlocal_terms:
             if not (0.0 <= term.tau <= self.horizon):
                 raise ConfigError("nonlocal anchors must lie in [0, T]")
-        if len(self.phi.coeffs) != self.n_modes:
+        if np.shape(self.phi.coeffs) != (self.n_modes,):
             raise ConfigError("phi coefficient length must equal N")
+        if self.phi.slope is not None and np.shape(self.phi.slope) != (self.n_modes,):
+            raise ConfigError("phi slope length must equal N")
         B = np.asarray(self.B, dtype=float)
         if B.shape != (self.n_modes, self.n_modes):
             raise ConfigError(f"B must be {self.n_modes}x{self.n_modes}")
@@ -228,3 +233,34 @@ class ProblemSpec:
         if x.shape != (self.n_modes,):
             raise DomainError(f"state vector must have shape ({self.n_modes},)")
         return x
+
+
+def contraction_check(spec: ProblemSpec, eps: float) -> float:
+    """Left-hand side of the contraction inequality,
+
+        M (K l_2 + l_g + T^{1-p} (|L1|_{1/p} + |L2|_{1/p}))
+            * (1 + M M_B^2 T / eps);
+
+    the caller compares the returned factor against 1.  eps must be finite
+    and > 0, as steer requires, and the factor finite."""
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"eps must be finite and > 0, got eps={eps}")
+    c = spec.constants
+    factor = picard_factor(spec) * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
+    if not math.isfinite(factor):
+        raise EvaluationError(f"contraction factor overflows at eps={eps}", regime="contraction")
+    return factor
+
+
+def picard_factor(spec: ProblemSpec) -> float:
+    """Control-free part of the contraction factor, governing the inner
+    fixed-point iteration for a fixed control."""
+    c = spec.constants
+    p = spec.f_desc.holder_p
+    return c.M * (c.K * c.l_2 + c.l_g + spec.horizon ** (1.0 - p) * (c.norm_L1 + c.norm_L2))
+
+
+def contraction_warnings(spec: ProblemSpec) -> list[str]:
+    """The warning line fracsteer solve and steer write when picard_factor is >= 1."""
+    rho = picard_factor(spec)
+    return [f"contraction factor {rho:.3g} >= 1: convergence not guaranteed"] if rho >= 1.0 else []

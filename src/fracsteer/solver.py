@@ -212,39 +212,6 @@ class Trajectory:
         return self.values[..., self.grid.n_hist :, :]
 
 
-def contraction_check(spec: ProblemSpec, eps: float) -> float:
-    """Left-hand side of the contraction inequality,
-
-        M (K l_2 + l_g + T^{1-p} (|L1|_{1/p} + |L2|_{1/p}))
-            * (1 + M M_B^2 T / eps);
-
-    the caller compares the returned factor against 1.  eps must be finite
-    and > 0, as steer requires, and the factor finite."""
-    if not 0.0 < eps < math.inf:
-        raise ConfigError(f"eps must be finite and > 0, got eps={eps}")
-    c = spec.constants
-    factor = picard_factor(spec) * (1.0 + c.M * c.M_B**2 * spec.horizon / eps)
-    if not math.isfinite(factor):
-        raise EvaluationError(f"contraction factor overflows at eps={eps}", regime="contraction")
-    return factor
-
-
-def picard_factor(spec: ProblemSpec) -> float:
-    """Control-free part of the contraction factor, governing the inner
-    fixed-point iteration for a fixed control."""
-    c = spec.constants
-    p = spec.f_desc.holder_p
-    return c.M * (
-        c.K * c.l_2 + c.l_g + spec.horizon ** (1.0 - p) * (c.norm_L1 + c.norm_L2)
-    )
-
-
-def contraction_warnings(spec: ProblemSpec) -> list[str]:
-    """The warning that steer and fracsteer solve report when picard_factor is >= 1."""
-    rho = picard_factor(spec)
-    return [f"contraction factor {rho:.3g} >= 1: convergence not guaranteed"] if rho >= 1.0 else []
-
-
 def _convolve_all(grid: Grid, forcing: FloatArray) -> FloatArray:
     """Trapezoid convolution int_0^{t_m} D(t_m - s) w(s) ds for every forward
     node m, with D(l h) = grid.kernel_table[l] and forcing[..., j, :] = w(t_j).

@@ -12,14 +12,15 @@ from fracsteer.model import (
 
 
 def make_spec(n=1, alpha=1.5, omega=0.0, T=1.0, r=0.0, impulses=(),
-              nonlocal_terms=(), phi_coeffs=None, f=None, B=None):
-    """An n-mode problem with phi = phi_coeffs (ones when omitted), f = 0
-    unless f is given, and B = I unless B is given."""
+              nonlocal_terms=(), phi_coeffs=None, f=None, B=None, phi_slope=None):
+    """An n-mode problem with phi = phi_coeffs (ones when omitted) + s *
+    phi_slope (no slope when omitted), f = 0 unless f is given, and B = I
+    unless B is given."""
     phi_coeffs = np.ones(n) if phi_coeffs is None else np.asarray(phi_coeffs, float)
     return ProblemSpec(
         alpha=alpha, omega=omega, n_modes=n, horizon=T, delay=r,
         impulses=tuple(impulses), nonlocal_terms=tuple(nonlocal_terms),
-        phi=PhiDescriptor(phi_coeffs),
+        phi=PhiDescriptor(phi_coeffs, None if phi_slope is None else np.asarray(phi_slope, float)),
         f_desc=f if f is not None else NonlinearityDescriptor(),
         B=np.eye(n) if B is None else np.asarray(B, float),
     )

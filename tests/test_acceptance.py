@@ -24,6 +24,7 @@ from fracsteer.model import (
     ImpulseDescriptor,
     NonlinearityDescriptor,
     NonlocalTerm,
+    contraction_check,
 )
 from fracsteer.optimal import (
     ControlParameterization,
@@ -35,7 +36,6 @@ from fracsteer.optimal import (
 from fracsteer.solver import (
     ControlSignal,
     Grid,
-    contraction_check,
     solve_mild,
 )
 

@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -317,6 +319,24 @@ class TestCliSteerSweep:
         c = np.linalg.solve(grammian(spec, Grid(spec, 0.1)) + eps * np.eye(n), h)
         assert report["terminal_error"] == pytest.approx(eps * np.linalg.norm(c), rel=1e-8)
         assert report["outer_iters"] == 2
+
+    # the CLI, not the steer report, carries the contraction warning, right
+    # before terminal_state
+    @pytest.mark.parametrize("config, target, warnings", [
+        ("flagship.json", "target_flagship.json",
+         ["contraction factor 1.35 >= 1: convergence not guaranteed"]),
+        ("linear1d.json", "target_1d.json", []),
+    ])
+    def test_steer_json_carries_the_warning(self, tmp_path, config, target, warnings):
+        out = tmp_path / "report.json"
+        assert run([
+            "steer", f"--config={CONFIGS / config}", "--dt=0.05",
+            f"--target={CONFIGS / target}", "--eps=0.1", f"--out={out}",
+        ]) == 0
+        report = json.loads(out.read_text())
+        assert list(report) == ["eps", "terminal_error", "control_energy", "outer_iters",
+                                "inner_residuals", "converged", "warnings", "terminal_state"]
+        assert report["warnings"] == warnings
 
     def test_steer_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -640,6 +660,7 @@ class TestInvalidFields:
         ("cost_quadratic.json", ("weights", "state"), -1.0, "cost weights must be >= 0"),
         ("cost_quadratic.json", ("weights", "history"), -1.0, "cost weights must be >= 0"),
         ("cost_quadratic.json", ("weights", "control"), -1.0, "cost weights must be >= 0"),
+        ("cost_quadratic.json", ("weights", "state"), math.nan, "cost w_state must be finite, got nan"),
     ])
     def test_out_of_range_exits_2(self, tmp_path, name, path, value, message):
         raw = json.loads((CONFIGS / name).read_text())
@@ -958,16 +979,23 @@ class TestManifests:
         self.check_manifest(manifest, "check", argv, [str(out)])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["check.txt", "new"]
 
-    # an output or manifest path below a regular file cannot be written
-    @pytest.mark.parametrize("flag", ["--out", "--manifest"])
-    def test_unwritable_path_exits_2(self, tmp_path, monkeypatch, flag):
+    # an output or manifest path below a regular file cannot be written, nor
+    # an output path that names a directory; no temp file or manifest is left
+    @pytest.mark.parametrize("flag, name", [
+        pytest.param("--out", "file/x", id="--out"),
+        pytest.param("--manifest", "file/x", id="--manifest"),
+        pytest.param("--out", "dir", id="--out-directory"),
+    ])
+    def test_unwritable_path_exits_2(self, tmp_path, monkeypatch, flag, name):
         monkeypatch.chdir(tmp_path)
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        code, err = _run_captured(FLAG_RUNS["check"] + [f"{flag}={blocker / 'x'}"])
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        code, err = _run_captured(FLAG_RUNS["check"] + [f"{flag}={tmp_path / name}"])
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: cannot write output: ")
-        assert str(blocker) in err
+        assert str(tmp_path / name.split("/")[0]) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert list((tmp_path / "dir").iterdir()) == []
 
     def test_failed_sweep_writes_csv_and_manifest(self, tmp_path):
         argv = FLAG_RUNS["sweep"] + ["--max-outer=1"]
@@ -1027,3 +1055,18 @@ def test_fuzzed_configs_exit_cleanly(data):
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ")
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch):
+    # every `fracsteer` command of the README's bash blocks, continued lines
+    # joined, runs as written from a fresh working directory, its configs/
+    # paths pointed at the repo's: a renamed or dropped flag fails here
+    readme = (CONFIGS.parent / "README.md").read_text()
+    lines = "".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in lines.splitlines()
+                if line.startswith("fracsteer ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        argv = [str(CONFIGS.parent / a) if a.startswith("configs/") else a for a in argv]
+        assert run(argv) == 0, argv

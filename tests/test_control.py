@@ -22,7 +22,7 @@ from fracsteer.control import (
     steer,
     synthesize_control,
 )
-from fracsteer.errors import ConfigError, ConvergenceError, EvaluationError
+from fracsteer.errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
     ImpulseDescriptor,
@@ -252,13 +252,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             epsilon_sweep(spec, grid, np.array([1.0]), [1e-2, 1e-1])
 
-    # steer's argument checks run on every eps before the shared u = 0 solve
+    # steer's argument checks and the target's shape run on every eps before
+    # the shared u = 0 solve; steer, run at the last eps, refuses the same
     @pytest.mark.parametrize("eps_list, kwargs, message", [
         ([0.1, -1.0], {}, "eps must be finite and > 0 and tol > 0, got eps=-1.0, tol=1e-08"),
         ([0.1, math.nan], {}, "eps must be finite and > 0 and tol > 0, got eps=nan, tol=1e-08"),
         ([math.inf], {}, "eps must be finite and > 0 and tol > 0, got eps=inf, tol=1e-08"),
         ([0.1], {"tol": 0.0}, "eps must be finite and > 0 and tol > 0, got eps=0.1, tol=0.0"),
         ([0.1], {"max_outer": 0}, "max_outer must be >= 1, got 0"),
+        ([0.1], {"h": [1.0, 0.0]}, "state vector must have shape (1,)"),
     ])
     def test_arguments_refused_before_any_solve(self, monkeypatch, eps_list, kwargs, message):
         import fracsteer.control as control
@@ -267,8 +269,14 @@ class TestSweep:
         solve = control.solve_mild
         monkeypatch.setattr(control, "solve_mild", lambda *a, **k: calls.append(1) or solve(*a, **k))
         spec = make_spec()
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            epsilon_sweep(spec, Grid(spec, 0.125), np.array([1.0]), eps_list, **kwargs)
+        grid = Grid(spec, 0.125)
+        kwargs = dict(kwargs)
+        h = np.array(kwargs.pop("h", [1.0]))
+        error = ConfigError if len(h) == 1 else DomainError
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            epsilon_sweep(spec, grid, h, eps_list, **kwargs)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            steer(spec, grid, h, eps_list[-1], **kwargs)
         assert calls == []
 
     def test_failure_recorded_sweep_continues(self):
@@ -562,8 +570,6 @@ class TestFlagshipBits:
 
 class TestCrossInstanceMisuse:
     def test_foreign_spec_rejected_not_crashed(self):
-        from fracsteer.errors import DomainError
-
         spec_a = make_spec()
         spec_b = make_spec()  # equal parameters, distinct instance
         grid_b = Grid(spec_b, 0.25)

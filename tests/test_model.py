@@ -57,6 +57,13 @@ class TestValidation:
         (dict(n=2, phi_coeffs=[1.0, 0.0, 0.0]), "phi coefficient length must equal N"),
         (dict(n=2, B=np.eye(3)), "B must be 2x2"),
         (dict(n=2, B=np.ones((2, 3))), "B must be 2x2"),
+        # the loader pads phi vectors to N; built in code, a length-1 slope
+        # would broadcast to every mode, other shapes fail in numpy
+        (dict(n=3, phi_slope=[1.0]), "phi slope length must equal N"),
+        (dict(n=3, phi_slope=[1.0, 0.0]), "phi slope length must equal N"),
+        (dict(n=3, phi_slope=[1.0, 0.0, 0.0, 0.0]), "phi slope length must equal N"),
+        (dict(n=3, phi_slope=1.0), "phi slope length must equal N"),
+        (dict(n=3, phi_coeffs=np.ones((3, 2))), "phi coefficient length must equal N"),
     ])
     def test_sizes_must_match_n(self, kwargs, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -89,6 +96,13 @@ class TestValidation:
         params = {"f1_gain": 0.1, "f2_gain": 0.0, "f1_form": "linear", "f2_form": "satrating"}
         with pytest.raises(ConfigError, match="f.params.f2_form must be 'linear' or 'saturating'"):
             problem_from_dict(config_with_f({"kind": "memory", "params": params}))
+        # so does the descriptor built in code: a misspelled form must not saturate
+        with pytest.raises(ConfigError, match="^f.params.f1_form must be 'linear' or "
+                                              "'saturating', got 'Linear'$"):
+            NonlinearityDescriptor(f1_gain=2.0, f1_form="Linear")
+        with pytest.raises(ConfigError, match="^f.params.f2_form must be 'linear' or "):
+            NonlinearityDescriptor(f2_form="satrating")
+        assert NonlinearityDescriptor(f1_gain=2.0).pointwise(np.array([[3.0]])) == 6.0
 
 
 class TestEvalF:

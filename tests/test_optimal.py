@@ -250,6 +250,16 @@ class TestMinimize:
         assert abs(result.J_opt - j_min) / j_min <= 1e-9
         assert result.n_evals <= 160
 
+    def test_short_accepted_step_is_stationary(self):
+        # with the control weighed 1e6 the accepted steps shrink until one is
+        # no longer than _STAT_TOL, which ends the descent as stationary at
+        # its fifth point; without that stop it spends 47 evaluations
+        spec = load_problem(CONFIGS / "linear1d.json")
+        cost = CostDescriptor(w_state=1.0, w_hist=0.0, w_control=1e6, f_u=1.0)
+        param = ControlParameterization.boxed(2, 1, 10.0)
+        result = minimize(spec, Grid(spec, 0.1), cost, param)
+        assert (result.converged, result.n_evals, len(result.history)) == (True, 43, 5)
+
     def test_lq_minimum_pinned_bit_for_bit(self):
         # the optimize_lq_1d run from its seed-0 start (theta = 0), to the
         # last bit: a change to how its f = 0 solves stop must not move it

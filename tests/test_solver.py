@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fracsteer import model, optimal, solver
 from fracsteer.config import load_problem, load_target
-from fracsteer.control import epsilon_sweep, steer
+from fracsteer.control import SteeringReport, epsilon_sweep, steer
 from fracsteer.errors import ConfigError, ConvergenceError, DomainError, EvaluationError
 from fracsteer.mittag import mittag_leffler
 from fracsteer.model import (
@@ -26,6 +26,9 @@ from fracsteer.model import (
     NonlocalTerm,
     PhiDescriptor,
     ProblemSpec,
+    contraction_check,
+    contraction_warnings,
+    picard_factor,
 )
 from fracsteer.solver import (
     ControlSignal,
@@ -33,11 +36,8 @@ from fracsteer.solver import (
     SolutionKernel,
     Trajectory,
     _convolve_all,
-    contraction_check,
-    contraction_warnings,
     eval_f,
     mild_map,
-    picard_factor,
     solve_mild,
 )
 
@@ -446,14 +446,11 @@ class TestPicardBehaviour:
         assert info.value.regime == "nonlocal"
 
     def test_warning_attached_when_factor_large(self):
-        # the steer report carries the warning; the trajectory has no field
-        # for it
+        # the CLI writes the warning (TestCliSteerSweep); no run result has
+        # a field for it (TestLedgerOnFirstUse)
         spec = make_spec(impulses=[ImpulseDescriptor(0.5, -1.0)])
         assert picard_factor(spec) >= 1.0
-        report, traj, _ = steer(spec, Grid(spec, 0.25), np.array([0.5]), 0.1)
-        assert report.warnings == contraction_warnings(spec)
-        assert report.warnings == ["contraction factor 1 >= 1: convergence not guaranteed"]
-        assert not hasattr(traj, "warnings")
+        assert contraction_warnings(spec) == ["contraction factor 1 >= 1: convergence not guaranteed"]
         assert contraction_warnings(make_spec()) == []
 
 
@@ -509,7 +506,7 @@ class TestContractionCheck:
 
 class TestLedgerOnFirstUse:
     # The contraction ledger is a diagnostic: loading a problem does not
-    # build it, and no solve reads it.
+    # build it, and no solve, steer, sweep or minimization reads it.
     def test_built_by_its_first_reader(self, monkeypatch):
         calls = []
 
@@ -531,7 +528,7 @@ class TestLedgerOnFirstUse:
             pytest.fail("the ledger was read")
 
         monkeypatch.setattr(ProblemSpec, "constants", property(refuse))
-        monkeypatch.setattr(solver, "picard_factor", refuse)
+        monkeypatch.setattr(model, "picard_factor", refuse)
         spec = load_problem(CONFIGS / "linear1d.json")
         grid = Grid(spec, 0.05)
         assert solve_mild(spec, ControlSignal.zeros(grid)).residuals
@@ -540,9 +537,15 @@ class TestLedgerOnFirstUse:
         result = optimal.minimize(spec, grid, optimal.CostDescriptor(), param)
         assert result.converged
         flagship = load_problem(CONFIGS / "flagship.json")
-        traj = solve_mild(flagship, ControlSignal.zeros(Grid(flagship, 0.05)))
+        grid = Grid(flagship, 0.05)
+        traj = solve_mild(flagship, ControlSignal.zeros(grid))
         assert len(traj.residuals) == 6
+        h = load_target(CONFIGS / "target_flagship.json", flagship.n_modes)
+        assert steer(flagship, grid, h, 1e-2)[0].converged
+        sweep = epsilon_sweep(flagship, grid, h, [1e-1, 1e-2])
+        assert all(entry.report.converged for entry in sweep.entries)
         assert [f.name for f in dataclasses.fields(Trajectory)] == ["grid", "values", "residuals"]
+        assert "warnings" not in [f.name for f in dataclasses.fields(SteeringReport)]
 
 
 class TestKernelOwnership:
