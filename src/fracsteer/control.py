@@ -19,7 +19,7 @@ So steer reads h - x(T) + Gamma c off it without another pass over the
 grid: p at the returned path with f one sweep behind, within the inner
 solve's tolerance.  The same shared quadrature makes the
 one-dimensional linear steering identity terminal_error = eps/(eps+Gamma)*|p|
-hold exactly at the discrete level.
+hold exactly at the discrete level.  numpy alone solves (eps I + Gamma) c = p.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError, ConvergenceError, EvaluationError
 from .model import FloatArray, ProblemSpec
@@ -64,6 +63,20 @@ def grammian(spec: ProblemSpec, grid: Grid) -> FloatArray:
     w = grid.trapezoid_weights(grid.n_fwd)
     G = (spec.B @ spec.B.T) * (table.T @ (w[:, None] * table))
     return 0.5 * (G + G.T)
+
+
+def cho_factor(a: FloatArray) -> FloatArray:
+    """L^-1 for a = L L^T; LinAlgError unless a is positive definite and
+    L and L^-1 are finite.  On a diagonal a, cho_solve rounds as LAPACK's potrs."""
+    f = np.linalg.inv(L := np.linalg.cholesky(a))
+    if not (np.isfinite(L).all() and np.isfinite(f).all()):
+        raise np.linalg.LinAlgError("Cholesky factor is not finite")
+    return f
+
+
+def cho_solve(f: FloatArray, b: FloatArray) -> FloatArray:
+    """a^-1 b from f = cho_factor(a)."""
+    return f.T @ (f @ b)
 
 
 def synthesize_control(grid: Grid, c: FloatArray) -> ControlSignal:
@@ -102,8 +115,9 @@ def steer(
     """Undamped outer fixed point x -> u_eps(x) -> x: each iterate solves
     the mild problem under the control synthesized from the last one.
 
-    (eps I + Gamma) is factored once.  p starts at h - x(T) of the u = 0
-    solution; after each inner solve under u = B^T D(T - .) c it is
+    (eps I + Gamma) is factored once, as F = L^-1, so c = F^T (F p); a factor
+    that fails or is not finite (Gamma overflows) raises.  p starts at h - x(T)
+    of the u = 0 solution; after each inner solve under u = B^T D(T - .) c it is
     h - x(T) + Gamma c, which is p at the returned path with f taken one
     sweep earlier (module docstring): a lag within the solve's tolerance,
     in place of one more mild map per outer iteration.

@@ -296,6 +296,27 @@ class TestCliSteerSweep:
         assert code == 3
         assert err == "error: factorization of (eps I + Gamma) failed for eps=0.1 [regime=cholesky]\n"
 
+    def test_infinite_grammian_exit_3(self, tmp_path):
+        # B = 1e200 overflows Gamma to inf; a factor of inf must not pass as c = 0
+        cfg = json.loads((CONFIGS / "linear1d.json").read_text())
+        cfg["B"] = {"kind": "diag", "params": {"entries": [1e200]}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        common = [f"--config={tmp_path / 'cfg.json'}", "--dt=0.1",
+                  f"--target={CONFIGS / 'target_1d.json'}"]
+        out = tmp_path / "r.json"
+        code, err = _run_captured(["steer", *common, "--eps=0.1", f"--out={out}"])
+        assert (code, err) == (
+            3, "error: factorization of (eps I + Gamma) failed for eps=0.1 [regime=cholesky]\n"
+        )
+        assert not out.exists()
+        out = tmp_path / "s.csv"
+        code, err = _run_captured(["sweep", *common, "--eps-list=0.1,0.01", f"--out={out}"])
+        assert (code, err) == (3, "")
+        assert out.read_text().splitlines()[1:] == [
+            f"{e},failed,failed,factorization of (eps I + Gamma) failed for eps={e} [regime=cholesky]"
+            for e in ("0.1", "0.01")
+        ]
+
     def test_singular_grammian_steers(self, tmp_path):
         # 64 modes on 11 forward nodes with every B entry 100: Gamma has rank
         # 11 and rounding leaves its least eigenvalue near -4e-10, but

@@ -17,6 +17,8 @@ from fracsteer.config import load_problem
 from fracsteer.control import (
     PICARD_TOL,
     _free_path,
+    cho_factor,
+    cho_solve,
     epsilon_sweep,
     grammian,
     steer,
@@ -103,6 +105,46 @@ class TestGrammian:
         for eps in (1e-1, 1e-3, 1e-5):
             A = G + eps * np.eye(3)
             np.testing.assert_allclose(np.linalg.solve(A, A), np.eye(3), atol=1e-10)
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_random_spd_matches_solve(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        A = m @ m.T + n * np.eye(n)
+        P = rng.standard_normal((n, 5))
+        want = np.linalg.solve(A, P)
+        np.testing.assert_allclose(cho_solve(cho_factor(A), P), want, rtol=1e-13, atol=0)
+
+    def test_flagship_gamma_with_full_input_map_matches_solve(self):
+        rng = np.random.default_rng(5)
+        spec = dataclasses.replace(flagship_spec(), B=rng.standard_normal((16, 16)))
+        G = grammian(spec, Grid(spec, 0.05))
+        for eps in 10.0 ** -np.arange(1, 9):
+            A = G + eps * np.eye(16)
+            for p in rng.standard_normal((10, 16)):
+                want = np.linalg.solve(A, p)
+                got = cho_solve(cho_factor(A), p)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), eps
+
+    def test_diagonal_solve_rounds_as_two_reciprocal_products(self):
+        # the flagship's B = I makes Gamma diagonal; steer's bits rest on this
+        rng = np.random.default_rng(0)
+        d = rng.uniform(1e-3, 10.0, 16)
+        p = rng.standard_normal(16)
+        r = 1.0 / np.sqrt(d)
+        np.testing.assert_array_equal(cho_solve(cho_factor(np.diag(d)), p), (p * r) * r)
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+        [[-1.0]],
+        [[math.inf]],  # B entries of 1e200 overflow Gamma
+        [[math.nan]],
+    ])
+    def test_refuses_what_is_not_positive_definite_and_finite(self, A):
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(np.array(A))
 
 
 class TestResidual:

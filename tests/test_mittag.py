@@ -2,6 +2,7 @@
 and boundedness envelopes, the recurrence property, regime consistency, and
 the array path that builds the solution-operator table."""
 
+import json
 import math
 import subprocess
 import sys
@@ -276,12 +277,52 @@ class TestProperties:
             )
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # importing scipy.integrate alone adds about 0.8 s to every command
+_SCIPY_PROBE = """
+import json, sys
+from fracsteer.cli import run
+codes = [run(argv + ["--out", f"out{i}"]) for i, argv in enumerate(json.loads(sys.argv[1]))]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def _cli_scipy_modules(tmp_path, *commands):
+    """Exit codes of the commands (argument lists), run in one fresh process
+    through cli.run, and the scipy modules loaded after them."""
     src = Path(mittag.__file__).resolve().parents[1]
-    probe = "import sys, fracsteer.cli; sys.exit('scipy.integrate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env={"PYTHONPATH": str(src)}, timeout=60)
-    assert done.returncode == 0
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)], cwd=tmp_path,
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # scipy.fft and scipy.linalg alone added 33 MB and about 0.25 s to every
+    # command; numpy's FFT and Cholesky factor do their work
+    cfg = Path(__file__).resolve().parents[1] / "configs"
+    flagship = [f"--config={cfg / 'flagship.json'}"]
+    target = [f"--target={cfg / 'target_flagship.json'}"]
+    codes, loaded = _cli_scipy_modules(
+        tmp_path,
+        ["solve", *flagship, "--dt=0.05"],
+        ["steer", *flagship, "--dt=0.05", *target, "--eps=0.1"],
+        ["sweep", *flagship, "--dt=0.05", *target, "--eps-list=0.1,0.01"],
+        ["optimize", f"--config={cfg / 'linear1d.json'}", "--dt=0.1",
+         f"--cost={cfg / 'cost_quadratic.json'}", "--intervals=2"],
+        ["check", *flagship, "--eps=0.1"],
+        ["ml", "--alpha=1.5", "--beta=1", "--z=-1"],
+    )
+    assert codes == [0] * 6
+    assert loaded == []
+
+
+def test_ml_at_alpha_one_loads_only_scipy_special(tmp_path):
+    # mittag._alpha_one imports scipy.special inside the function, for
+    # alpha = 1 alone; nothing else of scipy comes with it
+    codes, loaded = _cli_scipy_modules(tmp_path, ["ml", "--alpha=1", "--beta=2", "--z=-1"])
+    assert codes == [0]
+    assert not {"scipy.fft", "scipy.linalg", "scipy.integrate"} & set(loaded)
 
 
 def _table(ts, alpha, eigs):

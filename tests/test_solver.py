@@ -117,6 +117,29 @@ class TestConvolve:
         assert got == pytest.approx(want, abs=1e-4)
         assert got != pytest.approx(want, abs=1e-9)
 
+    def test_fft_size_is_the_least_5_smooth_size_that_fits(self):
+        # every 2^a 3^b 5^c below 30,000, enumerated without the helper's gcd
+        smooth = sorted(
+            2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7)
+            if 2**a * 3**b * 5**c < 30_000
+        )
+        size = Grid.fft_size.func  # reads n_fwd only
+        for n_fwd in range(1, 10_001):
+            want = next(s for s in smooth if s >= 2 * n_fwd + 1)
+            assert size(SimpleNamespace(n_fwd=n_fwd)) == want, n_fwd
+
+    @pytest.mark.parametrize("config, dt, size", [
+        ("linear1d.json", 0.01, 216),
+        ("flagship.json", 1.0 / 200.0, 405),
+        ("flagship.json", 1.0 / 400.0, 810),
+    ])
+    def test_fft_size_of_the_benchmarked_grids(self, config, dt, size):
+        # the sizes scipy.fft.next_fast_len(2 n_fwd + 1, real=True) gave;
+        # the convolution's bits depend on the size
+        grid = Grid(load_problem(CONFIGS / config), dt)
+        assert grid.fft_size == size
+        assert grid.kernel_spectrum.shape == (size // 2 + 1, grid.spec.n_modes)
+
 
 class TestFreeResponse:
     def test_matches_ml_kernel(self):
