@@ -59,10 +59,10 @@ def grammian(spec: ProblemSpec, grid: Grid) -> FloatArray:
     is a Schur product of Gram matrices, positive semidefinite up to
     rounding; it may be singular, and steer needs only eps I + Gamma to
     factor."""
-    table = SolutionKernel(spec, grid).table
-    w = grid.trapezoid_weights(grid.n_fwd)
-    G = (spec.B @ spec.B.T) * (table.T @ (w[:, None] * table))
-    return 0.5 * (G + G.T)
+    table, w = SolutionKernel(spec, grid).table, grid.trapezoid_weights(grid.n_fwd)
+    with np.errstate(over="ignore", invalid="ignore"):  # cho_factor refuses inf and nan
+        G = (spec.B @ spec.B.T) * (table.T @ (w[:, None] * table))
+        return 0.5 * (G + G.T)
 
 
 def cho_factor(a: FloatArray) -> FloatArray:

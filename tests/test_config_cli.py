@@ -167,11 +167,18 @@ class TestCliMl:
         monkeypatch.chdir(tmp_path)
         assert run(["ml", "--alpha", "3.0", "--beta", "1", "--z", "1"]) == 2
 
-    # points that no route evaluates: hyp1f1(1, 2.5, 800) overflows, and
-    # beta = 7 is 700 reductions of alpha = 0.01 from (0, alpha]
+    # 1 / Gamma(200) underflows, and Gamma(200) itself overflows
+    @pytest.mark.parametrize("z", ["-1", "5"])
+    def test_alpha_one_at_large_beta_prints_zero(self, tmp_path, z):
+        out = tmp_path / "ml.csv"
+        assert run(["ml", "--alpha=1", "--beta=200", f"--z={z}", f"--out={out}"]) == 0
+        assert out.read_text().splitlines()[1] == f"1.0,200.0,{float(z)},0.0"
+
+    # points that no route evaluates: the series at alpha = 2 needs over 600
+    # terms at z = 2e5 (cosh(447)), and beta = 7 is 700 reductions of
+    # alpha = 0.01 from (0, alpha]
     @pytest.mark.parametrize("alpha, beta, z, message", [
-        ("1", "2.5", "800", "confluent-hypergeometric route failed for beta=2.5, z=800.0 "
-                            "[regime=hyp1f1]"),
+        ("2", "1", "2e5", "no route certifies alpha=2.0, beta=1.0, z=200000.0 [regime=table]"),
         ("0.01", "7", "-100", "beta=7.0 needs over 600 reductions for alpha=0.01 [regime=table]"),
     ])
     def test_unevaluable_point_exits_3(self, tmp_path, alpha, beta, z, message):

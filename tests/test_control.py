@@ -414,6 +414,17 @@ class TestGoldenFlagship:
         assert calls["eval_f"] <= 58
         assert calls["cho_factor"] == 3
 
+    def test_overflowing_grammian_is_refused_without_a_warning(self):
+        # B = 1e200 puts (1e200)^2 into Gamma: the overflow is no numpy
+        # warning (an error under this suite's warning filter) but a
+        # factorization that fails, once per steer and per sweep entry
+        spec = make_spec(n=1, B=[[1e200]])
+        grid = Grid(spec, 0.1)
+        with pytest.raises(EvaluationError, match=r"regime=cholesky\]$"):
+            steer(spec, grid, np.array([0.5]), eps=1e-2)
+        result = epsilon_sweep(spec, grid, np.array([0.5]), [1e-1, 1e-2])
+        assert all(e.report is None and "regime=cholesky" in e.error for e in result.entries)
+
     def test_failed_factorization_raises_once_per_steer(self, monkeypatch):
         import fracsteer.control as control
 

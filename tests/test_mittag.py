@@ -86,40 +86,55 @@ class TestKnownValues:
 class TestAlphaOne:
     @pytest.mark.parametrize("beta", [0.5, 1.5, 2.5, 3.2])
     def test_array_call_has_the_bits_of_point_calls(self, beta):
-        from scipy.special import hyp1f1
-
-        zs = np.linspace(-700.0, 700.0, 2001)
-        want = [float(hyp1f1(1.0, beta, z)) / math.gamma(beta) for z in zs.tolist()]
+        # every route, the step down from beta < 1 and z^{1-beta} e^z past
+        # what the series certifies included; each point stops its sums on
+        # its own
+        zs = np.linspace(-700.0, 700.0, 71)
+        want = [mittag_leffler(1.0, beta, z) for z in zs.tolist()]
         np.testing.assert_array_equal(mittag_leffler(1.0, beta, zs), want)
 
-    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 2.5, 3.2])
+    @pytest.mark.parametrize(
+        "beta", [0.5, 0.9, 1.5, 2.0, 2.5, 3.2, 7.5, 12.0, 40.0, 80.0, 170.0]
+    )
     def test_matches_extended_precision_hypergeometric(self, beta):
-        # E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta), here by mpmath at 50
-        # digits, not by scipy's own bits; the bound is the README's 5.9e-13
-        # on the smaller of absolute and relative error
-        from mpmath import gamma, hyp1f1, mp
+        # E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta), here by mpmath at 80
+        # digits, on every route: the series and z^{1-beta} e^z for z >= 0,
+        # Kummer's sum and the asymptotic sum on either side of
+        # x = max(50, 2 beta).  The bound is the README's 5.9e-13 on the
+        # smaller of absolute and relative error.  Where |E| >= 1e-300 the
+        # relative error alone is within 1e-12, but at beta = 0.9: there the
+        # step 1/Gamma(beta) - x E_{1,beta+1}(-x) cancels toward x = 50, and
+        # read 8.6e-13 at z = -50
+        from mpmath import hyp1f1, mp, rgamma
 
-        zs = np.concatenate([-np.geomspace(1e4, 1e-3, 40), [0.0, 0.5, 1.0, 2.5, 5.0]])
+        edge = max(50.0, 2.0 * beta)
+        zs = np.concatenate([
+            -np.geomspace(1e4, 1e-3, 40), [0.0], np.geomspace(1e-3, 700.0, 30),
+            [-edge * (1.0 + 1e-9), -edge, 540.0, 560.0, 600.0],
+        ])
         got = mittag_leffler(1.0, beta, zs)
-        with mp.workdps(50):
-            want = [float(hyp1f1(1, beta, z) / gamma(beta)) for z in zs.tolist()]
+        with mp.workdps(80):
+            want = [float(hyp1f1(1, beta, z) * rgamma(beta)) for z in zs.tolist()]
         for z, g, w in zip(zs.tolist(), got.tolist(), want):
             err = abs(g - w)
             assert min(err, err / abs(w)) <= 5.9e-13, z
+            if abs(w) >= 1e-300 and beta != 0.9:
+                assert err <= 1e-12 * abs(w), z
 
-    def test_one_hypergeometric_call_per_array(self, monkeypatch):
-        import scipy.special
+    def test_overflow_is_inf(self):
+        # at beta = 2.5 a series term passes e^700 from z of about 714, but
+        # the value overflows only from about 719.7, where z^{1-beta} e^z does
+        assert mittag_leffler(1.0, 2.5, 800.0) == math.inf
+        want = math.exp(715.0 - 1.5 * math.log(715.0))
+        assert mittag_leffler(1.0, 2.5, 715.0) == pytest.approx(want, rel=1e-12)
 
-        calls = []
-        hyp1f1 = scipy.special.hyp1f1
-        monkeypatch.setattr(scipy.special, "hyp1f1", lambda *a: calls.append(a) or hyp1f1(*a))
-        mittag_leffler(1.0, 2.5, np.linspace(-100.0, 5.0, 100))
-        assert len(calls) == 1
-
-    def test_first_failing_point_in_array_order_is_named(self):
-        for zs, named in [([0.0, 800.0, 900.0], "800.0"), ([0.0, 900.0, 800.0], "900.0")]:
-            with pytest.raises(EvaluationError, match=f"beta=2.5, z={named} "):
-                mittag_leffler(1.0, 2.5, zs)
+    def test_large_beta_underflows_to_zero(self):
+        # 1 / Gamma(beta) < 1e-323 past beta of about 178 (Gamma itself
+        # overflows past 171.6).  Kummer's sum runs out to x = 2 beta = 600
+        # here; at z = -600 it takes all 600 terms without stopping, but its
+        # value is times 1 / Gamma(300) = 0
+        zs = np.array([-1e4, -600.0, -1.0, 0.0, 5.0, 700.0])
+        np.testing.assert_array_equal(mittag_leffler(1.0, 300.0, zs), 0.0)
 
 
 class TestAlphaTwo:
@@ -156,6 +171,11 @@ class TestAlphaTwo:
         for alpha in [2.0, 1.99]:
             with pytest.raises(EvaluationError, match="no route certifies"):
                 mittag_leffler(alpha, 1.0, 2e5)
+
+    def test_first_failing_point_in_array_order_is_named(self):
+        for zs, named in [([0.0, 2e5, 3e5], "200000.0"), ([0.0, 3e5, 2e5], "300000.0")]:
+            with pytest.raises(EvaluationError, match=f"beta=1.0, z={named} "):
+                mittag_leffler(2.0, 1.0, zs)
 
 
 class TestOracleSweep:
@@ -277,34 +297,23 @@ class TestProperties:
             )
 
 
-_SCIPY_PROBE = """
+_NO_SCIPY_PROBE = """
 import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from fracsteer.cli import run
 codes = [run(argv + ["--out", f"out{i}"]) for i, argv in enumerate(json.loads(sys.argv[1]))]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+print(json.dumps(codes))
 """
-
-
-def _cli_scipy_modules(tmp_path, *commands):
-    """Exit codes of the commands (argument lists), run in one fresh process
-    through cli.run, and the scipy modules loaded after them."""
-    src = Path(mittag.__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands)], cwd=tmp_path,
-        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout)
 
 
 def test_cli_commands_load_no_scipy(tmp_path):
     # scipy.fft and scipy.linalg alone added 33 MB and about 0.25 s to every
-    # command; numpy's FFT and Cholesky factor do their work
+    # command; numpy's FFT, Cholesky factor and alpha = 1 sums do their work.
+    # The commands run in one fresh process in which scipy cannot be imported
     cfg = Path(__file__).resolve().parents[1] / "configs"
     flagship = [f"--config={cfg / 'flagship.json'}"]
     target = [f"--target={cfg / 'target_flagship.json'}"]
-    codes, loaded = _cli_scipy_modules(
-        tmp_path,
+    commands = [
         ["solve", *flagship, "--dt=0.05"],
         ["steer", *flagship, "--dt=0.05", *target, "--eps=0.1"],
         ["sweep", *flagship, "--dt=0.05", *target, "--eps-list=0.1,0.01"],
@@ -312,17 +321,16 @@ def test_cli_commands_load_no_scipy(tmp_path):
          f"--cost={cfg / 'cost_quadratic.json'}", "--intervals=2"],
         ["check", *flagship, "--eps=0.1"],
         ["ml", "--alpha=1.5", "--beta=1", "--z=-1"],
+        ["ml", "--alpha=1", "--beta=1", "--grid=-100,700,9"],
+        ["ml", "--alpha=1", "--beta=2.5", "--grid=-100,700,9"],
+    ]
+    src = Path(mittag.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, json.dumps(commands)], cwd=tmp_path,
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
-    assert codes == [0] * 6
-    assert loaded == []
-
-
-def test_ml_at_alpha_one_loads_only_scipy_special(tmp_path):
-    # mittag._alpha_one imports scipy.special inside the function, for
-    # alpha = 1 alone; nothing else of scipy comes with it
-    codes, loaded = _cli_scipy_modules(tmp_path, ["ml", "--alpha=1", "--beta=2", "--z=-1"])
-    assert codes == [0]
-    assert not {"scipy.fft", "scipy.linalg", "scipy.integrate"} & set(loaded)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [0] * len(commands)
 
 
 def _table(ts, alpha, eigs):
