@@ -333,6 +333,28 @@ def test_cli_commands_load_no_scipy(tmp_path):
     assert json.loads(done.stdout) == [0] * len(commands)
 
 
+_SCIPY_PROBE = """
+import json, sys
+from fracsteer.cli import run
+code = run(["ml", "--alpha=1", "--beta=2", "--z=-1", "--out", "out"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
+"""
+
+
+def test_ml_at_alpha_one_loads_only_scipy_special(tmp_path):
+    # alpha = 1 once imported scipy.special for hyp1f1; its numpy sums now
+    # load no scipy module at all, even where scipy could be imported
+    src = Path(mittag.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path,
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert loaded == []
+
+
 def _table(ts, alpha, eigs):
     """table[m, n] = E_{alpha,1}(eigs[n] * ts[m]^alpha), the outer product
     Grid.kernel_table evaluates, for times and eigenvalues no spec has."""
