@@ -70,8 +70,8 @@ _HEAD_SCALE = 1.0 / np.cumprod(np.maximum(np.arange(22.0), 1.0))
 def _check(alpha: float, beta: float, z: np.ndarray) -> None:
     if not (0.0 < alpha <= 2.0):
         raise ConfigError(f"alpha must lie in (0, 2], got {alpha}")
-    if not (0.0 < beta < math.inf):
-        raise ConfigError(f"beta must be finite and > 0, got {beta}")
+    if not (0.0 < beta <= 1e305):  # math.lgamma(alpha k + beta) overflows from 2.5e305
+        raise ConfigError(f"beta must lie in (0, 1e305], got {beta}")
     bad = z[~np.isfinite(z)]
     if bad.size:
         raise ConfigError(f"z must be finite, got {bad[0]}")
@@ -289,10 +289,11 @@ def _branch_cut(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
     key = 2048.0 * n0 + j  # one group per (n0, j): j <= 1024 as w < 2^1024
     for k in np.unique(key):
         at, (n, jn) = np.flatnonzero(key == k), divmod(int(k), 2048)
-        if n != nodes_of:
+        if n != nodes_of:  # v ascends, so each head of n is a prefix of its first, widest one
             (v, c), nodes_of = _cut_nodes(alpha, b, n), n
-        head, keep = v < 2.0**-jn, (v >= 2.0**-jn) & (v * 2.0 ** (jn - 1) <= 45.0)
-        moments = np.einsum("ij,j->i", v[head] ** _HEAD_POWERS, c[head]) * _HEAD_SCALE
+            powers = v[v < 2.0**-jn] ** _HEAD_POWERS
+        head, keep = np.count_nonzero(v < 2.0**-jn), (v >= 2.0**-jn) & (v * 2.0 ** (jn - 1) <= 45.0)
+        moments = np.einsum("ij,j->i", powers[:, :head], c[:head]) * _HEAD_SCALE
         sums, neg_w, vk = np.full(at.size, moments[-1]), -w[at], v[keep]
         for m in moments[-2::-1]:  # Horner's rule in -w
             sums *= neg_w

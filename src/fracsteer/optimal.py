@@ -123,8 +123,10 @@ def eval_cost(
 _STAT_TOL = 1e-9
 # Step halvings tried before the descent is declared stationary (or boxed).
 _MAX_BACKTRACKS = 30
-# The BFGS inverse Hessian starts as this multiple of I.
+# The BFGS inverse Hessian starts as diag(1 / c) on the start's second
+# differences c, and as this where h^2 c is not above _ROUNDING |J|.
 _FIRST_STEP = 0.5
+_ROUNDING = 4.0 * np.finfo(float).eps
 # Central differences step parameter i by _FD_STEP * max(1, |theta_i|).
 _FD_STEP = 1e-5
 
@@ -160,15 +162,16 @@ def minimize(
     Each step holds fixed every parameter that sits at a bound with its
     gradient g pointing out of the box, moves the free ones along -H g with
     the BFGS inverse Hessian H restricted to them, and clips the trial point
-    to the box.  H starts as _FIRST_STEP * I, so the first trial point is
-    theta - _FIRST_STEP * g; after the first accepted step H is rescaled to
-    (s.y / y.y) I before its first update, and an update with s.y <= 0 is
-    skipped.  Steps are accepted only when they decrease J by more than
-    1e-15 (backtracking halving), so the best-J history is non-increasing; a
-    predicted decrease -g.d within that margin is stationary, as is a line
-    search that ran every halving without one, even on the last evaluation
-    of the budget; a budget that cuts the descent short returns the best
-    iterate flagged as non-converged.
+    to the box.  H starts as diag(1 / c) on the second differences c of the
+    start's gradient stencil (Nocedal & Wright, Numerical Optimization, 2nd
+    ed., sec. 6.1), _FIRST_STEP where c is not above rounding, so a
+    separable quadratic's first step lands on its minimizer; an update with
+    s.y <= 0 is skipped.  Steps are accepted only when they decrease J by
+    more than 1e-15 (backtracking halving), so the best-J history is
+    non-increasing; a predicted decrease -g.d within that margin is
+    stationary, as is a line search that ran every halving without one, even
+    on the last evaluation of the budget; a budget that cuts the descent
+    short returns the best iterate flagged as non-converged.
     The start and, while a rejection would leave room for every halving,
     each step's first trial point are solved in one stack with their 2 P N
     gradient points; n_evals counts them all, a rejected trial's too.
@@ -197,18 +200,20 @@ def minimize(
         return np.concatenate([eval_cost(spec, cost, param.expand(grid, thetas[i : i + step]))
                                for i in range(0, len(thetas), step)])
 
-    def J_and_grad(x: FloatArray, J: float | None = None):  # J at x unless given, and g, in one stack
+    def J_and_grad(x: FloatArray, J: float | None = None):  # J unless given, g and c, in one stack
         h = _FD_STEP * np.maximum(1.0, np.abs(x))
         J_all = J_of(np.concatenate([x[None]] * (J is None) + [x + np.diag(h), x - np.diag(h)]))
         up, down = J_all[-2 * x.size :].reshape(2, x.size)
-        return (float(J_all[0]) if J is None else J), (up - down) / (2.0 * h)
+        J = float(J_all[0]) if J is None else J
+        d2 = up + down - 2.0 * J  # h^2 c; c is nan where this is not above rounding
+        return J, (up - down) / (2.0 * h), np.where(d2 > _ROUNDING * abs(J), d2 / h**2, np.nan)
 
     x, b = theta.ravel(), param.bound
-    J, g = J_and_grad(x)
+    J, g, c = J_and_grad(x)
     history = [J]
     converged = False
     eye = np.eye(x.size)
-    H = _FIRST_STEP * eye
+    H = np.diag(np.where(np.isfinite(c), 1.0 / c, _FIRST_STEP))
     s = g_old = None
 
     while g is not None or n_evals + 2 * x.size <= opts.max_evals:
@@ -218,8 +223,6 @@ def minimize(
             y = g - g_old
             sy = s @ y
             if sy > 0.0:
-                if len(history) == 2:  # first update: H0 scaled to the curvature seen
-                    H = (sy / (y @ y)) * eye
                 V = eye - np.outer(s, y) / sy
                 H = V @ H @ V.T + np.outer(s, s) / sy
         free = ~(((x <= -b) & (g > 0.0)) | ((x >= b) & (g < 0.0)))
@@ -233,7 +236,7 @@ def minimize(
         for k in range(tries):
             cand = param.project(x + 0.5**k * d)
             if k == 0 and room and np.linalg.norm(cand - x) > _STAT_TOL:
-                J_cand, g_cand = J_and_grad(cand)
+                J_cand, g_cand, _ = J_and_grad(cand)
             else:
                 J_cand, g_cand = float(J_of(cand[None])[0]), None
             if J_cand < J - 1e-15:
@@ -248,10 +251,5 @@ def minimize(
             converged = True
             break
 
-    return MinimizeResult(
-        J_opt=J,
-        theta_opt=x.reshape(theta.shape),
-        history=history,
-        converged=converged,
-        n_evals=n_evals,
-    )
+    return MinimizeResult(J_opt=J, theta_opt=x.reshape(theta.shape), history=history,
+                          converged=converged, n_evals=n_evals)

@@ -174,6 +174,19 @@ class TestCliMl:
         assert run(["ml", "--alpha=1", "--beta=200", f"--z={z}", f"--out={out}"]) == 0
         assert out.read_text().splitlines()[1] == f"1.0,200.0,{float(z)},0.0"
 
+    # lgamma overflows past beta = 2.5e305; a beta above 1e305 is refused
+    # (1/Gamma(beta) reads 0.0 from 178 on, and E_{alpha,beta}(-1) does)
+    @pytest.mark.parametrize("alpha", ["1.5", "1"])
+    def test_huge_beta_exits_2(self, tmp_path, alpha):
+        out = tmp_path / "ml.csv"
+        code, err = _run_captured(
+            ["ml", f"--alpha={alpha}", "--beta=1e306", "--z=-1", f"--out={out}"]
+        )
+        assert (code, err) == (2, "error: beta must lie in (0, 1e305], got 1e+306\n")
+        assert not out.exists()
+        assert run(["ml", f"--alpha={alpha}", "--beta=1e305", "--z=-1", f"--out={out}"]) == 0
+        assert out.read_text().splitlines()[1] == f"{float(alpha)},1e+305,-1.0,0.0"
+
     # points that no route evaluates: the series at alpha = 2 needs over 600
     # terms at z = 2e5 (cosh(447)), and beta = 7 is 700 reductions of
     # alpha = 0.01 from (0, alpha]

@@ -239,45 +239,119 @@ class TestMinimize:
         assert abs(result.J_opt - j_min) / j_min <= 1e-9
         assert result.n_evals <= 400
 
-    def test_lq_stops_without_a_failing_line_search(self):
+    def test_lq_stops_without_a_failing_line_search(self, monkeypatch):
         # at the minimizer the predicted decrease -g.d is below the acceptance
         # margin, so the descent stops there instead of halving a step 30
-        # times: the start and 8 accepted steps, each point with its
-        # 16-point gradient, 9 x 17 evaluations
+        # times: the start and 6 accepted steps, each point with its
+        # 16-point gradient, 7 x 17 evaluations in 7 batched eval_cost calls
         spec, cost, grid, param, j_min = self.lq_problem()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eval_cost(*args, **kwargs)
+
+        monkeypatch.setattr(optimal, "eval_cost", counted)
         result = minimize(spec, grid, cost, param)
         assert result.converged
         assert abs(result.J_opt - j_min) / j_min <= 1e-9
-        assert result.n_evals <= 160
+        assert result.n_evals <= 119 and len(calls) <= 7
 
     def test_short_accepted_step_is_stationary(self):
-        # with the control weighed 1e6 the accepted steps shrink until one is
-        # no longer than _STAT_TOL, which ends the descent as stationary at
-        # its fifth point; without that stop it spends 47 evaluations
+        # with the control weighed 1e4 the second accepted step is no longer
+        # than _STAT_TOL, which ends the descent as stationary at its third
+        # point; without that stop its gradient there adds 6 evaluations
         spec = load_problem(CONFIGS / "linear1d.json")
-        cost = CostDescriptor(w_state=1.0, w_hist=0.0, w_control=1e6, f_u=1.0)
-        param = ControlParameterization.boxed(2, 1, 10.0)
+        cost = CostDescriptor(w_state=1.0, w_hist=0.0, w_control=1e4, f_u=1.0)
+        param = ControlParameterization.boxed(3, 1, 10.0)
         result = minimize(spec, Grid(spec, 0.1), cost, param)
-        assert (result.converged, result.n_evals, len(result.history)) == (True, 43, 5)
+        assert (result.converged, result.n_evals, len(result.history)) == (True, 15, 3)
+
+    def test_separable_quadratic_minimized_in_one_step(self):
+        # a control-only cost is a separable quadratic in theta: the second
+        # differences of the start's stencil are its Hessian's diagonal, so
+        # the first accepted step lands on the minimizer theta = 0 to the
+        # stencil's accuracy
+        spec = load_problem(CONFIGS / "linear1d.json")
+        cost = CostDescriptor(w_state=0.0, w_hist=0.0, w_control=1.0, f_u=1.0)
+        param = ControlParameterization.boxed(3, 1, 10.0)
+        theta0 = np.array([[0.5], [-0.3], [0.8]])
+        result = minimize(spec, Grid(spec, 0.1), cost, param, theta0=theta0)
+        assert result.converged
+        assert result.history[1] <= 1e-11 * result.history[0]
+        assert np.max(np.abs(result.theta_opt)) <= 1e-9
+
+    def test_unusable_curvature_starts_at_first_step(self, monkeypatch):
+        # a cost in three parameters, one term each: convex in the first, so
+        # its inverse Hessian entry is 1 / c; concave in the second and
+        # curved within rounding in the third, so both start at _FIRST_STEP.
+        # The first trial point (solved alone in the smallest budget) shows
+        # the step each coordinate took
+        spec = load_problem(CONFIGS / "linear1d.json")
+        grid = Grid(spec, 0.1)
+        param = ControlParameterization.boxed(3, 1, 10.0)
+        first = np.searchsorted(param.interval_of(grid), np.arange(3))
+        # a t^2 + t / 8 with a h^2 = 2 eps at h = 1e-5: J(+-h) - J(0) is
+        # +-h / 8 plus a rounding's worth of curvature
+        a = 2.0 * np.finfo(float).eps / optimal._FD_STEP**2
+        calls = []
+
+        def fake_cost(spec_, cost_, u, tol=1e-10):
+            t = u.samples[..., first, 0]
+            convex, concave, flat = (t[:, 0] - 1.0) ** 2, t[:, 1] - t[:, 1] ** 2, a * t[:, 2] ** 2
+            J = 2.0 + convex + concave + (flat + t[:, 2] / 8)
+            calls.append((t, J))
+            return J
+
+        monkeypatch.setattr(optimal, "eval_cost", fake_cost)
+        minimize(spec, grid, QUAD, param, opts=MinimizeOptions(max_evals=8))
+        assert [len(t) for t, _ in calls] == [7, 1]
+        (J, *stencil), trial = calls[0][1], calls[1][0][0]
+        up, down = np.reshape(stencil, (2, 3))
+        h = optimal._FD_STEP
+        g, d2 = (up - down) / (2.0 * h), up + down - 2.0 * J
+        assert d2[0] > optimal._ROUNDING * J and d2[1] < 0.0 and 0.0 < d2[2] <= optimal._ROUNDING * J
+        step = [1.0 / (d2[0] / h**2), optimal._FIRST_STEP, optimal._FIRST_STEP]
+        np.testing.assert_array_equal(trial, -(np.array(step) * g))
+        assert trial[0] == pytest.approx(1.0, abs=1e-4)
+
+    def test_overflowing_curvature_starts_at_first_step(self, monkeypatch):
+        # J = 1e308 t^2 + 1e303 t: at t = 0 the second difference 2e298 over
+        # h^2 = 1e-10 overflows to c = inf, so the first trial step is
+        # -_FIRST_STEP g = -5e302, clipped to the box, not -g / c = 0
+        spec = load_problem(CONFIGS / "linear1d.json")
+        grid = Grid(spec, 0.1)
+        param = ControlParameterization.boxed(1, 1, 10.0)
+        trials = []
+
+        def fake_cost(spec_, cost_, u, tol=1e-10):
+            t = u.samples[..., 0, 0]
+            trials.append(t)
+            return 1e308 * t**2 + 1e303 * t
+
+        monkeypatch.setattr(optimal, "eval_cost", fake_cost)
+        with np.errstate(over="ignore"):
+            minimize(spec, grid, QUAD, param, opts=MinimizeOptions(max_evals=4))
+        assert [len(t) for t in trials] == [3, 1] and trials[1][0] == -10.0
 
     def test_lq_minimum_pinned_bit_for_bit(self):
         # the optimize_lq_1d run from its seed-0 start (theta = 0), to the
         # last bit: a change to how its f = 0 solves stop must not move it
         spec, cost, grid, param, _ = self.lq_problem()
         result = minimize(spec, grid, cost, param)
-        assert repr(result.J_opt) == "0.8799374606768834"
+        assert repr(result.J_opt) == "0.8799374606768835"
         assert [repr(float(v)) for v in result.theta_opt.ravel()] == [
-            "-0.7929628927671832", "-0.6338060298296778", "-0.48919467996881466",
-            "-0.36280063489841746", "-0.2545518885386672", "-0.16300528361242556",
-            "-0.0875002938498073", "-0.025583046451635737",
+            "-0.7929629009300925", "-0.6338060439213267", "-0.4891946662472657",
+            "-0.36280061818834775", "-0.25455188982078625", "-0.16300529466797492",
+            "-0.08750029154440617", "-0.025583044162616662",
         ]
-        assert result.n_evals == 153
+        assert result.n_evals == 119
 
     def test_lq_solves_take_one_sweep_each(self, monkeypatch):
         # f = 0, so each solve's first Picard sweep is its fixed point: the
-        # descent's 9 batched solves, the start and each accepted trial point
-        # with its gradient, make 9 mild maps (18 when each solve ran a
-        # second sweep to see the residual 0)
+        # descent's 7 batched solves, the start and each accepted trial point
+        # with its gradient, make 7 mild maps (14 if each solve ran a second
+        # sweep to see the residual 0)
         spec, cost, grid, param, _ = self.lq_problem()
         calls = {"solve_mild": 0, "mild_map": 0}
 
@@ -290,14 +364,14 @@ class TestMinimize:
         monkeypatch.setattr(optimal, "solve_mild", counted("solve_mild", optimal.solve_mild))
         monkeypatch.setattr(solver, "mild_map", counted("mild_map", solver.mild_map))
         result = minimize(spec, grid, cost, param)
-        assert result.n_evals == 153
-        assert calls == {"solve_mild": 9, "mild_map": 9}
+        assert result.n_evals == 119
+        assert calls == {"solve_mild": 7, "mild_map": 7}
 
     def test_batched_gradient_equals_serial_differences(self, monkeypatch):
         # the start and the 2P points of its gradient go through one batched
-        # eval_cost call; its values, the gradient and so the first trial
-        # point theta - step g must equal 1 + 2P one-at-a-time evaluations
-        # bit for bit
+        # eval_cost call; its values, the gradient, the second differences
+        # and so the first trial point theta - g / c must equal 1 + 2P
+        # one-at-a-time evaluations bit for bit
         spec, cost, grid, param, _ = self.lq_problem()
         theta0 = np.random.default_rng(4).uniform(-0.5, 0.5, (8, 1))
         calls = []
@@ -313,9 +387,10 @@ class TestMinimize:
         assert [np.shape(J) for _, J in calls] == [(17,), (1,)]
 
         x = theta0.ravel()
-        assert calls[0][1][0] == eval_cost(spec, cost, param.expand(grid, theta0))
+        J = eval_cost(spec, cost, param.expand(grid, theta0))
+        assert calls[0][1][0] == J
         hstep = optimal._FD_STEP * np.maximum(1.0, np.abs(x))
-        g = np.empty(x.size)
+        g, c = np.empty(x.size), np.empty(x.size)
         for i in range(x.size):
             e = np.zeros(x.size)
             e[i] = hstep[i]
@@ -323,7 +398,10 @@ class TestMinimize:
             dn = eval_cost(spec, cost, param.expand(grid, (x - e).reshape(8, 1)))
             assert calls[0][1][1 + i] == up and calls[0][1][1 + x.size + i] == dn
             g[i] = (up - dn) / (2.0 * hstep[i])
-        trial = param.expand(grid, np.clip(x - optimal._FIRST_STEP * g, -10.0, 10.0).reshape(8, 1))
+            c[i] = (up + dn - 2.0 * J) / hstep[i] ** 2
+        # every coordinate's curvature is measured, none takes _FIRST_STEP
+        assert np.all(c > 1e3 * np.finfo(float).eps * J / hstep**2)
+        trial = param.expand(grid, np.clip(x - 1.0 / c * g, -10.0, 10.0).reshape(8, 1))
         np.testing.assert_array_equal(calls[1][0], trial.samples[None])
 
     @staticmethod
@@ -435,59 +513,58 @@ class TestMinimize:
 
     @staticmethod
     def probe():
-        # linear1d at dt 0.1 with P = 4: its descent ends in a line search
+        # linear1d at dt 0.1 with P = 2: its descent ends in a line search
         # whose first trial point is rejected
         spec = load_problem(CONFIGS / "linear1d.json")
         cost = load_cost(CONFIGS / "cost_quadratic.json")
-        return spec, cost, Grid(spec, 0.1), ControlParameterization.boxed(4, 1, 10.0)
+        return spec, cost, Grid(spec, 0.1), ControlParameterization.boxed(2, 1, 10.0)
 
-    # n_evals of the probe's descent at the budgets 10 to 127, recorded when
-    # every trial point was solved alone; only 120 and up converge
+    # n_evals of the probe's descent at the budgets 6 to 63; only 60 and up
+    # converge.  Up to 29 each accepted step takes 5 evaluations (its
+    # trial point and its 4-point gradient), or stops at the budget that
+    # cannot hold them; from 30 on the final line search has no room for
+    # its first trial's stencil and halves one trial at a time
     PROBE_N_EVALS = (
-        [10] * 8 + [18] + [19] * 8 + [27] + [28] * 8 + [36] + [37] * 8 + [45] + [46] * 8
-        + [54] + [55] * 8 + [63] + [64] * 8 + [72] + [73] * 8 + [81] + [82] * 8
-        + list(range(90, 121)) + [120] * 7
+        [6] * 4 + [10] + [11] * 4 + [15] + [16] * 4 + [20] + [21] * 4 + [25] + [26] * 4
+        + list(range(30, 61)) + [60] * 3
     )
 
     def test_probe_descent_pinned_bit_for_bit(self):
         spec, cost, grid, param = self.probe()
         result = minimize(spec, grid, cost, param)
         assert result.converged
-        assert repr(result.J_opt) == "0.8869514951257463"
+        assert repr(result.J_opt) == "0.8983186557171275"
         assert [repr(float(v)) for v in result.theta_opt.ravel()] == [
-            "-0.7050065707730024", "-0.4516541228369858", "-0.2281704694816917",
-            "-0.05729915356759806",
+            "-0.59982483886625", "-0.15185264765178666",
         ]
         assert [repr(v) for v in result.history] == [
-            "1.1553315014134207", "0.9966581369951703", "0.8871939335260705",
-            "0.8869782816377038", "0.8869523632671756", "0.8869515455968229",
-            "0.8869514952146813", "0.8869514951267593", "0.8869514951258015",
-            "0.8869514951257463",
+            "1.1553315014134207", "0.9031918416962655", "0.8983467623304401",
+            "0.8983186898024531", "0.8983186557299975", "0.8983186557171275",
         ]
-        # each step's first trial point is solved with its 8-point gradient;
-        # the last step's is rejected, so its stencil adds 8 evaluations to
+        # each step's first trial point is solved with its 4-point gradient;
+        # the last step's is rejected, so its stencil adds 4 evaluations to
         # the 30 failing trials
-        assert result.n_evals == 128
+        assert result.n_evals == 64
 
-    def test_probe_converges_in_a_budget_of_121(self):
+    def test_probe_converges_with_one_evaluation_to_spare(self):
         spec, cost, grid, param = self.probe()
-        result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=121))
-        assert result.converged and result.n_evals == 120
-        assert repr(result.J_opt) == "0.8869514951257463"
+        result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=61))
+        assert result.converged and result.n_evals == 60
+        assert repr(result.J_opt) == "0.8983186557171275"
 
     def test_probe_at_every_budget(self):
-        # the budget is never passed and the best J never rises; below 128
+        # the budget is never passed and the best J never rises; below 64
         # the run stops where the recorded one did
         spec, cost, grid, param = self.probe()
-        for max_evals in range(10, 141):
+        for max_evals in range(6, 81):
             result = minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=max_evals))
             assert result.n_evals <= max_evals
             assert np.all(np.diff(result.history) <= 0.0)
-            if max_evals <= 127:
-                want = (max_evals >= 120, self.PROBE_N_EVALS[max_evals - 10])
+            if max_evals <= 63:
+                want = (max_evals >= 60, self.PROBE_N_EVALS[max_evals - 6])
                 assert (result.converged, result.n_evals) == want, max_evals
 
-    @pytest.mark.parametrize("max_evals", [120, 128])
+    @pytest.mark.parametrize("max_evals", [60, 64])
     def test_line_search_on_the_last_evaluation_is_stationary(self, max_evals):
         # the probe's last line search runs every halving and its last trial
         # spends the whole budget: stationary, as with one evaluation to spare
@@ -495,20 +572,20 @@ class TestMinimize:
         runs = [minimize(spec, grid, cost, param, opts=MinimizeOptions(max_evals=m))
                 for m in (max_evals, max_evals + 1)]
         assert [(r.converged, r.n_evals) for r in runs] == [(True, max_evals)] * 2
-        assert repr(runs[0].J_opt) == repr(runs[1].J_opt) == "0.8869514951257463"
+        assert repr(runs[0].J_opt) == repr(runs[1].J_opt) == "0.8983186557171275"
 
     @pytest.mark.parametrize("max_evals, J_opt, theta_opt, history, n_evals, converged", [
-        (40, "1.1058312288292904",
-         ["-0.38650226266422505", "0.051584554250305684", "-0.12873388399950322",
-          "-0.01651516466215253"],
-         ["1.2112932817975184", "1.1189994717694312", "1.1058999896095973",
-          "1.1058320402331712", "1.1058312288292904"], 37, False),
-        (4000, "1.105831219935823",
-         ["-0.3864603486989935", "0.05164749573402724", "-0.12864121804593914",
-          "-0.016542468495499847"],
-         ["1.2112932817975184", "1.1189994717694312", "1.1058999896095973",
-          "1.1058320402331712", "1.1058312288292904", "1.1058312199513678",
-          "1.1058312199360811", "1.1058312199358242", "1.105831219935823"], 81, True),
+        pytest.param(40, "1.105831219936331",
+                     ["-0.38645958846864037", "0.05164804162588064", "-0.12864126965075848",
+                      "-0.01654237736990541"],
+                     ["1.2112932817975184", "1.1072118008001197", "1.1058326357593833",
+                      "1.1058312203584642", "1.105831219936331"], 37, False, id="budget40"),
+        pytest.param(4000, "1.1058312199358231",
+                     ["-0.3864603316755492", "0.05164748490913745", "-0.12864123883681247",
+                      "-0.016542458318047404"],
+                     ["1.2112932817975184", "1.1072118008001197", "1.1058326357593833",
+                      "1.1058312203584642", "1.105831219936331", "1.1058312199358231"],
+                     54, True, id="budget4000"),
     ])
     def test_two_mode_saturating_descent_pinned(self, max_evals, J_opt, theta_opt, history,
                                                 n_evals, converged):
